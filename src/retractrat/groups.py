@@ -9,12 +9,13 @@ dihedral and quaternion groups, S3, A4, and the unit groups (Z/2^n)^x).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import ResourceBoundError, UserInputError
+from .errors import InternalCheckError, ResourceBoundError, UserInputError
 
 PARSE_ORDER_BOUND = 1024
 SUBGROUP_ORDER_BOUND = 64
@@ -59,6 +60,7 @@ class FiniteGroup:
         if check and not self._generates(self.generators):
             raise UserInputError("declared generators do not generate the group")
         self._subgroups: Optional[list[Subgroup]] = None
+        self._subgroup_index: dict[tuple[int, ...], Subgroup] = {}
         self._orders: Optional[tuple[int, ...]] = None
 
     # -- construction checks ------------------------------------------------
@@ -119,14 +121,16 @@ class FiniteGroup:
 
     def closure(self, gens: Iterable[int]) -> tuple[int, ...]:
         """Sorted subgroup generated by gens (always contains 0)."""
+        table = self.mul_table
         seen = {0}
         frontier = [0]
         gens = [g for g in gens]
         while frontier:
             nxt = []
             for a in frontier:
+                row = table[a]
                 for s in gens:
-                    b = self.mul_table[a][s]
+                    b = row[s]
                     if b not in seen:
                         seen.add(b)
                         nxt.append(b)
@@ -194,53 +198,79 @@ class FiniteGroup:
     def subgroups(self) -> list["Subgroup"]:
         """All subgroups (not just up to conjugacy), sorted by order then members.
 
-        Algorithm: all cyclic subgroups from single elements, then close the
-        collection under pairwise join until a fixpoint.
+        Algorithm: cyclic extension (Neubüser).  Every subgroup is generated
+        by cyclic subgroups of prime-power order, since each element is a
+        product of commuting prime-power-order powers of itself.  Starting
+        from the trivial subgroup, each newly found subgroup H is joined with
+        every such cyclic subgroup <z>, z not in H, until a round finds
+        nothing new.  A join is the closure of H's few recorded generators
+        and z, so it costs O(|<H, z>|) table lookups, not O(|H|^2).
         """
         if self._subgroups is not None:
             return self._subgroups
         if self.order > SUBGROUP_ORDER_BOUND:
             raise ResourceBoundError(
                 f"subgroup enumeration bound {SUBGROUP_ORDER_BOUND} exceeded")
-        found: set[tuple[int, ...]] = {self.closure([g]) for g in range(self.order)}
-        frontier = set(found)
+        # one generator per cyclic subgroup of prime-power order
+        cyclic: dict[tuple[int, ...], int] = {}
+        for g in range(1, self.order):
+            if _is_prime_power(self.element_order(g)):
+                cyclic.setdefault(self.closure([g]), g)
+        zuppos = tuple(cyclic.values())
+        found: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}  # members -> generators
+        frontier = [(0,)]
         while frontier:
-            new: set[tuple[int, ...]] = set()
-            for a in frontier:
-                for b in found:
-                    if a is b:
+            nxt = []
+            for members in frontier:
+                gens = found[members]
+                inside = set(members)
+                for z in zuppos:
+                    if z in inside:
                         continue
-                    join = self.closure(set(a) | set(b))
-                    if join not in found and join not in new:
-                        new.add(join)
-            found |= new
-            frontier = new
+                    join = self.closure(gens + (z,))
+                    if join not in found:
+                        found[join] = gens + (z,)
+                        nxt.append(join)
+            frontier = nxt
         subs = [Subgroup(self, members) for members in sorted(found, key=lambda m: (len(m), m))]
         self._subgroups = subs
+        self._subgroup_index = {s.members: s for s in subs}
         return subs
 
     def subgroup(self, members: Iterable[int]) -> "Subgroup":
         key = tuple(sorted(members))
-        for s in self.subgroups():
-            if s.members == key:
-                return s
-        raise UserInputError(f"{key} is not a subgroup")
+        self.subgroups()
+        s = self._subgroup_index.get(key)
+        if s is None:
+            raise UserInputError(f"{key} is not a subgroup")
+        return s
 
     def prime_power_subgroups(self) -> list["Subgroup"]:
         return [s for s in self.subgroups() if s.order > 1 and _is_prime_power(s.order)]
 
     def subgroup_conjugacy_representatives(self) -> list["Subgroup"]:
         """One subgroup per conjugacy class (the class member with the smallest
-        member tuple), sorted by order then members."""
+        member tuple), sorted by order then members.  A class is the orbit
+        of a subgroup under conjugation by the generators of G."""
+        conj = [[self.conjugate(g, x) for x in range(self.order)] for g in self.generators]
         seen: set[tuple[int, ...]] = set()
         reps: list[Subgroup] = []
         for s in self.subgroups():
             if s.members in seen:
                 continue
-            cls = {tuple(sorted(self.conjugate(g, x) for x in s.members))
-                   for g in range(self.order)}
-            seen |= cls
-            reps.append(self.subgroup(min(cls)))
+            # subgroups come sorted, so the first of a class is its least
+            reps.append(s)
+            seen.add(s.members)
+            frontier = [s.members]
+            while frontier:
+                nxt = []
+                for members in frontier:
+                    for c in conj:
+                        image = tuple(sorted(c[x] for x in members))
+                        if image not in seen:
+                            seen.add(image)
+                            nxt.append(image)
+                frontier = nxt
         return reps
 
     def trivial_subgroup(self) -> "Subgroup":
@@ -252,8 +282,6 @@ class FiniteGroup:
     # -- structure recognizers -------------------------------------------------
 
     def sylow_subgroup(self, p: int) -> "Subgroup":
-        from .errors import InternalCheckError
-
         f = _factorint(self.order)
         size = p ** f.get(p, 0)
         for s in self.subgroups():
@@ -448,16 +476,16 @@ class FiniteGroup:
         return f"FiniteGroup({label})"
 
 
-@dataclass
 class Subgroup:
-    """Subgroup given by its sorted member list; validated on construction."""
+    """Subgroup given by its sorted member list; validated on construction.
 
-    parent: FiniteGroup
-    members: tuple[int, ...]
-    is_normal: bool = field(init=False)
+    The parent group caches its subgroups, so the subgroup holds the parent
+    through a weak reference: a strong one would make every group a
+    reference cycle that only the cyclic garbage collector frees.
+    """
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
-        self.parent = parent
+        self._parent = weakref.ref(parent)
         self.members = tuple(sorted(members))
         mem = set(self.members)
         if 0 not in mem:
@@ -470,9 +498,17 @@ class Subgroup:
                     raise UserInputError("subgroup not closed under multiplication")
         if parent.order % len(self.members) != 0:
             raise UserInputError("subgroup order does not divide group order")
+        # conjugation by each generator maps H into H iff H is normal
         self.is_normal = all(parent.conjugate(g, h) in mem
-                             for g in range(parent.order) for h in self.members)
+                             for g in parent.generators for h in self.members)
         self._gens: Optional[tuple[int, ...]] = None
+
+    @property
+    def parent(self) -> FiniteGroup:
+        group = self._parent()
+        if group is None:
+            raise InternalCheckError(f"Subgroup{self.members} used after its group was freed")
+        return group
 
     @property
     def order(self) -> int:
@@ -485,16 +521,18 @@ class Subgroup:
         return self._gens
 
     def is_cyclic(self) -> bool:
-        return any(self.parent.element_order(g) == self.order for g in self.members)
+        order_of = self.parent.element_order
+        return any(order_of(g) == self.order for g in self.members)
 
     def is_abelian(self) -> bool:
         t = self.parent.mul_table
         return all(t[a][b] == t[b][a] for a in self.members for b in self.members)
 
     def exponent(self) -> int:
+        order_of = self.parent.element_order
         e = 1
         for g in self.members:
-            e = lcm(e, self.parent.element_order(g))
+            e = lcm(e, order_of(g))
         return e
 
     def prime_power(self) -> Optional[int]:
@@ -503,8 +541,8 @@ class Subgroup:
     def as_group(self) -> FiniteGroup:
         """Standalone FiniteGroup with the induced table (identity stays 0)."""
         index = {g: i for i, g in enumerate(self.members)}
-        n = self.order
-        table = [[index[self.parent.mul(a, b)] for b in self.members] for a in self.members]
+        mul = self.parent.mul
+        table = [[index[mul(a, b)] for b in self.members] for a in self.members]
         gens = [index[g] for g in self.generators]
         return FiniteGroup(table, gens, name=None, check=False)
 

@@ -28,6 +28,34 @@ UNKNOWN = "Unknown"
 # -- fields ----------------------------------------------------------------------
 
 
+PRIME_TEST_BOUND = 3 * 10 ** 24
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the prime bases up to 41, exact for n < PRIME_TEST_BOUND."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class FieldDescriptor:
     """The only facts the criteria ever consult about the ground field:
@@ -42,6 +70,15 @@ class FieldDescriptor:
     is_rationals: bool = False
     roots_table: tuple[tuple[int, bool], ...] = ()
     cyclotomic_table: tuple[tuple[int, bool], ...] = ()
+
+    def __post_init__(self):
+        c = self.characteristic
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise UserInputError(f"field characteristic must be an integer, not {c!r}")
+        if c >= PRIME_TEST_BOUND:
+            raise UserInputError(f"field characteristic {c} is not below {PRIME_TEST_BOUND}")
+        if c != 0 and not _is_prime(c):
+            raise UserInputError(f"field characteristic must be 0 or a prime, not {c}")
 
     def has_root_of_unity(self, n: int) -> str:
         """'yes' / 'no' / 'unknown' for a primitive n-th root in k. In positive
@@ -98,7 +135,7 @@ def parse_field(doc) -> FieldDescriptor:
         raise UserInputError("field document must be an object")
     return FieldDescriptor(
         name=str(doc.get("name", "custom")),
-        characteristic=int(doc.get("characteristic", 0)),
+        characteristic=doc.get("characteristic", 0),
         all_roots=bool(doc.get("all_roots", False)),
         is_rationals=bool(doc.get("is_rationals", False)),
         roots_table=tuple(sorted((int(k), bool(v))

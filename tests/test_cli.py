@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from retractrat.cli import run
 from retractrat.groups import catalog_group
 from retractrat.lattices import lattice_document, regular_lattice
@@ -152,6 +154,24 @@ class TestVerdictVerbs:
         code, out, _ = invoke(capsys, "verdict-noether", "--group", "C8",
                               "--field", f"custom:{fpath}")
         assert json.loads(out)["answer"] == "No"
+
+    @pytest.mark.parametrize("char", [4, -3, "4", 4.0, True])
+    def test_custom_field_bad_characteristic_exit_1(self, capsys, tmp_path, char):
+        fpath = tmp_path / "field.json"
+        fpath.write_text(json.dumps({"name": "bad", "characteristic": char}))
+        code, out, err = invoke(capsys, "verdict-noether", "--group", "C8",
+                                "--field", f"custom:{fpath}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: field characteristic") and err.count("\n") == 1
+
+    def test_custom_field_prime_characteristic(self, capsys, tmp_path):
+        fpath = tmp_path / "field.json"
+        fpath.write_text(json.dumps({"name": "F2t", "characteristic": 2}))
+        code, out, _ = invoke(capsys, "verdict-noether", "--group", "C8",
+                              "--field", f"custom:{fpath}")
+        assert code == 0
+        assert json.loads(out)["trace"][0]["premises"]["p"] == 2
 
 
 class TestReproduce:

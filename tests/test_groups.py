@@ -1,23 +1,31 @@
 """Groups: parsing, subgroup enumeration, and the structure recognizers."""
 
+import gc
 import itertools
+import time
+import weakref
 
 import pytest
 
-from retractrat.errors import UserInputError
+from retractrat.errors import InternalCheckError, UserInputError
 from retractrat.groups import (
     CATALOG_NAMES,
+    SUBGROUP_ORDER_BOUND,
     catalog_group,
     catalog_groups_upto,
     cyclic_group,
+    direct_product,
     parse_group,
 )
 
+A5_DOC = {"perm_generators": [[2, 3, 4, 5, 1], [2, 3, 1, 4, 5]], "degree": 5, "name": "A5"}
 
-def brute_force_subgroup_count(G):
-    """Independent oracle: count subsets containing 0 that are closed."""
+
+def brute_force_subgroups(G):
+    """Independent oracle: the subsets containing 0 that are closed, as
+    sorted member tuples in (order, members) order."""
     n = G.order
-    count = 0
+    out = []
     for size in range(1, n + 1):
         if n % size:
             continue
@@ -25,8 +33,15 @@ def brute_force_subgroup_count(G):
             mem = (0,) + subset
             ms = set(mem)
             if all(G.mul(a, b) in ms for a in mem for b in mem):
-                count += 1
-    return count
+                out.append(mem)
+    return out
+
+
+def elementary_abelian(rank):
+    G = cyclic_group(2)
+    for _ in range(rank - 1):
+        G = direct_product(G, cyclic_group(2))
+    return G
 
 
 class TestParse:
@@ -65,8 +80,56 @@ class TestSubgroups:
 
     @pytest.mark.parametrize("name", ["C6", "S3", "V4", "D8", "Q8", "A4"])
     def test_counts_against_brute_force(self, name):
+        # the full sorted member lists, which fixes the count as well
         G = catalog_group(name)
-        assert len(G.subgroups()) == brute_force_subgroup_count(G)
+        assert [s.members for s in G.subgroups()] == brute_force_subgroups(G)
+
+    def test_order_64_worst_case(self):
+        # C2^6 has the most subgroups of any group inside the bound
+        assert SUBGROUP_ORDER_BOUND == 64
+        G = elementary_abelian(6)
+        start = time.perf_counter()
+        subs = G.subgroups()
+        elapsed = time.perf_counter() - start
+        assert len(subs) == 2825
+        assert elapsed < 10.0
+
+    def test_non_solvable_a5(self):
+        G = parse_group(A5_DOC)
+        subs = G.subgroups()
+        assert G.order == 60 and len(subs) == 59
+        assert [s.order for s in subs if s.is_normal] == [1, 60]  # A5 is simple
+
+    @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES])
+    def test_normality_from_generators(self, name):
+        G = catalog_group(name)
+        for S in G.subgroups():
+            mem = set(S.members)
+            assert S.is_normal == all(G.conjugate(g, h) in mem
+                                      for g in range(G.order) for h in S.members)
+
+    def test_group_freed_without_cycle_collector(self):
+        gc.disable()
+        try:
+            G = parse_group(A5_DOC)
+            G.subgroups()
+            ref = weakref.ref(G)
+            del G
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_subgroup_of_freed_group_raises(self):
+        H = parse_group(A5_DOC).subgroups()[1]
+        with pytest.raises(InternalCheckError):
+            H.parent
+
+    def test_lookup_by_members(self):
+        D8 = catalog_group("D8")
+        for S in D8.subgroups():
+            assert D8.subgroup(reversed(S.members)) is S
+        with pytest.raises(UserInputError):
+            D8.subgroup((0, 1))
 
     @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES])
     def test_closure_and_lagrange(self, name):
@@ -90,6 +153,19 @@ class TestSubgroups:
         reps = S3.subgroup_conjugacy_representatives()
         # classes: 1, the three conjugate C2's, C3, S3
         assert len(reps) == 4
+
+    @pytest.mark.parametrize("name", ["S3", "D8", "Q8", "A4", "D16", "A5"])
+    def test_conjugacy_representatives_against_all_elements(self, name):
+        G = parse_group(A5_DOC) if name == "A5" else catalog_group(name)
+        expected, seen = [], set()
+        for s in G.subgroups():
+            if s.members in seen:
+                continue
+            cls = {tuple(sorted(G.conjugate(g, x) for x in s.members))
+                   for g in range(G.order)}
+            seen |= cls
+            expected.append(min(cls))
+        assert [r.members for r in G.subgroup_conjugacy_representatives()] == expected
 
 
 class TestSylow:

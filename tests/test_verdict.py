@@ -45,6 +45,15 @@ class TestFieldDescriptor:
         assert COMPLEX.has_root_of_unity(100) == "yes"
         assert COMPLEX.cyclotomic_2power_cyclic(7) == "yes"
 
+    @pytest.mark.parametrize("char", [1, 9, 2 ** 61 + 1, 10 ** 30, None])
+    def test_characteristic_must_be_zero_or_prime(self, char):
+        with pytest.raises(UserInputError):
+            FieldDescriptor(name="bad", characteristic=char)
+
+    def test_prime_characteristics_accepted(self):
+        for p in (2, 3, 5, 1009, 2 ** 61 - 1):
+            assert FieldDescriptor(name="Fp", characteristic=p).characteristic == p
+
     def test_positive_characteristic_convention(self):
         k = FieldDescriptor(name="F5bar", characteristic=5, all_roots=True)
         assert k.has_root_of_unity(5) == "no"
