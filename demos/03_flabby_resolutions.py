@@ -16,6 +16,7 @@ from retractrat import Mat, GLattice, catalog_group
 from retractrat.lattices import direct_sum, permutation_lattice, random_lattice, regular_lattice
 from retractrat.resolutions import (
     class_fingerprint,
+    cover_kernel,
     fixed_point_cover,
     flabby_resolution,
     is_invertible,
@@ -26,8 +27,9 @@ sign = GLattice(C2, 1, {1: Mat.from_rows([[-1]])})
 
 print("== The cover and resolution of the sign lattice ==")
 cov = fixed_point_cover(sign)
+C = cover_kernel(cov).source
 print(f"cover: P = Z[C2] (rank {cov.P.rank}), projection {cov.projection.matrix.a},")
-print(f"       kernel C of rank {cov.C.rank} with action {cov.C.act(1).a} (trivial)")
+print(f"       kernel C of rank {C.rank} with action {C.act(1).a} (trivial)")
 res = flabby_resolution(sign)
 print(f"resolution: 0 -> sign -> P (rank {res.P.rank}) -> F (rank {res.F.rank}) -> 0")
 print(f"F is the trivial lattice: {res.F.act(1).a}")

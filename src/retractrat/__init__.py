@@ -30,6 +30,7 @@ from .resolutions import (
     FlabbyResolution,
     InvertibilityDecision,
     class_fingerprint,
+    cover_kernel,
     fixed_point_cover,
     flabby_resolution,
     is_invertible,
@@ -80,6 +81,7 @@ __all__ = [
     "FlabbyResolution",
     "InvertibilityDecision",
     "class_fingerprint",
+    "cover_kernel",
     "fixed_point_cover",
     "flabby_resolution",
     "is_invertible",

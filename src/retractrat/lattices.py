@@ -418,6 +418,10 @@ def random_lattice(G: FiniteGroup, max_rank: int, rng: random.Random) -> GLattic
 # -- documents ----------------------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_lattice(doc: dict) -> GLattice:
     """Lattice document: {"group": <group doc or catalog name>, "rank": r,
     "action": {"<generator index>": [[row-major matrix]]}}."""
@@ -432,12 +436,22 @@ def parse_lattice(doc: dict) -> GLattice:
         raise UserInputError("lattice document needs a 'group'")
     rank = doc.get("rank")
     action_doc = doc.get("action", {})
-    if not isinstance(rank, int) or rank < 0:
+    if not _is_int(rank) or rank < 0:
         raise UserInputError("lattice rank must be a non-negative integer")
+    if not isinstance(action_doc, dict):
+        raise UserInputError("lattice 'action' must be an object keyed by generator")
     action = {}
     for key, rows in action_doc.items():
-        g = int(key)
-        action[g] = Mat.from_rows(rows, rank) if rows else Mat.identity(rank)
+        if not (isinstance(key, str) and key.isdecimal()):
+            raise UserInputError(f"action key {key!r} is not a generator index")
+        if rows == []:  # shorthand for the identity
+            rows = Mat.identity(rank).a
+        if not (isinstance(rows, list) and len(rows) == rank
+                and all(isinstance(row, list) and len(row) == rank
+                        and all(_is_int(x) for x in row) for row in rows)):
+            raise UserInputError(f"action for generator {key} must be a "
+                                 f"{rank}x{rank} list of integer rows")
+        action[int(key)] = Mat.from_rows(rows, rank)
     missing = set(G.generators) - set(action)
     if missing:
         raise UserInputError(f"action missing for generators {sorted(missing)}")

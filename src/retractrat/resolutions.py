@@ -15,6 +15,9 @@ Neither changes the contract (surjectivity of P^H -> M^H for every subgroup
 H, which is machine-verified on every call, hence coflabbiness of the
 kernel); they only pick a smaller P among the valid covers.
 
+A cover is P and its projection only: flabby_resolution builds the kernel
+C with cover_kernel, while the invertibility decision never builds it.
+
 The invertibility decision searches for an integral equivariant section of
 the cover projection.  Sections M -> Z[G/H] correspond to H-fixed
 functionals on M (the coset-gH coordinate of the image of v is that
@@ -57,13 +60,11 @@ COVER_RANK_BOUND = 512
 
 @dataclass
 class FixedPointCover:
-    """0 -> C -> P -> M -> 0 with P permutation and P^H ->> M^H for every H."""
+    """P -> M -> 0 with P permutation and P^H ->> M^H for every H."""
 
     M: GLattice
     P: GLattice
     projection: LatticeMap
-    C: GLattice
-    inclusion: LatticeMap
 
 
 @dataclass
@@ -192,7 +193,7 @@ class _CoverBuilder:
 
 
 def fixed_point_cover(M: GLattice, frugal: bool = True) -> FixedPointCover:
-    """Permutation cover with per-subgroup surjectivity, kernel included.
+    """Permutation cover P ->> M with per-subgroup surjectivity.
 
     With frugal=True (the default) basis orbits that G permutes are seeded
     with one summand each and generators already covered are skipped; with
@@ -200,7 +201,8 @@ def fixed_point_cover(M: GLattice, frugal: bool = True) -> FixedPointCover:
     representative gets its own summand (the plain textbook cover, useful as
     a cross-check because anything downstream must not depend on the choice).
     The per-subgroup surjectivity P^H ->> M^H is verified for EVERY subgroup
-    before returning; failure raises InternalCheckError.
+    before returning; failure raises InternalCheckError.  The kernel is not
+    built here; cover_kernel builds it for the callers that read it.
     """
     G = M.group
     builder = _CoverBuilder(M)
@@ -237,23 +239,24 @@ def fixed_point_cover(M: GLattice, frugal: bool = True) -> FixedPointCover:
                     raise InternalCheckError(
                         f"cover misses the {S.members}-fixed part of the base lattice")
 
-    K = kernel_basis(proj_mat)
-    c_rank = K.cols
-    if c_rank:
-        solver = LinearSolver(K)
-        c_action = {}
-        for s in G.generators:
-            B = P.act(s).mul(K)
-            X = solver.solve_matrix(B)
-            if X is None:
-                raise InternalCheckError("cover kernel is not action-stable")
-            c_action[s] = X
-        C = GLattice(G, c_rank, c_action, check=False)
-        C.expand()
-    else:
-        C = GLattice(G, 0, {s: Mat.zero(0, 0) for s in G.generators}, check=False)
-    inclusion = LatticeMap(C, P, K)
-    return FixedPointCover(M, P, projection, C, inclusion)
+    return FixedPointCover(M, P, projection)
+
+
+def cover_kernel(cov: FixedPointCover) -> LatticeMap:
+    """The inclusion C -> P of the kernel C of the cover projection, with the
+    action of C solved from that of P.  C is coflabby because the cover is
+    surjective on every fixed part."""
+    G, P = cov.M.group, cov.P
+    K = kernel_basis(cov.projection.matrix)
+    solver = LinearSolver(K)
+    c_action = {}
+    for s in G.generators:
+        c_action[s] = solver.solve_matrix(P.act(s).mul(K))
+        if c_action[s] is None:
+            raise InternalCheckError("cover kernel is not action-stable")
+    C = GLattice(G, K.cols, c_action, check=False)
+    C.expand()
+    return LatticeMap(C, P, K)
 
 
 def flabby_resolution(M: GLattice, frugal: bool = True) -> FlabbyResolution:
@@ -263,10 +266,11 @@ def flabby_resolution(M: GLattice, frugal: bool = True) -> FlabbyResolution:
     a failure of either is an internal error, never a user error.
     """
     cov = fixed_point_cover(dual(M), frugal=frugal)
+    inclusion = cover_kernel(cov)
     P = dual(cov.P)  # permutation matrices are orthogonal: same matrices
-    F = dual(cov.C)
+    F = dual(inclusion.source)
     inj = LatticeMap(M, P, cov.projection.matrix.transpose())
-    surj = LatticeMap(P, F, cov.inclusion.matrix.transpose())
+    surj = LatticeMap(P, F, inclusion.matrix.transpose())
 
     # exactness checks
     if lattice_rank(inj.matrix) != M.rank:

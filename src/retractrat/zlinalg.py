@@ -416,40 +416,15 @@ class LatticeAccumulator:
         return True
 
 
-def smith_normal_form(A: Mat) -> SmithDecomposition:
-    """Smith normal form with transforms: U*A*V = D, U and V unimodular,
-    D diagonal with d1 | d2 | ... >= 0."""
+def _smith(A: Mat, transforms: bool):
+    """The Smith elimination: (U, D, V) as row lists with U*A*V = D, or
+    (None, D, None) without transforms; U and V unimodular, D diagonal with
+    d1 | d2 | ... >= 0."""
     n, m = A.rows, A.cols
     a = [row[:] for row in A.a]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, q):
-        for row in a:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    size = min(n, m)
-    for t in range(size):
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transforms else None
+    v = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transforms else None
+    for t in range(min(n, m)):
         while True:
             # minimal |entry| in the trailing submatrix, ties by (row, col)
             pi = pj = -1
@@ -465,11 +440,19 @@ def smith_normal_form(A: Mat) -> SmithDecomposition:
             if pabs is None:
                 break
             if pi != t:
-                swap_rows(t, pi)
+                a[t], a[pi] = a[pi], a[t]
+                if u is not None:
+                    u[t], u[pi] = u[pi], u[t]
             if pj != t:
-                swap_cols(t, pj)
+                for row in a:
+                    row[t], row[pj] = row[pj], row[t]
+                if v is not None:
+                    for row in v:
+                        row[t], row[pj] = row[pj], row[t]
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
+                if u is not None:
+                    u[t] = [-x for x in u[t]]
             piv = a[t][t]
             clean = True
             for i in range(t + 1, n):
@@ -477,7 +460,9 @@ def smith_normal_form(A: Mat) -> SmithDecomposition:
                 if x:
                     q = x // piv
                     if q:
-                        addmul_row(i, t, q)
+                        a[i] = [y - q * z for y, z in zip(a[i], a[t])]
+                        if u is not None:
+                            u[i] = [y - q * z for y, z in zip(u[i], u[t])]
                     if a[i][t]:
                         clean = False
             for j in range(t + 1, m):
@@ -485,7 +470,11 @@ def smith_normal_form(A: Mat) -> SmithDecomposition:
                 if x:
                     q = x // piv
                     if q:
-                        addmul_col(j, t, q)
+                        for row in a:
+                            row[j] -= q * row[t]
+                        if v is not None:
+                            for row in v:
+                                row[j] -= q * row[t]
                     if a[t][j]:
                         clean = False
             if not clean:
@@ -502,80 +491,26 @@ def smith_normal_form(A: Mat) -> SmithDecomposition:
                     break
             if offender is None:
                 break
-            addmul_row(t, offender, -1)
-        if t < size and a[t][t] == 0:
+            a[t] = [y + z for y, z in zip(a[t], a[offender])]
+            if u is not None:
+                u[t] = [y + z for y, z in zip(u[t], u[offender])]
+        if a[t][t] == 0:
             break
+    return u, a, v
 
-    return SmithDecomposition(Mat(n, n, u), Mat(n, m, a), Mat(m, m, v))
+
+def smith_normal_form(A: Mat) -> SmithDecomposition:
+    """Smith normal form with transforms: U*A*V = D, U and V unimodular,
+    D diagonal with d1 | d2 | ... >= 0."""
+    u, a, v = _smith(A, transforms=True)
+    return SmithDecomposition(Mat(A.rows, A.rows, u), Mat(A.rows, A.cols, a),
+                              Mat(A.cols, A.cols, v))
 
 
 def smith_diagonal(A: Mat) -> list[int]:
-    """Diagonal of the Smith form only (no transforms; faster path)."""
-    n, m = A.rows, A.cols
-    a = [row[:] for row in A.a]
-    size = min(n, m)
-    diag = []
-    for t in range(size):
-        while True:
-            pi = pj = -1
-            pabs = None
-            for i in range(t, n):
-                row = a[i]
-                for j in range(t, m):
-                    x = row[j]
-                    if x:
-                        ax = -x if x < 0 else x
-                        if pabs is None or ax < pabs:
-                            pi, pj, pabs = i, j, ax
-            if pabs is None:
-                break
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-            if pj != t:
-                for row in a:
-                    row[t], row[pj] = row[pj], row[t]
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            piv = a[t][t]
-            clean = True
-            for i in range(t + 1, n):
-                x = a[i][t]
-                if x:
-                    q = x // piv
-                    if q:
-                        a[i] = [y - q * z for y, z in zip(a[i], a[t])]
-                    if a[i][t]:
-                        clean = False
-            for j in range(t + 1, m):
-                x = a[t][j]
-                if x:
-                    q = x // piv
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        clean = False
-            if not clean:
-                continue
-            offender = None
-            for i in range(t + 1, n):
-                row = a[i]
-                for j in range(t + 1, m):
-                    if row[j] % piv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [y + z for y, z in zip(a[t], a[offender])]
-        diag.append(a[t][t] if t < size else 0)
-        if a[t][t] == 0:
-            diag.extend([0] * (size - t - 1))
-            break
-    while len(diag) < size:
-        diag.append(0)
-    return diag
+    """Diagonal of the Smith form only (no transforms)."""
+    _, a, _ = _smith(A, transforms=False)
+    return [a[t][t] for t in range(min(A.rows, A.cols))]
 
 
 def cokernel_invariants(A: Mat, ambient_rank: int) -> AbelianInvariants:

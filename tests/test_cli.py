@@ -113,6 +113,52 @@ class TestLatticeVerbs:
         assert payload["invertible"] is True and payload["witness"] is not None
 
 
+class TestStrictLatticeDocuments:
+    @pytest.mark.parametrize("rank, action", [
+        pytest.param(1, {"1": [[-1.7]]}, id="float-entry"),
+        pytest.param(1, {"1": [["-1"]]}, id="string-entry"),
+        pytest.param(1, {"1": [[True]]}, id="bool-entry"),
+        pytest.param(True, {"1": [[-1]]}, id="bool-rank"),
+        pytest.param(2, {"1": [[1, 0], [0]]}, id="ragged-rows"),
+        pytest.param(2, {"1": [[1, 0, 0], [0, 1, 0]]}, id="2x3-at-rank-2"),
+        pytest.param(1, {"x": [[-1]]}, id="non-index-key"),
+        pytest.param(1, [[[-1]]], id="list-action"),
+    ])
+    def test_malformed_lattice_exit_1(self, capsys, tmp_path, rank, action):
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps({"group": "C2", "rank": rank, "action": action}))
+        code, out, err = invoke(capsys, "invertible", "--lattice", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_malformed_monomial_lattice_exit_1(self, capsys, tmp_path):
+        doc = {"group": "C2", "rank": 1, "action": {"1": [[True]]},
+               "d": 4, "coeff": {"1": [1]}}
+        path = tmp_path / "act.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "verdict-monomial", "--action", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: action for generator 1") and err.count("\n") == 1
+
+
+class TestInternalCheckExit:
+    def test_internal_check_exit_3(self, capsys, tmp_path, monkeypatch):
+        import retractrat.cli as cli
+        from retractrat.errors import InternalCheckError
+
+        def broken(M):
+            raise InternalCheckError("cover kernel is not action-stable")
+
+        monkeypatch.setattr(cli, "torus_verdict", broken)
+        path = write_lattice(tmp_path, regular_lattice(catalog_group("C2")))
+        code, out, err = invoke(capsys, "verdict-torus", "--lattice", path)
+        assert code == 3
+        assert out == ""
+        assert err == "internal check failed: cover kernel is not action-stable\n"
+
+
 class TestVerdictVerbs:
     def test_noether_c8(self, capsys):
         code, out, _ = invoke(capsys, "verdict-noether", "--group", "C8",
@@ -182,6 +228,33 @@ class TestReproduce:
         assert payload["pass"] is True
         names = [c["name"] for c in payload["checks"]]
         assert "Tate H^-1 at the Klein four subgroup" in names
+
+    def test_voskresenskii_decides_once(self, capsys, monkeypatch):
+        # the flabby class is resolved and decided inside torus_verdict only
+        import retractrat.cli as cli
+        import retractrat.verdict as verdict
+
+        calls = {"flabby_resolution": 0, "is_invertible": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            for module in (cli, verdict):
+                monkeypatch.setattr(module, name, counted)
+        code, out, _ = invoke(capsys, "reproduce", "voskresenskii", "--n", "3")
+        assert code == 0
+        assert calls == {"flabby_resolution": 1, "is_invertible": 1}
+        checks = [(c["name"], c["expected"], c["got"])
+                  for c in json.loads(out)["checks"]]
+        flags = {"flabby": False, "coflabby": True}
+        assert checks == [
+            ("rank of kernel lattice", 7, 7),
+            ("H^1 trivial for every subgroup", True, True),
+            ("Tate H^-1 at the Klein four subgroup", [2], [2]),
+            ("profile: coflabby, not flabby", flags, flags),
+            ("flabby class not invertible", False, False),
+            ("torus verdict", "No", "No"),
+        ]
 
     def test_endo_miyata_seeded_identical(self, capsys):
         code1, out1, _ = invoke(capsys, "reproduce", "endo-miyata",

@@ -17,6 +17,7 @@ from retractrat.lattices import (
 )
 from retractrat.resolutions import (
     class_fingerprint,
+    cover_kernel,
     fixed_point_cover,
     flabby_resolution,
     is_invertible,
@@ -33,10 +34,12 @@ def assert_cover_valid(cov):
     G = M.group
     assert P.is_permutation_lattice()
     # exact at P: kernel of projection equals the inclusion image
+    inclusion = cover_kernel(cov)
+    assert inclusion.target is P
     K = kernel_basis(cov.projection.matrix)
-    assert K.cols == cov.C.rank
-    if cov.C.rank:
-        sol = LinearSolver(cov.inclusion.matrix)
+    assert K.cols == inclusion.source.rank
+    if inclusion.source.rank:
+        sol = LinearSolver(inclusion.matrix)
         for j in range(K.cols):
             assert sol.solve(K.col(j)) is not None
     # per-subgroup surjectivity, re-derived here
@@ -56,19 +59,20 @@ class TestFixedPointCover:
         cov = fixed_point_cover(SIGN)
         assert cov.P.rank == 2
         assert cov.projection.matrix.a == [[1, -1]]
-        assert cov.C.rank == 1
-        assert cov.C.act(1) == Mat.identity(1)  # trivial action
+        C = cover_kernel(cov).source
+        assert C.rank == 1
+        assert C.act(1) == Mat.identity(1)  # trivial action
         assert_cover_valid(cov)
 
     def test_trivial_lattice_seeded(self):
         cov = fixed_point_cover(trivial_lattice(C2))
         assert cov.P.rank == 1  # the Z[G/G] seed covers it outright
-        assert cov.C.rank == 0
+        assert cover_kernel(cov).source.rank == 0
         assert_cover_valid(cov)
 
     def test_regular_lattice_seeded(self):
         cov = fixed_point_cover(regular_lattice(C2))
-        assert cov.P.rank == 2 and cov.C.rank == 0
+        assert cov.P.rank == 2 and cover_kernel(cov).source.rank == 0
         assert_cover_valid(cov)
 
     def test_random_covers_valid_and_coflabby(self):
@@ -79,8 +83,9 @@ class TestFixedPointCover:
                 M = random_lattice(G, 3, rng)
                 cov = fixed_point_cover(M)
                 assert_cover_valid(cov)
-                if cov.C.rank:
-                    assert is_coflabby(cov.C)
+                C = cover_kernel(cov).source
+                if C.rank:
+                    assert is_coflabby(C)
 
 
 class TestFlabbyResolution:

@@ -45,6 +45,14 @@ class TestSmith:
         assert D.is_zero()
         assert U == Mat.identity(2) and V == Mat.identity(3)
 
+    def test_empty_shapes(self):
+        for rows, cols in [(0, 0), (0, 3), (3, 0)]:
+            A = Mat.zero(rows, cols)
+            U, D, V = smith_normal_form(A)
+            assert U == Mat.identity(rows) and V == Mat.identity(cols)
+            assert (D.rows, D.cols) == (rows, cols)
+            assert smith_diagonal(A) == []
+
     def test_randomized_decomposition(self):
         rng = random.Random(12345)
         for _ in range(200):
