@@ -413,37 +413,16 @@ class FiniteGroup:
     # -- quotients and products -------------------------------------------------
 
     def quotient(self, H: "Subgroup") -> tuple["FiniteGroup", list[int]]:
-        """(G/H, projection) for a normal subgroup H. Cosets are indexed with
-        the identity coset at 0, the rest sorted by least member."""
+        """(G/H, projection) for a normal subgroup H, cosets indexed as in
+        H.cosets(); the images of G's generators generate G/H."""
         if H.parent is not self:
             raise UserInputError("subgroup belongs to a different group")
         if not H.is_normal:
             raise UserInputError("subgroup is not normal")
-        mem = set(H.members)
-        coset_of: dict[int, int] = {}
-        reps: list[int] = []
-        for g in range(self.order):
-            if g in coset_of:
-                continue
-            coset = sorted(self.mul(g, h) for h in mem)
-            rep = coset[0]
-            idx = len(reps)
-            reps.append(rep)
-            for x in coset:
-                coset_of[x] = idx
-        # reorder: identity coset first, others by representative
-        order_keys = sorted(range(len(reps)), key=lambda i: (reps[i] != 0, reps[i]))
-        relabel = {old: new for new, old in enumerate(order_keys)}
-        reps = [reps[old] for old in order_keys]
-        proj = [relabel[coset_of[g]] for g in range(self.order)]
-        n = len(reps)
-        table = [[proj[self.mul(reps[a], reps[b])] for b in range(n)] for a in range(n)]
-        gens = sorted({proj[g] for g in self.generators if proj[g] != 0})
-        q = FiniteGroup(table, gens if gens or n == 1 else [1],
-                        name=None, check=False)
-        if not q._generates(q.generators):
-            q = FiniteGroup(table, q.minimal_generators(), name=None, check=False)
-        return q, proj
+        reps, proj = H.cosets()
+        table = [[proj[self.mul(a, b)] for b in reps] for a in reps]
+        gens = sorted({proj[g] for g in self.generators} - {0})
+        return FiniteGroup(table, gens, name=None, check=False), proj
 
     def semidirect_decompositions(self) -> list[tuple["Subgroup", "Subgroup"]]:
         """All (N, K) with N normal, K a complement: N & K = 1, |N||K| = |G|,
@@ -535,6 +514,22 @@ class Subgroup:
             e = lcm(e, order_of(g))
         return e
 
+    def cosets(self) -> tuple[tuple[int, ...], list[int]]:
+        """Left cosets gH as (reps, coset_of): reps holds the least member of
+        each coset, ascending (the identity coset is index 0), and coset_of[g]
+        is the index of g's coset.  One pass over g ascending, since the
+        first element met of a new coset is its least member."""
+        table = self.parent.mul_table
+        coset_of = [-1] * len(table)
+        reps: list[int] = []
+        for g in range(len(table)):
+            if coset_of[g] < 0:
+                row = table[g]
+                for h in self.members:
+                    coset_of[row[h]] = len(reps)
+                reps.append(g)
+        return tuple(reps), coset_of
+
     def prime_power(self) -> Optional[int]:
         return _is_prime_power(self.order) if self.order > 1 else None
 
@@ -588,6 +583,19 @@ class ZGroupPresentation:
 # -- parsing -------------------------------------------------------------------
 
 
+def is_int(x) -> bool:
+    """An int that is not a bool: documents never coerce floats, bools or
+    strings into integers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_int_matrix(rows, n_rows: int, n_cols: int) -> bool:
+    """A list of n_rows lists of n_cols integers each."""
+    return (isinstance(rows, list) and len(rows) == n_rows
+            and all(isinstance(row, list) and len(row) == n_cols
+                    and all(is_int(x) for x in row) for row in rows))
+
+
 def parse_group(spec: dict) -> FiniteGroup:
     """Build a validated FiniteGroup from a group-description document.
 
@@ -599,9 +607,13 @@ def parse_group(spec: dict) -> FiniteGroup:
     if not isinstance(spec, dict):
         raise UserInputError("group document must be an object")
     name = spec.get("name")
+    if name is not None and not isinstance(name, str):
+        raise UserInputError("group 'name' must be a string")
     if "table" in spec:
         table = spec["table"]
-        n = len(table)
+        n = len(table) if isinstance(table, list) else -1
+        if not is_int_matrix(table, n, n):
+            raise UserInputError("group 'table' must be a square list of integer rows")
         group = FiniteGroup(table, [], name=name, check=True) if n == 1 else None
         if group is None:
             tmp = FiniteGroup(table, range(n), name=name, check=True)
@@ -612,11 +624,14 @@ def parse_group(spec: dict) -> FiniteGroup:
         gens = spec["perm_generators"]
         if degree is None:
             raise UserInputError("permutation input requires a degree")
-        if not 1 <= degree <= 64:
-            raise UserInputError("permutation degree out of range 1..64")
+        if not is_int(degree) or not 1 <= degree <= 64:
+            raise UserInputError("permutation degree must be an integer in 1..64")
+        if not isinstance(gens, list):
+            raise UserInputError("'perm_generators' must be a list of image lists")
         perms = []
         for images in gens:
-            if sorted(images) != list(range(1, degree + 1)):
+            if not (isinstance(images, list) and all(is_int(x) for x in images)
+                    and sorted(images) == list(range(1, degree + 1))):
                 raise UserInputError(f"{images} is not a permutation of 1..{degree}")
             perms.append(tuple(x - 1 for x in images))
         return _group_from_permutations(perms, degree, name)

@@ -12,7 +12,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError, ResourceBoundError, UserInputError
-from .groups import FiniteGroup, Subgroup, catalog_group, parse_group, unit_group_mod_2n
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    catalog_group,
+    is_int,
+    is_int_matrix,
+    parse_group,
+    unit_group_mod_2n,
+)
 from .zlinalg import (
     LinearSolver,
     Mat,
@@ -22,21 +30,14 @@ from .zlinalg import (
 )
 
 
-@dataclass(frozen=True)
-class PermutationSummand:
-    """One Z[G/H] block of a permutation lattice: the stabilizer and the coset
-    representatives, in basis order."""
-
-    stabilizer: Subgroup
-    coset_reps: tuple[int, ...]
-
-
 class GLattice:
     """Integral representation: one unimodular rank x rank matrix per generator,
-    expanded lazily (and verified) to every group element."""
+    expanded lazily (and verified) to every group element.  A permutation
+    lattice also records its summands: the stabilizer H of each Z[G/H] block,
+    whose basis is the cosets of H in the order of H.cosets()."""
 
     def __init__(self, group: FiniteGroup, rank: int, action: dict[int, Mat],
-                 summands: Optional[list[PermutationSummand]] = None,
+                 summands: Optional[list[Subgroup]] = None,
                  check: bool = True):
         self.group = group
         self.rank = rank
@@ -83,11 +84,6 @@ class GLattice:
             frontier = nxt
         if len(mats) != G.order:
             raise UserInputError("generators with action do not reach the whole group")
-        # closing check: products out of every element stay consistent
-        for g, mg in mats.items():
-            for s, ms in self.action.items():
-                if mats[G.mul(g, s)] != mg.mul(ms):
-                    raise UserInputError("action is not a homomorphism")
         self._expanded = mats
         return mats
 
@@ -129,57 +125,31 @@ class LatticeMap:
 # -- constructors ----------------------------------------------------------------
 
 
-def coset_representatives(G: FiniteGroup, H: Subgroup) -> tuple[int, ...]:
-    """Left-coset representatives of H in G: the least member of each coset,
-    sorted ascending (so the identity coset comes first)."""
-    seen: set[int] = set()
-    reps = []
-    mem = H.members
-    for g in range(G.order):
-        if g in seen:
-            continue
-        coset = {G.mul(g, h) for h in mem}
-        seen |= coset
-        reps.append(min(coset))
-    return tuple(sorted(reps))
-
-
 def permutation_lattice(G: FiniteGroup, stabilizers: Sequence[Subgroup]) -> GLattice:
     """Direct sum of coset lattices Z[G/H] for the given stabilizers.
 
     The basis is the concatenated coset lists; every action matrix is a
     permutation matrix.  stabilizers=[trivial] gives the regular lattice Z[G].
     """
-    summands = []
-    for H in stabilizers:
-        if H.parent is not G:
-            raise UserInputError("stabilizer belongs to a different group")
-        summands.append(PermutationSummand(H, coset_representatives(G, H)))
-    return _assemble_permutation_lattice(G, summands)
-
-
-def _assemble_permutation_lattice(G: FiniteGroup,
-                                  summands: list[PermutationSummand]) -> GLattice:
-    rank = sum(len(s.coset_reps) for s in summands)
-    action: dict[int, Mat] = {}
-    for s in G.generators:
-        action[s] = _permutation_action_matrix(G, summands, s, rank)
-    lat = GLattice(G, rank, action, summands=summands, check=False)
+    if any(H.parent is not G for H in stabilizers):
+        raise UserInputError("stabilizer belongs to a different group")
+    cosets = [H.cosets() for H in stabilizers]
+    rank = sum(len(reps) for reps, _ in cosets)
+    action = {s: _permutation_action_matrix(G, cosets, s, rank) for s in G.generators}
+    lat = GLattice(G, rank, action, summands=list(stabilizers), check=False)
     lat.expand()
     return lat
 
 
-def _permutation_action_matrix(G: FiniteGroup, summands: list[PermutationSummand],
-                               g: int, rank: int) -> Mat:
+def _permutation_action_matrix(G: FiniteGroup, cosets, g: int, rank: int) -> Mat:
+    """g sends the coset rep*H to (g*rep)*H."""
     m = Mat.zero(rank, rank)
+    row = G.mul_table[g]
     base = 0
-    for s in summands:
-        mem = s.stabilizer.members
-        pos = {rep: i for i, rep in enumerate(s.coset_reps)}
-        for j, rep in enumerate(s.coset_reps):
-            moved = min(G.mul(G.mul(g, rep), h) for h in mem)
-            m.a[base + pos[moved]][base + j] = 1
-        base += len(s.coset_reps)
+    for reps, coset_of in cosets:
+        for j, rep in enumerate(reps):
+            m.a[base + coset_of[row[rep]]][base + j] = 1
+        base += len(reps)
     return m
 
 
@@ -196,8 +166,7 @@ def dual(M: GLattice) -> GLattice:
     exact matrix equality; duals of permutation lattices keep their matrices."""
     G = M.group
     action = {s: M.act(G.inv(s)).transpose() for s in G.generators}
-    summands = M.summands if M.summands is not None else None
-    return GLattice(G, M.rank, action, summands=summands, check=False)
+    return GLattice(G, M.rank, action, summands=M.summands, check=False)
 
 
 def direct_sum(M: GLattice, N: GLattice) -> GLattice:
@@ -418,8 +387,11 @@ def random_lattice(G: FiniteGroup, max_rank: int, rng: random.Random) -> GLattic
 # -- documents ----------------------------------------------------------------------
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def generator_key(key, what: str) -> int:
+    """The generator index that a document key names: a decimal string."""
+    if not (isinstance(key, str) and key.isdecimal()):
+        raise UserInputError(f"{what} key {key!r} is not a generator index")
+    return int(key)
 
 
 def parse_lattice(doc: dict) -> GLattice:
@@ -436,22 +408,19 @@ def parse_lattice(doc: dict) -> GLattice:
         raise UserInputError("lattice document needs a 'group'")
     rank = doc.get("rank")
     action_doc = doc.get("action", {})
-    if not _is_int(rank) or rank < 0:
+    if not is_int(rank) or rank < 0:
         raise UserInputError("lattice rank must be a non-negative integer")
     if not isinstance(action_doc, dict):
         raise UserInputError("lattice 'action' must be an object keyed by generator")
     action = {}
     for key, rows in action_doc.items():
-        if not (isinstance(key, str) and key.isdecimal()):
-            raise UserInputError(f"action key {key!r} is not a generator index")
+        g = generator_key(key, "action")
         if rows == []:  # shorthand for the identity
             rows = Mat.identity(rank).a
-        if not (isinstance(rows, list) and len(rows) == rank
-                and all(isinstance(row, list) and len(row) == rank
-                        and all(_is_int(x) for x in row) for row in rows)):
+        if not is_int_matrix(rows, rank, rank):
             raise UserInputError(f"action for generator {key} must be a "
                                  f"{rank}x{rank} list of integer rows")
-        action[int(key)] = Mat.from_rows(rows, rank)
+        action[g] = Mat.from_rows(rows, rank)
     missing = set(G.generators) - set(action)
     if missing:
         raise UserInputError(f"action missing for generators {sorted(missing)}")

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import UserInputError
-from .lattices import GLattice, parse_lattice
+from .groups import is_int
+from .lattices import GLattice, generator_key, parse_lattice
 from .zlinalg import Mat, solve_integer
 
 
@@ -81,16 +82,6 @@ class MonomialAction:
                         raise UserInputError(
                             f"coefficients violate the relations at element {h}")
             frontier = nxt
-        # closing pass mirrors the lattice expansion check
-        for g, cg in coeffs.items():
-            for s in G.generators:
-                As = self.lattice.act(s)
-                cs = self.coeff[s]
-                val = tuple(
-                    (cs[j] + sum(As.a[i][j] * cg[i] for i in range(len(cg)))) % d
-                    for j in range(len(cg)))
-                if coeffs[G.mul(g, s)] != val:
-                    raise UserInputError("coefficients violate the relations")
         self._expanded = coeffs
         return coeffs
 
@@ -210,18 +201,18 @@ def parse_monomial_action(doc: dict) -> MonomialAction:
         raise UserInputError("monomial action document must be an object")
     lattice = parse_lattice(doc)
     d = doc.get("d")
-    if not isinstance(d, int) or d < 1:
+    if not is_int(d) or d < 1:
         raise UserInputError("monomial action needs a positive integer 'd'")
     coeff_doc = doc.get("coeff")
     if not isinstance(coeff_doc, dict):
         raise UserInputError("monomial action needs a 'coeff' table")
     coeff = {}
     for k, v in coeff_doc.items():
-        for x in v:
-            # coefficients are exponents of zeta_d; general field scalars that
-            # are not roots of unity have no representation here
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise UserInputError(
-                    f"coefficient entries must be integer exponents mod d, got {x!r}")
-        coeff[int(k)] = tuple(v)
+        g = generator_key(k, "coeff")
+        # coefficients are exponents of zeta_d; general field scalars that
+        # are not roots of unity have no representation here
+        if not (isinstance(v, list) and all(is_int(x) for x in v)):
+            raise UserInputError(
+                f"coefficients for generator {k} must be a list of integer exponents mod d")
+        coeff[g] = tuple(v)
     return MonomialAction(lattice, d, coeff)

@@ -40,10 +40,9 @@ from .groups import Subgroup
 from .lattices import (
     GLattice,
     LatticeMap,
-    PermutationSummand,
-    _assemble_permutation_lattice,
     dual,
     fixed_basis,
+    permutation_lattice,
 )
 from .zlinalg import (
     AbelianInvariants,
@@ -134,33 +133,27 @@ class _CoverBuilder:
     def __init__(self, M: GLattice):
         self.M = M
         self.G = M.group
-        self.summands: list[PermutationSummand] = []
+        self.summands: list[Subgroup] = []
+        self.cosets: list[tuple[tuple[int, ...], list[int]]] = []  # per summand
         self.columns: list[list[int]] = []  # projection columns, basis order
-        self.col_reps: list[int] = []  # group element per column
-        self.summand_spans: list[tuple[int, int]] = []
+        self.summand_starts: list[int] = []
 
     def adjoin(self, H: Subgroup, f: list[int]):
-        from .lattices import coset_representatives
-
-        reps = coset_representatives(self.G, H)
-        start = len(self.columns)
+        reps, coset_of = H.cosets()
+        self.summand_starts.append(len(self.columns))
         for rep in reps:
             self.columns.append(self.M.act(rep).mulvec(f))
-            self.col_reps.append(rep)
-        self.summands.append(PermutationSummand(H, reps))
-        self.summand_spans.append((start, len(self.columns)))
+        self.summands.append(H)
+        self.cosets.append((reps, coset_of))
         if len(self.columns) > COVER_RANK_BOUND:
             raise ResourceBoundError(
                 f"cover rank exceeds bound {COVER_RANK_BOUND}")
 
     def summand_fixed_image_columns(self, S: Subgroup, index: int) -> list[list[int]]:
         """Images in M of a basis of (one summand)^S: a column per S-orbit."""
-        G = self.G
-        summand = self.summands[index]
-        H, reps = summand.stabilizer, summand.coset_reps
-        start, _ = self.summand_spans[index]
-        mem = H.members
-        pos = {rep: i for i, rep in enumerate(reps)}
+        mul = self.G.mul_table
+        reps, coset_of = self.cosets[index]
+        start = self.summand_starts[index]
         out = []
         unvisited = set(range(len(reps)))
         while unvisited:
@@ -173,8 +166,7 @@ class _CoverBuilder:
                     continue
                 orbit.add(cur)
                 for s in S.generators:
-                    moved = min(G.mul(G.mul(s, reps[cur]), h) for h in mem)
-                    stack.append(pos[moved])
+                    stack.append(coset_of[mul[s][reps[cur]]])
             unvisited -= orbit
             col = [0] * self.M.rank
             for idx in orbit:
@@ -225,7 +217,7 @@ def fixed_point_cover(M: GLattice, frugal: bool = True) -> FixedPointCover:
                             H, len(builder.summands) - 1):
                         image.add(col)
 
-    P = _assemble_permutation_lattice(G, builder.summands)
+    P = permutation_lattice(G, builder.summands)
     proj_mat = Mat.from_cols(builder.columns, rows=M.rank)
     projection = LatticeMap(P, M, proj_mat)
 
@@ -291,29 +283,37 @@ def flabby_resolution(M: GLattice, frugal: bool = True) -> FlabbyResolution:
     return FlabbyResolution(M, P, F, inj, surj)
 
 
-def _section_candidates(M: GLattice, P: GLattice) -> list[Mat]:
-    """Z-basis of the equivariant maps M -> P, one matrix per basis element.
+def _section_candidates(M: GLattice, P: GLattice) -> list[tuple[int, list[list[int]]]]:
+    """Z-basis of the equivariant maps M -> P, one (base, rows) pair per basis
+    element: the map's nonzero rows are rows[r] at row base + r.
 
-    For the coset summand Z[G/H], equivariant maps M -> Z[G/H] are in
-    bijection with H-fixed dual vectors u: the row of the gH coordinate is
-    u^T A(g^-1)."""
-    G = M.group
+    For the coset summand Z[G/H] starting at row base, equivariant maps
+    M -> Z[G/H] are in bijection with H-fixed dual vectors u: the row of the
+    coset rep_r H is u^T A(rep_r^-1), i.e. rows[r] = A*(rep_r) u."""
     Mdual = dual(M)
-    out: list[Mat] = []
+    out: list[tuple[int, list[list[int]]]] = []
     base = 0
-    for summand in P.summands or []:
-        H, reps = summand.stabilizer, summand.coset_reps
+    for H in P.summands or []:
+        reps, _ = H.cosets()
         FB = fixed_basis(Mdual, H)
         for j in range(FB.cols):
             u = FB.col(j)
-            S = Mat.zero(P.rank, M.rank)
-            for r, rep in enumerate(reps):
-                A = M.act(G.inv(rep))
-                S.a[base + r] = [sum(u[i] * A.a[i][t] for i in range(M.rank))
-                                 for t in range(M.rank)]
-            out.append(S)
+            out.append((base, [Mdual.act(rep).mulvec(u) for rep in reps]))
         base += len(reps)
     return out
+
+
+def _composite(proj: Mat, base: int, rows: list[list[int]]) -> list[list[int]]:
+    """proj * S for the candidate S = (base, rows): the transfer
+    sum_r (proj column base + r) (x) rows[r], without writing S out."""
+    D = [[0] * len(rows[0]) for _ in range(proj.rows)]
+    for prow, drow in zip(proj.a, D):
+        for r, row in enumerate(rows):
+            c = prow[base + r]
+            if c:
+                for j, x in enumerate(row):
+                    drow[j] += c * x
+    return D
 
 
 def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
@@ -328,16 +328,16 @@ def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
         return InvertibilityDecision(True, ident, cov)
     basis = _section_candidates(M, cov.P)
     proj = cov.projection.matrix
-    composites = [proj.mul(S) for S in basis]
+    composites = [_composite(proj, base, rows) for base, rows in basis]
     m = M.rank
     # one equation per matrix entry of (sum x_j proj*S_j) = identity, with
     # zero and duplicate equations pruned (contradictory duplicates decide No)
     seen: dict[tuple, int] = {}
-    rows = []
+    eqs = []
     rhs = []
     for i in range(m):
         for j in range(m):
-            row = tuple(D.a[i][j] for D in composites)
+            row = tuple(D[i][j] for D in composites)
             target = 1 if i == j else 0
             if not any(row):
                 if target:
@@ -346,21 +346,20 @@ def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
             prior = seen.get(row)
             if prior is None:
                 seen[row] = target
-                rows.append(list(row))
+                eqs.append(list(row))
                 rhs.append(target)
             elif prior != target:
                 return InvertibilityDecision(False, None, cov)
-    x = solve_integer(Mat.from_rows(rows, len(basis)), rhs)
+    x = solve_integer(Mat.from_rows(eqs, len(basis)), rhs)
     if x is None:
         return InvertibilityDecision(False, None, cov)
     S = Mat.zero(cov.P.rank, m)
-    for coeff, cand in zip(x, basis):
+    for coeff, (base, rows) in zip(x, basis):
         if coeff:
-            for i in range(cov.P.rank):
-                srow = S.a[i]
-                crow = cand.a[i]
+            for r, row in enumerate(rows):
+                srow = S.a[base + r]
                 for j in range(m):
-                    srow[j] += coeff * crow[j]
+                    srow[j] += coeff * row[j]
     # re-verify the witness: section identity and equivariance, exactly
     if not proj.mul(S).is_identity():
         raise InternalCheckError("section candidate failed the identity check")

@@ -133,16 +133,35 @@ def parse_field(doc) -> FieldDescriptor:
         raise UserInputError(f"unknown field name {doc!r} (use Q, C or a document)")
     if not isinstance(doc, dict):
         raise UserInputError("field document must be an object")
+    name = doc.get("name", "custom")
+    if not isinstance(name, str):
+        raise UserInputError("field 'name' must be a string")
+    flags = {key: doc.get(key, False) for key in ("all_roots", "is_rationals")}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise UserInputError(f"field '{key}' must be true or false, not {value!r}")
     return FieldDescriptor(
-        name=str(doc.get("name", "custom")),
+        name=name,
         characteristic=doc.get("characteristic", 0),
-        all_roots=bool(doc.get("all_roots", False)),
-        is_rationals=bool(doc.get("is_rationals", False)),
-        roots_table=tuple(sorted((int(k), bool(v))
-                                 for k, v in doc.get("roots_of_unity", {}).items())),
-        cyclotomic_table=tuple(sorted((int(k), bool(v))
-                                      for k, v in doc.get("cyclotomic_2power_cyclic", {}).items())),
+        roots_table=_field_table(doc, "roots_of_unity"),
+        cyclotomic_table=_field_table(doc, "cyclotomic_2power_cyclic"),
+        **flags,
     )
+
+
+def _field_table(doc: dict, key: str) -> tuple[tuple[int, bool], ...]:
+    """A field table: an object from decimal strings >= 1 to true/false."""
+    table = doc.get(key, {})
+    if not isinstance(table, dict):
+        raise UserInputError(f"field '{key}' must be an object")
+    out = []
+    for k, v in table.items():
+        if not (isinstance(k, str) and k.isdecimal() and int(k) >= 1):
+            raise UserInputError(f"field '{key}' key {k!r} is not a decimal integer >= 1")
+        if not isinstance(v, bool):
+            raise UserInputError(f"field '{key}' value for {k} must be true or false")
+        out.append((int(k), v))
+    return tuple(sorted(out))
 
 
 # -- verdicts ---------------------------------------------------------------------

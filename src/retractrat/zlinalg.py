@@ -60,9 +60,6 @@ class Mat:
     def zero(cls, rows: int, cols: int) -> "Mat":
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
-    def copy(self) -> "Mat":
-        return Mat(self.rows, self.cols, [row[:] for row in self.a])
-
     def col(self, j: int) -> list[int]:
         return [row[j] for row in self.a]
 
@@ -89,9 +86,6 @@ class Mat:
             out.append(acc)
         return Mat(self.rows, other.cols, out)
 
-    def __matmul__(self, other: "Mat") -> "Mat":
-        return self.mul(other)
-
     def mulvec(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
@@ -108,15 +102,6 @@ class Mat:
             raise ValueError("shape mismatch")
         return Mat(self.rows, self.cols,
                    [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(self.a, other.a)])
-
-    def neg(self) -> "Mat":
-        return Mat(self.rows, self.cols, [[-x for x in row] for row in self.a])
-
-    def hstack(self, other: "Mat") -> "Mat":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch")
-        return Mat(self.rows, self.cols + other.cols,
-                   [r1 + r2 for r1, r2 in zip(self.a, other.a)])
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.a for x in row)

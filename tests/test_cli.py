@@ -143,6 +143,76 @@ class TestStrictLatticeDocuments:
         assert err.startswith("error: action for generator 1") and err.count("\n") == 1
 
 
+def assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestStrictDocuments:
+    @pytest.mark.parametrize("field", [
+        pytest.param({"characteristic": 0, "all_roots": "no"}, id="string-all-roots"),
+        pytest.param({"is_rationals": 1}, id="int-is-rationals"),
+        pytest.param({"roots_of_unity": {"x": True}}, id="non-decimal-root-key"),
+        pytest.param({"roots_of_unity": {"0": True}}, id="zero-root-key"),
+        pytest.param({"roots_of_unity": {"4": 1}}, id="int-root-value"),
+        pytest.param({"roots_of_unity": [4]}, id="list-roots-table"),
+        pytest.param({"cyclotomic_2power_cyclic": {"3": "no"}}, id="string-cyclotomic-value"),
+        pytest.param({"cyclotomic_2power_cyclic": 3}, id="int-cyclotomic-table"),
+        pytest.param({"name": 5}, id="int-name"),
+    ])
+    def test_malformed_field_exit_1(self, capsys, tmp_path, field):
+        fpath = tmp_path / "field.json"
+        fpath.write_text(json.dumps(field))
+        assert_one_line_error(*invoke(capsys, "verdict-noether", "--group", "C8",
+                                      "--field", f"custom:{fpath}"))
+
+    @pytest.mark.parametrize("change", [
+        pytest.param({"coeff": {"x": [1]}}, id="non-index-coeff-key"),
+        pytest.param({"d": True}, id="bool-d"),
+        pytest.param({"coeff": {"1": 5}}, id="int-coeff-vector"),
+        pytest.param({"coeff": {"1": [True]}}, id="bool-coeff-entry"),
+        pytest.param({"coeff": [[1]]}, id="list-coeff"),
+        pytest.param({"d": 4.0}, id="float-d"),
+        pytest.param({"d": "4"}, id="string-d"),
+    ])
+    def test_malformed_monomial_exit_1(self, capsys, tmp_path, change):
+        doc = {"group": "C2", "rank": 1, "action": {"1": [[-1]]},
+               "d": 4, "coeff": {"1": [1]}}
+        doc.update(change)
+        path = tmp_path / "act.json"
+        path.write_text(json.dumps(doc))
+        assert_one_line_error(*invoke(capsys, "verdict-monomial", "--action", str(path)))
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param({"table": [[0, 1], [1, 0.5]]}, id="float-table-entry"),
+        pytest.param({"perm_generators": [[2, 1]], "degree": "2"}, id="string-degree"),
+        pytest.param({"table": "ab"}, id="string-table"),
+        pytest.param({"table": [[0, 1], [1, True]]}, id="bool-table-entry"),
+        pytest.param({"table": [[0, 1], [1]]}, id="ragged-table"),
+        pytest.param({"table": [[0]], "name": 7}, id="int-name"),
+        pytest.param({"perm_generators": [[2, 1]], "degree": 2.0}, id="float-degree"),
+        pytest.param({"perm_generators": [[2.0, 1]], "degree": 2}, id="float-image"),
+        pytest.param({"perm_generators": [[2, True]], "degree": 2}, id="bool-image"),
+        pytest.param({"perm_generators": "21", "degree": 2}, id="string-generators"),
+    ])
+    def test_malformed_group_exit_1(self, capsys, tmp_path, doc):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(doc))
+        assert_one_line_error(*invoke(capsys, "group-info", "--group", str(path)))
+
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-too-deep"),
+        pytest.param(b"{", id="truncated"),
+    ])
+    def test_unreadable_json_exit_1(self, capsys, tmp_path, content):
+        path = tmp_path / "group.json"
+        path.write_bytes(content)
+        assert_one_line_error(*invoke(capsys, "group-info", "--group", str(path)))
+
+
 class TestInternalCheckExit:
     def test_internal_check_exit_3(self, capsys, tmp_path, monkeypatch):
         import retractrat.cli as cli

@@ -1,0 +1,96 @@
+"""Golden digests: the stdout of a fixed set of commands, byte for byte.
+
+tests/golden_digests.json maps each command line to the sha256 of its
+stdout.  The commands run in a directory holding the lattice documents
+below, so a command line names its document by file name.  Refactors of
+the cover, the section search or the coset bookkeeping must leave every
+digest unchanged.  To re-record after a deliberate output change, run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+from pathlib import Path
+
+from retractrat.cli import run
+from retractrat.groups import catalog_group
+from retractrat.lattices import (
+    augmentation_kernel,
+    dual,
+    lattice_document,
+    lenstra_lattice,
+    random_lattice,
+)
+from retractrat.resolutions import flabby_resolution
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+
+
+def _norm_one_torus(name, members):
+    G = catalog_group(name)
+    return dual(augmentation_kernel(G, G.subgroup(members)))
+
+
+def documents() -> dict:
+    """File name -> lattice document, with Yes and No answers for both
+    `invertible` and `verdict-torus`."""
+    lattices = {
+        "lenstra-q8.json": lenstra_lattice(3).M,
+        "J-S3.json": _norm_one_torus("S3", (0,)),
+        "J-C2xC2.json": _norm_one_torus("C2xC2", (0,)),
+        "J-Q8-C2.json": _norm_one_torus("Q8", (0, 1)),
+        "J-D8-C2.json": _norm_one_torus("D8", (0, 2)),
+        "flabby-J-S3.json": flabby_resolution(_norm_one_torus("S3", (0,))).F,
+        "random-A4-7.json": random_lattice(catalog_group("A4"), 6, random.Random(7)),
+        "random-D8-1.json": random_lattice(catalog_group("D8"), 6, random.Random(1)),
+    }
+    return {name: lattice_document(M) for name, M in lattices.items()}
+
+
+def commands() -> list[list[str]]:
+    out = []
+    for doc in documents():
+        for verb in ("invertible", "resolve", "verdict-torus"):
+            out.append([verb, "--lattice", doc])
+    for group in ("D8", "Q8", "A4", "C2xC4", "D16"):
+        out.append(["group-info", "--group", group])
+        out.append(["verdict-noether", "--group", group, "--field", "Q"])
+    out.append(["reproduce", "endo-miyata", "--max-order", "6", "--trials", "2",
+                "--seed", "5"])
+    return out
+
+
+def digests(workdir: Path) -> dict:
+    """Command line -> sha256 of its stdout, run inside workdir."""
+    for name, doc in documents().items():
+        (workdir / name).write_text(json.dumps(doc))
+    out = {}
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for argv in commands():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = run(argv)
+            assert code == 0, argv
+            out[" ".join(argv)] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    finally:
+        os.chdir(cwd)
+    return out
+
+
+def test_golden_digests(tmp_path):
+    assert digests(tmp_path) == json.loads(GOLDEN.read_text())
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text(json.dumps(digests(Path(tmp)), indent=2) + "\n")

@@ -287,7 +287,29 @@ class TestAbelianDecomposition:
         assert orders_g == orders_h
 
 
+class TestCosets:
+    def test_cosets_match_brute_force(self):
+        for name in CATALOG_NAMES:
+            G = catalog_group(name)
+            for H in G.subgroups():
+                reps, coset_of = H.cosets()
+                cosets = {tuple(sorted(G.mul(g, h) for h in H.members))
+                          for g in range(G.order)}
+                assert list(reps) == sorted(c[0] for c in cosets), (name, H)
+                assert reps[0] == 0
+                for c in cosets:
+                    assert {coset_of[g] for g in c} == {reps.index(c[0])}
+
+
 class TestQuotient:
+    def test_generator_images_generate_quotient(self):
+        for name in CATALOG_NAMES:
+            G = catalog_group(name)
+            for H in G.subgroups():
+                if H.is_normal:
+                    Q, _ = G.quotient(H)
+                    assert len(Q.closure(Q.generators)) == Q.order, (name, H)
+
     def test_c4_mod_c2(self):
         C4 = catalog_group("C4")
         H = C4.subgroup((0, 2))

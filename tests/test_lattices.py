@@ -51,6 +51,14 @@ class TestConstruction:
         with pytest.raises(UserInputError):
             GLattice(C3, 1, {1: Mat.from_rows([[-1]])})  # (-1)^3 = -1 != 1
 
+    def test_non_commuting_generators_rejected(self):
+        # both matrices square to the identity, but they do not commute
+        V4 = catalog_group("V4")
+        a, b = V4.generators
+        with pytest.raises(UserInputError):
+            GLattice(V4, 2, {a: Mat.from_rows([[0, 1], [1, 0]]),
+                             b: Mat.from_rows([[1, 0], [0, -1]])})
+
     def test_non_faithful_action_allowed(self):
         # an action may factor through a quotient; only consistency is required
         C4 = catalog_group("C4")

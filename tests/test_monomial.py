@@ -54,6 +54,17 @@ class TestValidation:
         with pytest.raises(UserInputError):
             MonomialAction(trivial_lattice(C2), 4, {1: (1,)})
 
+    def test_relation_violation_commutator_only(self):
+        # V4 inverts x through both generators; with sigma_a: x -> x^-1 and
+        # sigma_b: x -> zeta_4 x^-1 both square to the identity, but
+        # sigma_a sigma_b and sigma_b sigma_a differ by zeta_4^2
+        V4 = catalog_group("V4")
+        a, b = V4.generators
+        lat = GLattice(V4, 1, {a: Mat.from_rows([[-1]]), b: Mat.from_rows([[-1]])})
+        with pytest.raises(UserInputError):
+            MonomialAction(lat, 4, {a: (0,), b: (1,)})
+        assert MonomialAction(lat, 4, {a: (0,), b: (2,)}).expand()
+
     def test_parse_document(self):
         doc = {"group": "C2", "rank": 1, "action": {"1": [[-1]]},
                "d": 4, "coeff": {"1": [1]}}

@@ -6,6 +6,7 @@ from conftest import random_permutation_lattice, sign_lattice
 from retractrat.cohomology import is_coflabby, profile
 from retractrat.groups import catalog_group
 from retractrat.lattices import (
+    LatticeMap,
     direct_sum,
     dual,
     fixed_basis,
@@ -177,6 +178,28 @@ class TestIsInvertible:
         assert dec.answer
         S = dec.witness.matrix
         assert dec.cover.projection.matrix.mul(S).is_identity()
+
+    def test_section_candidates_are_equivariant(self):
+        from retractrat.lattices import augmentation_kernel
+        from retractrat.resolutions import _section_candidates
+        rng = random.Random(23)
+        lattices = []
+        for name in ["C4", "S3", "V4", "D8", "Q8", "A4"]:
+            G = catalog_group(name)
+            for H in G.subgroup_conjugacy_representatives():
+                if H.order < G.order:
+                    lattices.append(dual(augmentation_kernel(G, H)))
+            lattices.append(random_lattice(G, 5, rng))
+            lattices.append(random_permutation_lattice(G, rng, max_rank=8))
+            for H in G.subgroups():
+                if H.is_normal and G.order // H.order == 2:
+                    lattices.append(sign_lattice(G, H))
+        for M in lattices:
+            P = fixed_point_cover(M).P
+            for base, rows in _section_candidates(M, P):
+                S = Mat.zero(P.rank, M.rank)
+                S.a[base:base + len(rows)] = [list(row) for row in rows]
+                LatticeMap(M, P, S)  # raises unless equivariant
 
     def test_lenstra_class_not_invertible(self):
         data = lenstra_lattice(3)
