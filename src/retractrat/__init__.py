@@ -34,6 +34,7 @@ from .resolutions import (
     fixed_point_cover,
     flabby_resolution,
     is_invertible,
+    verify_refutation,
 )
 from .monomial import ExtensionClass, MonomialAction, extension_class, parse_monomial_action
 from .verdict import (
@@ -85,6 +86,7 @@ __all__ = [
     "fixed_point_cover",
     "flabby_resolution",
     "is_invertible",
+    "verify_refutation",
     "ExtensionClass",
     "MonomialAction",
     "extension_class",

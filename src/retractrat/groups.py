@@ -80,13 +80,26 @@ class FiniteGroup:
         for g in range(n):
             if self.mul_table[0][g] != g or self.mul_table[g][0] != g:
                 raise UserInputError("element 0 is not a two-sided identity")
-        for a in range(n):
-            for b in range(n):
-                ab = self.mul_table[a][b]
-                for c in range(n):
-                    if self.mul_table[ab][c] != self.mul_table[a][self.mul_table[b][c]]:
-                        raise UserInputError(
-                            f"associativity fails at ({a},{b},{c})")
+        # Light's test: if (x*g)*y = x*(g*y) for all x, y and every g in a
+        # generating set, the product is associative (such g are closed under
+        # products).  Generators are picked greedily; in a group each one at
+        # least doubles the subgroup reached, so more than log2(n) of them
+        # means the table is not a group.
+        t = self.mul_table
+        gens: list[int] = []
+        reached: set[int] = {0}
+        while len(reached) < n:
+            if len(gens) == n.bit_length() - 1:
+                raise UserInputError("table is not a group: too many generators needed")
+            gens.append(next(g for g in range(n) if g not in reached))
+            reached = set(self.closure(gens))
+        for g in gens:
+            tg = t[g]
+            for x in range(n):
+                row_x, xg = t[x], t[t[x][g]]
+                for y in range(n):
+                    if xg[y] != row_x[tg[y]]:
+                        raise UserInputError(f"associativity fails at ({x},{g},{y})")
 
     def _build_inverses(self) -> tuple[int, ...]:
         inv = [-1] * self.order

@@ -23,10 +23,34 @@ the cover projection.  Sections M -> Z[G/H] correspond to H-fixed
 functionals on M (the coset-gH coordinate of the image of v is that
 functional evaluated at g^-1 v), so candidates live in the small lattice
 direct sum of (M*)^H over the summands, and the section condition becomes
-one integer linear system there.  Soundness: a solution exhibits M as a
-direct summand of a permutation lattice.  Completeness: if M is invertible,
-the cover sequence splits because its kernel is coflabby, so the system is
-solvable.
+one integer linear system there: sum_j x_j D_j = I for the composites
+D_j = proj S_j.  Soundness: a solution exhibits M as a direct summand of a
+permutation lattice.  Completeness: if M is invertible, the cover sequence
+splits because its kernel is coflabby, so the system is solvable.
+
+The system is decided modulo N = |G|.  Let E = End_G(M) and L the span of
+the D_j, so L lies in E.
+
+* N E lies in L.  Given phi in E, lift it to a Z-linear map psi0: M -> P
+  with proj psi0 = phi (M is free and proj is onto).  The average
+  psi = sum_g g psi0 g^-1 is equivariant, so a Z-combination of the S_j,
+  and proj psi = sum_g g phi g^-1 = N phi.
+* E is saturated in Z^(m x m): it is the kernel of X -> (A(g)X - XA(g))_g.
+* Hence if sum_j x_j D_j = I + N Y for integers x_j and an integral Y, then
+  N Y = L-element - I lies in E, so Y lies in E, N Y lies in L, and I lies
+  in L.  The system is solvable over Z exactly when it is solvable mod N.
+* Since N I lies in L, every diagonal equation has a nonzero coefficient
+  and no equation occurs with both targets 0 and 1, so neither needs a
+  special case.
+* Z/N is self-injective, so a system over Z/N has no solution exactly when
+  some functional kills every column and not the right-hand side.  Here
+  that is an m x m matrix Lam with <Lam, D_j> = 0 mod N for every j and
+  trace Lam != 0 mod N (<Lam, D> = sum_ik Lam_ik D_ik); it shows that no
+  integral section exists.
+
+So No answers carry such a Lam, checked against every composite by
+verify_refutation; Yes answers carry the integral section that the exact
+solve writes out, checked as before.
 """
 
 from __future__ import annotations
@@ -51,6 +75,7 @@ from .zlinalg import (
     Mat,
     kernel_basis,
     lattice_rank,
+    refute_mod,
     solve_integer,
 )
 
@@ -79,9 +104,13 @@ class FlabbyResolution:
 
 @dataclass
 class InvertibilityDecision:
+    """Yes carries witness, an equivariant section of the cover projection;
+    No carries refutation, a matrix Lam mod |G| (see verify_refutation)."""
+
     answer: bool
     witness: Optional[LatticeMap]
     cover: FixedPointCover
+    refutation: Optional[Mat] = None
 
 
 def _permutation_orbit_seeds(M: GLattice) -> list[tuple[Subgroup, int]]:
@@ -283,6 +312,16 @@ def flabby_resolution(M: GLattice, frugal: bool = True) -> FlabbyResolution:
     return FlabbyResolution(M, P, F, inj, surj)
 
 
+def _dual_fixed_bases(M: GLattice, summands: list[Subgroup]) -> dict[Subgroup, Mat]:
+    """fixed_basis(M*, H) for each distinct stabilizer H among the summands."""
+    Mdual = dual(M)
+    out: dict[Subgroup, Mat] = {}
+    for H in summands:
+        if H not in out:
+            out[H] = fixed_basis(Mdual, H)
+    return out
+
+
 def _section_candidates(M: GLattice, P: GLattice) -> list[tuple[int, list[list[int]]]]:
     """Z-basis of the equivariant maps M -> P, one (base, rows) pair per basis
     element: the map's nonzero rows are rows[r] at row base + r.
@@ -291,11 +330,13 @@ def _section_candidates(M: GLattice, P: GLattice) -> list[tuple[int, list[list[i
     M -> Z[G/H] are in bijection with H-fixed dual vectors u: the row of the
     coset rep_r H is u^T A(rep_r^-1), i.e. rows[r] = A*(rep_r) u."""
     Mdual = dual(M)
+    summands = P.summands or []
+    fixed = _dual_fixed_bases(M, summands)
     out: list[tuple[int, list[list[int]]]] = []
     base = 0
-    for H in P.summands or []:
+    for H in summands:
         reps, _ = H.cosets()
-        FB = fixed_basis(Mdual, H)
+        FB = fixed[H]
         for j in range(FB.cols):
             u = FB.col(j)
             out.append((base, [Mdual.act(rep).mulvec(u) for rep in reps]))
@@ -316,43 +357,77 @@ def _composite(proj: Mat, base: int, rows: list[list[int]]) -> list[list[int]]:
     return D
 
 
+def verify_refutation(decision: InvertibilityDecision) -> bool:
+    """True iff decision.refutation proves that the cover projection has no
+    equivariant section: an m x m matrix Lam with <Lam, proj S> = 0 mod |G|
+    for every section candidate S and trace Lam != 0 mod |G|.
+
+    The pairings are recomputed from decision.cover alone, not from the
+    pruned equations: with W = proj^T Lam, the candidate S_u of the summand
+    Z[G/H] at row base pairs to sum_r W[base + r] . A*(rep_r) u
+    = (sum_r A(rep_r^-1) W[base + r]) . u, one vector per summand."""
+    cov, Lam = decision.cover, decision.refutation
+    M, G = cov.M, cov.M.group
+    N, m = G.order, M.rank
+    if decision.answer or Lam is None or (Lam.rows, Lam.cols) != (m, m):
+        return False
+    if sum(Lam.a[i][i] for i in range(m)) % N == 0:
+        return False
+    W = cov.projection.matrix.transpose().mul(Lam).a
+    summands = cov.P.summands or []
+    fixed = _dual_fixed_bases(M, summands)
+    base = 0
+    for H in summands:
+        reps, _ = H.cosets()
+        v = [0] * m
+        for r, rep in enumerate(reps):
+            v = [x + y for x, y in zip(v, M.act(G.inv(rep)).mulvec(W[base + r]))]
+        base += len(reps)
+        FB = fixed[H]
+        if any(sum(x * y for x, y in zip(v, FB.col(j))) % N for j in range(FB.cols)):
+            return False
+    return True
+
+
 def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
     """Decide whether M is a direct summand of a permutation lattice.
 
-    Yes answers carry an explicit equivariant section of the cover
-    projection, re-verified exactly before returning.
+    The section system is decided mod |G| (module docstring).  No answers
+    carry a refutation and Yes answers an explicit equivariant section of
+    the cover projection, both re-verified before returning.
     """
     cov = fixed_point_cover(M, frugal=frugal)
     if M.rank == 0:
         ident = LatticeMap(M, cov.P, Mat.zero(cov.P.rank, 0))
         return InvertibilityDecision(True, ident, cov)
+    N = M.group.order
     basis = _section_candidates(M, cov.P)
     proj = cov.projection.matrix
     composites = [_composite(proj, base, rows) for base, rows in basis]
     m = M.rank
-    # one equation per matrix entry of (sum x_j proj*S_j) = identity, with
-    # zero and duplicate equations pruned (contradictory duplicates decide No)
-    seen: dict[tuple, int] = {}
-    eqs = []
-    rhs = []
+    # one equation per matrix entry of (sum x_j proj*S_j) = identity, keyed
+    # by (coefficients, target) and kept at its first entry; zero equations
+    # with target 0 are dropped
+    entries: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
     for i in range(m):
         for j in range(m):
-            row = tuple(D[i][j] for D in composites)
-            target = 1 if i == j else 0
-            if not any(row):
-                if target:
-                    return InvertibilityDecision(False, None, cov)
-                continue
-            prior = seen.get(row)
-            if prior is None:
-                seen[row] = target
-                eqs.append(list(row))
-                rhs.append(target)
-            elif prior != target:
-                return InvertibilityDecision(False, None, cov)
-    x = solve_integer(Mat.from_rows(eqs, len(basis)), rhs)
+            key = (tuple(D[i][j] for D in composites), int(i == j))
+            if key not in entries and (i == j or any(key[0])):
+                entries[key] = (i, j)
+    A = Mat.from_rows([list(row) for row, _ in entries], len(basis))
+    rhs = [target for _, target in entries]
+    lam = refute_mod(A, rhs, N)
+    if lam is not None:
+        Lam = Mat.zero(m, m)
+        for (i, j), y in zip(entries.values(), lam):
+            Lam.a[i][j] = y
+        decision = InvertibilityDecision(False, None, cov, Lam)
+        if not verify_refutation(decision):
+            raise InternalCheckError("refutation failed its check against the composites")
+        return decision
+    x = solve_integer(A, rhs)
     if x is None:
-        return InvertibilityDecision(False, None, cov)
+        raise InternalCheckError("section system solvable mod |G| but not over Z")
     S = Mat.zero(cov.P.rank, m)
     for coeff, (base, rows) in zip(x, basis):
         if coeff:

@@ -1,16 +1,20 @@
 """Exact integer matrix algebra: Hermite/Smith normal forms, kernels, solving.
 
-Everything here works over Z with Python's arbitrary-precision integers.
-Matrices are dense and small (desk scale); the pivoting strategy throughout
-is "nonzero entry of minimal absolute value, ties broken by smallest row
-then column index", which keeps coefficient growth tame and makes every
-output deterministic.
+Everything here works over Z with Python's arbitrary-precision integers,
+except refute_mod, which decides a system modulo N.  Matrices are dense and
+small (desk scale); the pivoting strategy of the normal forms is "nonzero
+entry of minimal absolute value, ties broken by smallest row then column
+index", which keeps coefficient growth tame and makes every output
+deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
+
+from .groups import _factorint
 
 
 class Mat:
@@ -342,6 +346,86 @@ class LinearSolver:
 def solve_integer(A: Mat, b: Sequence[int]) -> Optional[list[int]]:
     """Some integral solution of A*x = b, or None if there is none."""
     return LinearSolver(A).solve(b)
+
+
+def refute_mod(A: Mat, b: Sequence[int], N: int) -> Optional[list[int]]:
+    """None if A*x = b (mod N) is solvable; otherwise a row vector lam with
+    lam*A = 0 and lam*b != 0 (mod N), entries in [0, N).
+
+    Each prime power p^a exactly dividing N is decided on its own and the
+    refutations are glued by the Chinese remainder theorem: a system is
+    solvable mod N exactly when it is solvable mod every p^a.
+    """
+    if len(b) != A.rows:
+        raise ValueError("dimension mismatch")
+    if N < 1:
+        raise ValueError("modulus must be positive")
+    lam = [0] * A.rows
+    refuted = False
+    for p, a in _factorint(N).items():
+        q = p ** a
+        lam_q = _refute_prime_power(A, b, p, a)
+        if lam_q is not None:
+            refuted = True
+            e = N // q * pow(N // q, -1, q)  # 1 mod q, 0 mod N/q
+            lam = [(x + e * y) % N for x, y in zip(lam, lam_q)]
+    return lam if refuted else None
+
+
+def _refute_prime_power(A: Mat, b: Sequence[int], p: int, a: int) -> Optional[list[int]]:
+    """refute_mod for N = p^a.
+
+    Gaussian elimination with unit pivots: a pivot row solves for its pivot
+    unknown, is eliminated from every other row and is set aside.  A row
+    left without a unit entry stays so for the rest of the round.  When no
+    row has a unit entry, every remaining row is p times a row mod
+    p^(a-1): a remaining rhs prime to p refutes the system, otherwise the
+    rows are divided by p and the modulus drops to p^(a-1).  Rows are
+    sparse ({column: entry}) and each carries its combination of the input
+    rows ({input row: coefficient mod p^a}), so a refuting row gives lam.
+    """
+    q = p ** a
+    rows = []  # [entries, rhs, combination]
+    for i, (row, bi) in enumerate(zip(A.a, b)):
+        rows.append([{c: x % q for c, x in enumerate(row) if x % q}, bi % q, {i: 1}])
+    mod = q
+    while mod > 1:
+        queue = [r for r in rows if r[0] or r[1]]
+        rows = []  # rows without a unit entry this round
+        for k, (prow, prhs, plam) in enumerate(queue):
+            c = next((c for c, x in prow.items() if x % p), None)
+            if c is None:
+                rows.append(queue[k])
+                continue
+            inv = pow(prow[c], -1, mod)
+            for r in itertools.chain(queue[k + 1:], rows):
+                entries = r[0]
+                f = entries.get(c)
+                if f is None:
+                    continue
+                f = f * inv % mod
+                for j, y in prow.items():
+                    x = (entries.get(j, 0) - f * y) % mod
+                    if x:
+                        entries[j] = x
+                    else:
+                        entries.pop(j, None)
+                r[1] = (r[1] - f * prhs) % mod
+                lam = r[2]
+                for i, y in plam.items():
+                    lam[i] = (lam.get(i, 0) - f * y) % q
+        for entries, rhs, lam in rows:
+            if rhs % p:
+                # every entry is divisible by p: (mod/p)*lam kills A but not b
+                out = [0] * A.rows
+                for i, y in lam.items():
+                    out[i] = mod // p * y % q
+                return out
+        mod //= p
+        for r in rows:
+            r[0] = {j: x // p for j, x in r[0].items()}
+            r[1] //= p
+    return None
 
 
 class LatticeAccumulator:

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import random
 import time
 import weakref
 
@@ -63,6 +64,78 @@ class TestParse:
                  [4, 3, 1, 2, 0]]
         with pytest.raises(UserInputError):
             parse_group({"table": table})
+
+    def test_cyclic_512_table_parses_fast(self):
+        n = 512
+        doc = {"table": [[(a + b) % n for b in range(n)] for a in range(n)]}
+        start = time.process_time()
+        G = parse_group(doc)
+        assert time.process_time() - start < 2.0
+        assert G.order == n and G.is_cyclic()
+
+    def test_associativity_check_against_all_triples(self):
+        """Seeded Latin squares with identity, group tables relabeled with 0
+        fixed among them: the table parses exactly when every triple
+        associates."""
+        def associative(t):
+            n = len(t)
+            return all(t[t[a][b]][c] == t[a][t[b][c]]
+                       for a in range(n) for b in range(n) for c in range(n))
+
+        def random_loop(n, rng):
+            # reduced Latin square: row and column 0 are the identity
+            t = [[(j if i == 0 else i if j == 0 else None) for j in range(n)]
+                 for i in range(n)]
+            cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+            def fill(k):
+                if k == len(cells):
+                    return True
+                i, j = cells[k]
+                free = [v for v in range(n)
+                        if v not in t[i] and all(t[r][j] != v for r in range(n))]
+                rng.shuffle(free)
+                for v in free:
+                    t[i][j] = v
+                    if fill(k + 1):
+                        return True
+                t[i][j] = None
+                return False
+
+            assert fill(0)
+            return t
+
+        def relabeled(t, perm):
+            inv = {p: i for i, p in enumerate(perm)}
+            return [[perm[t[inv[a]][inv[b]]] for b in range(len(t))]
+                    for a in range(len(t))]
+
+        rng = random.Random(17)
+        tables = [[[0]], [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]]
+        # Each element in turn becomes 1, the first generator picked.  Some
+        # order-6 loops with two-sided inverses pass the test at 1 and fail
+        # only at the second generator; about one in 40 does, hence 300.
+        for n in [2, 3] + [4, 5] * 20 + [6] * 300:
+            t = random_loop(n, rng)
+            for g in range(1, n):
+                perm = list(range(len(t)))
+                perm[1], perm[g] = g, 1
+                tables.append(relabeled(t, perm))
+        for name in ("C2", "C3", "C4", "V4", "C5", "C6", "S3"):
+            G = catalog_group(name)
+            perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+            tables.append(relabeled(G.mul_table, perm))
+        verdicts = set()
+        for t in tables:
+            try:
+                parse_group({"table": t})
+                accepted = True
+            except UserInputError:
+                accepted = False
+            assert accepted == associative(t), t
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
 
     def test_bad_permutation_rejected(self):
         with pytest.raises(UserInputError):

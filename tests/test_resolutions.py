@@ -1,12 +1,18 @@
 """Covers, flabby resolutions, the invertibility decision, fingerprints."""
 
+import dataclasses
 import random
 
+import pytest
+
 from conftest import random_permutation_lattice, sign_lattice
+from retractrat import resolutions
 from retractrat.cohomology import is_coflabby, profile
-from retractrat.groups import catalog_group
+from retractrat.errors import InternalCheckError
+from retractrat.groups import catalog_group, catalog_groups_upto
 from retractrat.lattices import (
     LatticeMap,
+    augmentation_kernel,
     direct_sum,
     dual,
     fixed_basis,
@@ -22,8 +28,16 @@ from retractrat.resolutions import (
     fixed_point_cover,
     flabby_resolution,
     is_invertible,
+    verify_refutation,
 )
-from retractrat.zlinalg import LinearSolver, Mat, lattice_rank, kernel_basis
+from retractrat.zlinalg import (
+    LinearSolver,
+    Mat,
+    kernel_basis,
+    lattice_rank,
+    refute_mod,
+    solve_integer,
+)
 
 
 C2 = catalog_group("C2")
@@ -127,6 +141,9 @@ class TestIsInvertible:
     def test_sign_no(self):
         dec = is_invertible(SIGN)
         assert not dec.answer and dec.witness is None
+        # the one composite is 2 = 0 mod 2, while the identity has trace 1
+        assert dec.refutation == Mat.from_rows([[1]])
+        assert verify_refutation(dec)
 
     def test_permutation_yes_with_verified_witness(self):
         rng = random.Random(33)
@@ -214,6 +231,125 @@ class TestIsInvertible:
                 M = random_lattice(G, 4, rng)
                 res = flabby_resolution(M)
                 assert is_invertible(res.F).answer
+
+
+# the norm-one tori J_G/1 the benchmark leaves out for their cost
+LEFT_OUT_TORI = {"C2xC2xC2", "U(32)", "D16"}
+
+
+def cross_check_cases():
+    """Seeded lattices of the tori-mix benchmark (norm-one tori and four
+    random lattices per catalog group of order 2..16), their flabby tails,
+    and the q = 8 Lenstra lattice with its tail, as (label, lattice) pairs."""
+    rng = random.Random(2009)
+    base = [("lenstra q=8", lenstra_lattice(3).M)]
+    for G in catalog_groups_upto(16):
+        if G.order < 2:
+            continue
+        for H in G.subgroup_conjugacy_representatives():
+            if H.order == G.order or (H.order == 1 and G.name in LEFT_OUT_TORI):
+                continue
+            base.append((f"J_{G.name}/{H.members}", dual(augmentation_kernel(G, H))))
+        for i in range(4):
+            base.append((f"random {G.name} #{i}", random_lattice(G, 6, rng)))
+    return base + [(f"tail of {label}", flabby_resolution(M).F) for label, M in base]
+
+
+@pytest.fixture(scope="class")
+def cross_checked():
+    """Each case decided by is_invertible, and for every section system it
+    decided mod |G| the pair (solvable mod |G|, solvable over Z), the exact
+    answer taken by solve_integer on the same system."""
+    systems = []
+
+    def recording(A, b, N):
+        lam = refute_mod(A, b, N)
+        systems.append((lam is None, solve_integer(A, b) is not None))
+        return lam
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolutions, "refute_mod", recording)
+        decisions = [(label, is_invertible(M)) for label, M in cross_check_cases()]
+    return decisions, systems
+
+
+class TestModularDecision:
+    def test_agrees_with_exact_solve(self, cross_checked):
+        _, systems = cross_checked
+        assert all(modular == exact for modular, exact in systems)
+        assert {modular for modular, _ in systems} == {True, False}
+
+    def test_every_no_carries_a_verified_refutation(self, cross_checked):
+        decisions, _ = cross_checked
+        answers = set()
+        for label, dec in decisions:
+            answers.add(dec.answer)
+            if dec.answer:
+                assert dec.refutation is None and dec.witness is not None, label
+                continue
+            assert dec.witness is None, label
+            assert verify_refutation(dec), label
+            N = dec.cover.M.group.order
+            m = dec.cover.M.rank
+            zero = dataclasses.replace(dec, refutation=Mat.zero(m, m))
+            assert not verify_refutation(zero), label
+            scaled = Mat.from_rows([[N * x for x in row] for row in dec.refutation.a], m)
+            assert not verify_refutation(dataclasses.replace(dec, refutation=scaled)), label
+        assert answers == {True, False}
+
+    def test_refutation_must_kill_every_composite(self, cross_checked):
+        # A Yes lattice has no refutation.  Leaving one candidate out of its
+        # section system can make the rest unsolvable mod |G|; the lambda of
+        # that smaller system kills every composite but one, and
+        # verify_refutation, which recomputes all of them, must reject it.
+        decisions, _ = cross_checked
+        tried = 0
+        for label, dec in decisions:
+            if not dec.answer or dec.cover.M.rank == 0:
+                continue
+            cov = dec.cover
+            m, N = cov.M.rank, cov.M.group.order
+            proj = cov.projection.matrix
+            composites = [resolutions._composite(proj, base, rows)
+                          for base, rows in resolutions._section_candidates(cov.M, cov.P)]
+            for k in range(len(composites)):
+                kept = composites[:k] + composites[k + 1:]
+                A = Mat.from_rows([[D[i][j] for D in kept]
+                                   for i in range(m) for j in range(m)], len(kept))
+                b = [int(i == j) for i in range(m) for j in range(m)]
+                lam = refute_mod(A, b, N)
+                if lam is None:
+                    continue
+                Lam = Mat.from_rows([lam[i * m:(i + 1) * m] for i in range(m)], m)
+                no = resolutions.InvertibilityDecision(False, None, cov, Lam)
+                assert not verify_refutation(no), (label, k)
+                tried += 1
+            if tried >= 20:
+                break
+        assert tried
+
+    def test_wrong_refutation_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(resolutions, "refute_mod", lambda A, b, N: [1] * A.rows)
+        with pytest.raises(InternalCheckError):
+            is_invertible(flabby_resolution(lenstra_lattice(3).M).F)
+
+    def test_modular_yes_without_integral_section_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(resolutions, "solve_integer", lambda A, b: None)
+        with pytest.raises(InternalCheckError):
+            is_invertible(regular_lattice(catalog_group("S3")))
+
+    def test_q16_tail_decided_without_exact_solve(self, monkeypatch):
+        calls = []
+
+        def counted(A, b):
+            calls.append(A.rows)
+            return solve_integer(A, b)
+
+        monkeypatch.setattr(resolutions, "solve_integer", counted)
+        dec = is_invertible(flabby_resolution(lenstra_lattice(4).M).F)
+        assert not dec.answer
+        assert dec.refutation is not None and verify_refutation(dec)
+        assert calls == []
 
 
 class TestDegenerateInputs:

@@ -1,5 +1,6 @@
 """Exact linear algebra: normal forms, kernels, solving, invariants."""
 
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from retractrat.zlinalg import (
     is_unimodular,
     kernel_basis,
     quotient_invariants,
+    refute_mod,
     row_hermite,
     smith_diagonal,
     smith_normal_form,
@@ -112,6 +114,50 @@ class TestSolve:
         A = Mat.from_rows([[2, 3]])
         x = solve_integer(A, [1])
         assert x is not None and 2 * x[0] + 3 * x[1] == 1
+
+
+class TestRefuteMod:
+    """Solvability mod N against brute force over (Z/N)^k."""
+
+    @staticmethod
+    def solvable_by_brute_force(A, b, N):
+        return any(all((x - y) % N == 0 for x, y in zip(A.mulvec(v), b))
+                   for v in itertools.product(range(N), repeat=A.cols))
+
+    @pytest.mark.parametrize("N", [2, 4, 6, 8, 9, 12])
+    def test_agrees_with_brute_force(self, N):
+        rng = random.Random(N)
+        answers = set()
+        for _ in range(60):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 3)
+            A = Mat.from_rows([[rng.choice([0, 0, rng.randint(-2 * N, 2 * N)])
+                                for _ in range(cols)] for _ in range(rows)], cols)
+            b = [rng.randint(-N, N) for _ in range(rows)]
+            lam = refute_mod(A, b, N)
+            assert (lam is None) == self.solvable_by_brute_force(A, b, N)
+            answers.add(lam is None)
+            if lam is not None:
+                assert len(lam) == rows and all(0 <= y < N for y in lam)
+                assert all(sum(y * A.a[i][j] for i, y in enumerate(lam)) % N == 0
+                           for j in range(cols))
+                assert sum(y * x for y, x in zip(lam, b)) % N != 0
+        assert answers == {True, False}
+
+    def test_prime_powers_combined(self):
+        # 2x = 1 fails mod 2 only, 3x = 1 mod 3 only: the lambda refutes both
+        A = Mat.from_rows([[2], [3]])
+        lam = refute_mod(A, [1, 1], 6)
+        assert lam is not None
+        assert sum(y * x for y, x in zip(lam, [1, 1])) % 2 != 0
+        assert sum(y * x for y, x in zip(lam, [1, 1])) % 3 != 0
+        assert refute_mod(A, [2, 3], 6) is None
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            refute_mod(Mat.from_rows([[1, 2]]), [1, 2], 4)
+        with pytest.raises(ValueError):
+            refute_mod(Mat.from_rows([[2]]), [1], 0)
+        assert refute_mod(Mat.from_rows([[2]]), [1], 1) is None
 
 
 class TestKernel:
