@@ -4,6 +4,13 @@ All values are finite abelian groups returned as AbelianInvariants.  The
 flabby/coflabby predicates quantify over subgroups; by default only
 subgroups of prime-power order are visited, which is sound because
 restriction to Sylow subgroups is injective on Tate cohomology.
+
+One routine computes degrees -1 and 1.  Degree -1 is Ker(N_H) / I_H M, with
+I_H M spanned by (s - 1)M over the generators s of H alone, since
+st - 1 = (s - 1)t + (t - 1).  Degree 1 is degree -1 of the dual: for a Z-free
+M, H^1(H, M) is Hom(H^-1(H, M*), Q/Z) (K. S. Brown, Cohomology of Groups,
+Ch. VI, 7), a group with the same invariants; this is the classical "M is
+flabby iff M* is coflabby".
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from typing import Literal
 
 from .errors import InternalCheckError, UserInputError
 from .groups import Subgroup
-from .lattices import GLattice, fixed_basis
+from .lattices import GLattice, dual, fixed_basis
 from .zlinalg import (
     AbelianInvariants,
     Mat,
@@ -42,12 +49,11 @@ def norm_matrix(H: Subgroup, M: GLattice) -> Mat:
 
 
 def _augmentation_columns(H: Subgroup, M: GLattice) -> list[list[int]]:
-    """Columns (A(h) - 1) e_j over all h in H and basis vectors e_j."""
+    """Columns (A(s) - 1) e_j over the generators s of H and basis vectors
+    e_j; they span I_H M."""
     cols = []
-    for h in H.members:
-        if h == 0:
-            continue
-        A = M.act(h)
+    for s in H.generators:
+        A = M.act(s)
         for j in range(M.rank):
             col = [A.a[i][j] - (1 if i == j else 0) for i in range(M.rank)]
             if any(col):
@@ -57,7 +63,7 @@ def _augmentation_columns(H: Subgroup, M: GLattice) -> list[list[int]]:
 
 def tate_minus1(H: Subgroup, M: GLattice) -> AbelianInvariants:
     """Tate cohomology in degree -1: Ker(N_H) / I_H M, where N_H is the norm
-    and I_H M is spanned by (A(h) - 1) e_j."""
+    and I_H M is spanned by (A(s) - 1) e_j over the generators s of H."""
     _check_subgroup(H, M)
     if H.order == 1 or M.rank == 0:
         return TRIVIAL_GROUP_INVARIANTS
@@ -65,7 +71,10 @@ def tate_minus1(H: Subgroup, M: GLattice) -> AbelianInvariants:
     if K.cols == 0:
         return TRIVIAL_GROUP_INVARIANTS
     sub = Mat.from_cols(_augmentation_columns(H, M), rows=M.rank)
-    return quotient_invariants(K, sub)
+    inv = quotient_invariants(K, sub)
+    if inv.free_rank:
+        raise InternalCheckError("cohomology of a lattice must be finite")
+    return inv
 
 
 def tate_zero(H: Subgroup, M: GLattice) -> AbelianInvariants:
@@ -80,92 +89,10 @@ def tate_zero(H: Subgroup, M: GLattice) -> AbelianInvariants:
     return quotient_invariants(F, N)
 
 
-def _cayley_tree(H: Subgroup) -> tuple[list[tuple[int, int, int]], dict[int, list[tuple[int, int]]]]:
-    """Spanning tree of the Cayley graph of H on its generators.
-
-    Returns (non_tree_edges, words) where words[h] is the generator word
-    (list of (gen_index, gen_element)) expressing h, and each non-tree edge is
-    (h, gen_index, gen_element) with h * gen already reached.
-    """
-    G = H.parent
-    gens = H.generators
-    words: dict[int, list[tuple[int, int]]] = {0: []}
-    frontier = [0]
-    non_tree: list[tuple[int, int, int]] = []
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for gi, s in enumerate(gens):
-                t = G.mul(h, s)
-                if t in words:
-                    non_tree.append((h, gi, s))
-                else:
-                    words[t] = words[h] + [(gi, s)]
-                    nxt.append(t)
-        frontier = nxt
-    if len(words) != H.order:
-        raise InternalCheckError("subgroup generators failed to reach all members")
-    return non_tree, words
-
-
 def h1(H: Subgroup, M: GLattice) -> AbelianInvariants:
-    """First cohomology: crossed homomorphisms modulo principal ones.
-
-    A cocycle d (d(gh) = d(g) + A(g) d(h)) is determined by its values on a
-    generating set of H; the cocycle identities along each non-tree edge of
-    the Cayley graph cut out exactly the valid tuples.  Coboundaries are
-    d_m(h) = (A(h) - 1) m.  The result is finite (killed by |H|).
-    """
-    _check_subgroup(H, M)
-    gens = H.generators
-    k = len(gens)
-    if k == 0 or M.rank == 0:
-        return TRIVIAL_GROUP_INVARIANTS
-    G = H.parent
-    m = M.rank
-    non_tree, words = _cayley_tree(H)
-
-    def word_coefficients(h: int) -> list[Mat]:
-        """Coefficient of d(gen_i) in d(h), via d(uv) = d(u) + A(u) d(v)."""
-        coeffs = [Mat.zero(m, m) for _ in range(k)]
-        prefix = 0
-        for gi, s in words[h]:
-            coeffs[gi] = coeffs[gi].add(M.act(prefix))
-            prefix = G.mul(prefix, s)
-        return coeffs
-
-    coeff_cache = {h: word_coefficients(h) for h in words}
-
-    rows: list[list[int]] = []
-    for h, gi, s in non_tree:
-        # equation: d(h) + A(h) d(s) - d(h*s) = 0
-        target = G.mul(h, s)
-        blocks = [a.sub(b) for a, b in zip(coeff_cache[h], coeff_cache[target])]
-        blocks[gi] = blocks[gi].add(M.act(h))
-        for i in range(m):
-            row: list[int] = []
-            for b in blocks:
-                row.extend(b.a[i])
-            if any(row):
-                rows.append(row)
-    if rows:
-        Z = kernel_basis(Mat.from_rows(rows, k * m))
-    else:
-        Z = Mat.identity(k * m)
-    if Z.cols == 0:
-        return TRIVIAL_GROUP_INVARIANTS
-    cob_cols = []
-    for j in range(m):
-        col: list[int] = []
-        for s in gens:
-            A = M.act(s)
-            col.extend(A.a[i][j] - (1 if i == j else 0) for i in range(m))
-        cob_cols.append(col)
-    B = Mat.from_cols(cob_cols, rows=k * m)
-    inv = quotient_invariants(Z, B)
-    if inv.free_rank:
-        raise InternalCheckError("H^1 of a lattice must be finite")
-    return inv
+    """First cohomology: Tate cohomology in degree -1 of the dual lattice
+    (Tate duality, see the module docstring)."""
+    return tate_minus1(H, dual(M))
 
 
 @dataclass
@@ -211,9 +138,10 @@ def profile(M: GLattice, subgroups: SubgroupMode = "prime-power") -> CohomologyP
     restriction of Tate cohomology to Sylow subgroups is injective, and the
     subgroups of a Sylow subgroup all have prime-power order.
     """
+    Mdual = dual(M)
     entries = {}
     for H in _profile_subgroups(M, subgroups):
-        entries[H.members] = (tate_minus1(H, M), h1(H, M))
+        entries[H.members] = (tate_minus1(H, M), tate_minus1(H, Mdual))
     return CohomologyProfile(M, entries, subgroups)
 
 
@@ -223,4 +151,4 @@ def is_flabby(M: GLattice) -> bool:
 
 
 def is_coflabby(M: GLattice) -> bool:
-    return all(h1(H, M).is_trivial for H in M.group.prime_power_subgroups())
+    return is_flabby(dual(M))

@@ -44,24 +44,28 @@ class FiniteGroup:
     """Finite group with a verified multiplication table.
 
     mul/inv are total tables; generators is some generating list (possibly
-    empty for the trivial group).  Instances are immutable after
-    construction and cache derived data (subgroups, element orders).
+    empty for the trivial group), picked by minimal_generators when None is
+    given.  Instances are immutable after construction and cache derived
+    data (subgroups, element orders).
     """
 
-    def __init__(self, mul_table: Sequence[Sequence[int]], generators: Sequence[int],
+    def __init__(self, mul_table: Sequence[Sequence[int]],
+                 generators: Optional[Sequence[int]] = None,
                  name: Optional[str] = None, check: bool = True):
         self.order = len(mul_table)
         self.mul_table = tuple(tuple(int(x) for x in row) for row in mul_table)
         self.name = name
-        if check:
-            self._validate_table()
-        self.inv_table = self._build_inverses()
-        self.generators = tuple(int(g) for g in generators)
-        if check and not self._generates(self.generators):
-            raise UserInputError("declared generators do not generate the group")
         self._subgroups: Optional[list[Subgroup]] = None
         self._subgroup_index: dict[tuple[int, ...], Subgroup] = {}
         self._orders: Optional[tuple[int, ...]] = None
+        if check:
+            self._validate_table()
+        self.inv_table = self._build_inverses()
+        if generators is None:
+            generators = self.minimal_generators()
+        self.generators = tuple(int(g) for g in generators)
+        if check and not self._generates(self.generators):
+            raise UserInputError("declared generators do not generate the group")
 
     # -- construction checks ------------------------------------------------
 
@@ -543,9 +547,6 @@ class Subgroup:
                 reps.append(g)
         return tuple(reps), coset_of
 
-    def prime_power(self) -> Optional[int]:
-        return _is_prime_power(self.order) if self.order > 1 else None
-
     def as_group(self) -> FiniteGroup:
         """Standalone FiniteGroup with the induced table (identity stays 0)."""
         index = {g: i for i, g in enumerate(self.members)}
@@ -627,11 +628,7 @@ def parse_group(spec: dict) -> FiniteGroup:
         n = len(table) if isinstance(table, list) else -1
         if not is_int_matrix(table, n, n):
             raise UserInputError("group 'table' must be a square list of integer rows")
-        group = FiniteGroup(table, [], name=name, check=True) if n == 1 else None
-        if group is None:
-            tmp = FiniteGroup(table, range(n), name=name, check=True)
-            group = FiniteGroup(table, tmp.minimal_generators(), name=name, check=False)
-        return group
+        return FiniteGroup(table, name=name, check=True)
     if "perm_generators" in spec:
         degree = spec.get("degree")
         gens = spec["perm_generators"]
@@ -763,11 +760,7 @@ def unit_group_mod_2n(n: int, name: Optional[str] = None) -> FiniteGroup:
     units = [1] + [u for u in range(3, q, 2)]
     index = {u: i for i, u in enumerate(units)}
     table = [[index[(a * b) % q] for b in units] for a in units]
-    g = FiniteGroup(table, [], name=name or f"U({q})", check=False) if len(units) == 1 else None
-    if g is None:
-        tmp = FiniteGroup(table, range(len(units)), name=name or f"U({q})", check=False)
-        g = FiniteGroup(table, tmp.minimal_generators(), name=name or f"U({q})", check=False)
-    return g
+    return FiniteGroup(table, name=name or f"U({q})", check=False)
 
 
 def symmetric_group_3() -> FiniteGroup:

@@ -118,9 +118,6 @@ class LatticeMap:
             if lhs != rhs:
                 raise UserInputError(f"map is not equivariant at generator {s}")
 
-    def apply(self, v: Sequence[int]) -> list[int]:
-        return self.matrix.mulvec(v)
-
 
 # -- constructors ----------------------------------------------------------------
 
@@ -225,7 +222,21 @@ def conjugated(M: GLattice, T: Mat) -> GLattice:
     return GLattice(M.group, M.rank, action, check=False)
 
 
-# -- fixed sublattices -------------------------------------------------------------
+# -- sublattices --------------------------------------------------------------------
+
+
+def invariant_sublattice(M: GLattice, K: Mat) -> GLattice:
+    """The sublattice spanned by the columns of K (a basis), with the action
+    solved from that of M: A(s) K = K X(s).  A K that the action does not
+    map into itself is an internal error."""
+    solver = LinearSolver(K)
+    action = {}
+    for s in M.group.generators:
+        X = solver.solve_matrix(M.act(s).mul(K))
+        if X is None:
+            raise InternalCheckError("sublattice is not action-stable")
+        action[s] = X
+    return GLattice(M.group, K.cols, action, check=False)
 
 
 def fixed_basis(M: GLattice, H: Subgroup) -> Mat:
@@ -295,16 +306,7 @@ def lenstra_lattice(n: int) -> LenstraData:
     if K.cols != rank_n:
         raise InternalCheckError("congruence kernel has unexpected rank")
 
-    solver = LinearSolver(K)
-    m_action = {}
-    for s in pi.generators:
-        B = N.act(s).mul(K)
-        X = solver.solve_matrix(B)
-        if X is None:
-            raise InternalCheckError("kernel is not invariant under the action")
-        m_action[s] = X
-    M = GLattice(pi, rank_n, m_action, check=False)
-    M.expand()
+    M = invariant_sublattice(N, K)
     inclusion = LatticeMap(M, N, K)
     return LenstraData(q, pi, N, phi, M, inclusion)
 
@@ -320,16 +322,7 @@ def augmentation_kernel(G: FiniteGroup, H: Subgroup) -> GLattice:
     classes can fail to be invertible.
     """
     P = permutation_lattice(G, [H])
-    ones = Mat.from_rows([[1] * P.rank])
-    K = kernel_basis(ones)
-    solver = LinearSolver(K)
-    action = {}
-    for s in G.generators:
-        X = solver.solve_matrix(P.act(s).mul(K))
-        if X is None:
-            raise InternalCheckError("augmentation kernel not action-stable")
-        action[s] = X
-    return GLattice(G, P.rank - 1, action, check=False)
+    return invariant_sublattice(P, kernel_basis(Mat.from_rows([[1] * P.rank])))
 
 
 def random_lattice(G: FiniteGroup, max_rank: int, rng: random.Random) -> GLattice:

@@ -58,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cohomology import is_flabby, tate_minus1, tate_zero, h1
+from .cohomology import is_flabby, tate_minus1, tate_zero
 from .errors import InternalCheckError, ResourceBoundError
 from .groups import Subgroup
 from .lattices import (
@@ -66,6 +66,7 @@ from .lattices import (
     LatticeMap,
     dual,
     fixed_basis,
+    invariant_sublattice,
     permutation_lattice,
 )
 from .zlinalg import (
@@ -267,17 +268,8 @@ def cover_kernel(cov: FixedPointCover) -> LatticeMap:
     """The inclusion C -> P of the kernel C of the cover projection, with the
     action of C solved from that of P.  C is coflabby because the cover is
     surjective on every fixed part."""
-    G, P = cov.M.group, cov.P
     K = kernel_basis(cov.projection.matrix)
-    solver = LinearSolver(K)
-    c_action = {}
-    for s in G.generators:
-        c_action[s] = solver.solve_matrix(P.act(s).mul(K))
-        if c_action[s] is None:
-            raise InternalCheckError("cover kernel is not action-stable")
-    C = GLattice(G, K.cols, c_action, check=False)
-    C.expand()
-    return LatticeMap(C, P, K)
+    return LatticeMap(invariant_sublattice(cov.P, K), cov.P, K)
 
 
 def flabby_resolution(M: GLattice, frugal: bool = True) -> FlabbyResolution:
@@ -453,9 +445,10 @@ def class_fingerprint(M: GLattice) -> Fingerprint:
     lattice); it does NOT decide equality of flabby classes.
     """
     F = flabby_resolution(M).F
+    Fdual = dual(F)  # degree 1 is degree -1 of the dual, as in cohomology.h1
     table: Fingerprint = {}
     for H in M.group.subgroups():
         if H.order == 1:
             continue
-        table[H.members] = (tate_minus1(H, F), tate_zero(H, F), h1(H, F))
+        table[H.members] = (tate_minus1(H, F), tate_zero(H, F), tate_minus1(H, Fdual))
     return table

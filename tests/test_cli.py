@@ -335,6 +335,14 @@ class TestReproduce:
         assert out1 == out2  # bit-identical across repetitions
         assert json.loads(out1)["pass"] is True
 
+    @pytest.mark.parametrize("args", [
+        pytest.param(["--trials", "0"], id="no-trials"),
+        pytest.param(["--max-order", "1"], id="no-groups"),
+    ])
+    def test_endo_miyata_rejects_empty_suite(self, capsys, args):
+        # zero cases would otherwise report "pass": true
+        assert_one_line_error(*invoke(capsys, "reproduce", "endo-miyata", *args))
+
     def test_stable_across_hash_seeds(self, tmp_path):
         # golden-file safety: identical bytes from fresh interpreters with
         # different hash randomization

@@ -73,6 +73,23 @@ class TestParse:
         assert time.process_time() - start < 2.0
         assert G.order == n and G.is_cyclic()
 
+    @pytest.mark.parametrize("name", ["C1", "C2", "V4", "C12", "D8", "U(16)"])
+    def test_table_document_builds_one_group(self, monkeypatch, name):
+        from retractrat.groups import FiniteGroup
+
+        calls = []
+        build = FiniteGroup._build_inverses
+
+        def counted(self):
+            calls.append(self.order)
+            return build(self)
+
+        table = [list(row) for row in catalog_group(name).mul_table]
+        monkeypatch.setattr(FiniteGroup, "_build_inverses", counted)
+        G = parse_group({"table": table})
+        assert calls == [len(table)]
+        assert G.generators == G.minimal_generators()
+
     def test_associativity_check_against_all_triples(self):
         """Seeded Latin squares with identity, group tables relabeled with 0
         fixed among them: the table parses exactly when every triple
