@@ -8,6 +8,7 @@ are JSON on stdout (or --out <file>, written atomically).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -74,13 +75,18 @@ def _resolve_field(spec: str):
 
 def _emit(payload: dict, out: Optional[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=False)
-    if out:
-        tmp = out + ".tmp"
+    if not out:
+        sys.stdout.write(text + "\n")
+        return
+    tmp = out + ".tmp"
+    try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         os.replace(tmp, out)
-    else:
-        sys.stdout.write(text + "\n")
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise UserInputError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _group_info(args) -> dict:
@@ -251,6 +257,8 @@ def _reproduce(args) -> dict:
     # timing goes to stderr so seeded runs stay bit-identical on stdout
     started = time.time()
     if args.suite == "voskresenskii":
+        if args.n < 2:
+            raise UserInputError("--n must be at least 2")
         out = _reproduce_voskresenskii(args.n)
     elif args.suite == "endo-miyata":
         out = _reproduce_endo_miyata(args.max_order, args.trials, args.seed)
@@ -327,6 +335,7 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         payload = _DISPATCH[args.verb](args)
+        _emit(payload, args.out)
     except UserInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -336,7 +345,6 @@ def run(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
-    _emit(payload, args.out)
     if args.verb == "reproduce" and not payload.get("pass", True):
         return 1
     return 0

@@ -24,9 +24,12 @@ functionals on M (the coset-gH coordinate of the image of v is that
 functional evaluated at g^-1 v), so candidates live in the small lattice
 direct sum of (M*)^H over the summands, and the section condition becomes
 one integer linear system there: sum_j x_j D_j = I for the composites
-D_j = proj S_j.  Soundness: a solution exhibits M as a direct summand of a
-permutation lattice.  Completeness: if M is invertible, the cover sequence
-splits because its kernel is coflabby, so the system is solvable.
+D_j = proj S_j.  The candidates of one summand are one block of matrices
+A*(rep) FB, one per coset, and their composites are read off one product
+of that block with the summand's projection columns (_section_blocks).
+Soundness: a solution exhibits M as a direct summand of a permutation
+lattice.  Completeness: if M is invertible, the cover sequence splits
+because its kernel is coflabby, so the system is solvable.
 
 The system is decided modulo N = |G|.  Let E = End_G(M) and L the span of
 the D_j, so L lies in E.
@@ -116,46 +119,30 @@ class InvertibilityDecision:
 
 def _permutation_orbit_seeds(M: GLattice) -> list[tuple[Subgroup, int]]:
     """(stabilizer, basis index) for each orbit of basis vectors that the whole
-    group permutes by +1 entries."""
-    G = M.group
+    group permutes by +1 entries.
+
+    These indices are the greatest set that every generator maps to +1 unit
+    vectors inside the set: words in the generators then do the same."""
+    G, n = M.group, M.rank
+    images = []  # per generator: basis index -> index of its +1 image
+    for s in G.generators:
+        A = M.act(s).a
+        hits = [[i for i in range(n) if A[i][j]] for j in range(n)]
+        images.append({j: h[0] for j, h in enumerate(hits) if len(h) == 1 and A[h[0]][j] == 1})
+    kept = set(range(n))
+    while True:
+        closed = {j for j in kept if all(image.get(j) in kept for image in images)}
+        if closed == kept:
+            break
+        kept = closed
     mats = M.expand()
-    images: dict[int, dict[int, int]] = {}  # g -> column index map
-    candidates = set(range(M.rank))
-    for g, A in mats.items():
-        colmap = {}
-        for j in range(M.rank):
-            hit = None
-            ok = True
-            for i in range(M.rank):
-                x = A.a[i][j]
-                if x == 0:
-                    continue
-                if x != 1 or hit is not None:
-                    ok = False
-                    break
-                hit = i
-            if ok and hit is not None:
-                colmap[j] = hit
-        images[g] = colmap
-        candidates &= colmap.keys()
-    # greatest set closed under all image maps
-    changed = True
-    while changed:
-        changed = False
-        for g, colmap in images.items():
-            for j in list(candidates):
-                if colmap[j] not in candidates:
-                    candidates.discard(j)
-                    changed = True
     seeds = []
     seen: set[int] = set()
-    for j in sorted(candidates):
+    for j in sorted(kept):
         if j in seen:
             continue
-        orbit = {images[g][j] for g in range(G.order)}
-        seen |= orbit
-        stab_members = [g for g in range(G.order) if images[g][j] == j]
-        seeds.append((G.subgroup(stab_members), j))
+        seen |= {i for A in mats.values() for i in range(n) if A.a[i][j]}
+        seeds.append((G.subgroup([g for g in range(G.order) if mats[g].a[j][j] == 1]), j))
     return seeds
 
 
@@ -304,9 +291,8 @@ def flabby_resolution(M: GLattice, frugal: bool = True) -> FlabbyResolution:
     return FlabbyResolution(M, P, F, inj, surj)
 
 
-def _dual_fixed_bases(M: GLattice, summands: list[Subgroup]) -> dict[Subgroup, Mat]:
-    """fixed_basis(M*, H) for each distinct stabilizer H among the summands."""
-    Mdual = dual(M)
+def _dual_fixed_bases(Mdual: GLattice, summands: list[Subgroup]) -> dict[Subgroup, Mat]:
+    """fixed_basis(Mdual, H) for each distinct stabilizer H among the summands."""
     out: dict[Subgroup, Mat] = {}
     for H in summands:
         if H not in out:
@@ -314,39 +300,24 @@ def _dual_fixed_bases(M: GLattice, summands: list[Subgroup]) -> dict[Subgroup, M
     return out
 
 
-def _section_candidates(M: GLattice, P: GLattice) -> list[tuple[int, list[list[int]]]]:
-    """Z-basis of the equivariant maps M -> P, one (base, rows) pair per basis
-    element: the map's nonzero rows are rows[r] at row base + r.
+def _section_blocks(M: GLattice, P: GLattice) -> list[tuple[int, list[Mat]]]:
+    """Z-basis of the equivariant maps M -> P, one (base, Y) block per coset
+    summand Z[G/H] of P, which starts at row base.
 
-    For the coset summand Z[G/H] starting at row base, equivariant maps
-    M -> Z[G/H] are in bijection with H-fixed dual vectors u: the row of the
-    coset rep_r H is u^T A(rep_r^-1), i.e. rows[r] = A*(rep_r) u."""
+    Equivariant maps M -> Z[G/H] are in bijection with H-fixed dual vectors
+    u: the row of the coset rep_r H is u^T A(rep_r^-1) = (A*(rep_r) u)^T.  So
+    with FB the basis of (M*)^H, Y[r] = A*(rep_r) FB, and column j of Y[r] is
+    row base + r of the summand's candidate j."""
     Mdual = dual(M)
     summands = P.summands or []
-    fixed = _dual_fixed_bases(M, summands)
-    out: list[tuple[int, list[list[int]]]] = []
+    fixed = _dual_fixed_bases(Mdual, summands)
+    out: list[tuple[int, list[Mat]]] = []
     base = 0
     for H in summands:
         reps, _ = H.cosets()
-        FB = fixed[H]
-        for j in range(FB.cols):
-            u = FB.col(j)
-            out.append((base, [Mdual.act(rep).mulvec(u) for rep in reps]))
+        out.append((base, [Mdual.act(rep).mul(fixed[H]) for rep in reps]))
         base += len(reps)
     return out
-
-
-def _composite(proj: Mat, base: int, rows: list[list[int]]) -> list[list[int]]:
-    """proj * S for the candidate S = (base, rows): the transfer
-    sum_r (proj column base + r) (x) rows[r], without writing S out."""
-    D = [[0] * len(rows[0]) for _ in range(proj.rows)]
-    for prow, drow in zip(proj.a, D):
-        for r, row in enumerate(rows):
-            c = prow[base + r]
-            if c:
-                for j, x in enumerate(row):
-                    drow[j] += c * x
-    return D
 
 
 def verify_refutation(decision: InvertibilityDecision) -> bool:
@@ -367,7 +338,7 @@ def verify_refutation(decision: InvertibilityDecision) -> bool:
         return False
     W = cov.projection.matrix.transpose().mul(Lam).a
     summands = cov.P.summands or []
-    fixed = _dual_fixed_bases(M, summands)
+    fixed = _dual_fixed_bases(dual(M), summands)
     base = 0
     for H in summands:
         reps, _ = H.cosets()
@@ -393,20 +364,30 @@ def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
         ident = LatticeMap(M, cov.P, Mat.zero(cov.P.rank, 0))
         return InvertibilityDecision(True, ident, cov)
     N = M.group.order
-    basis = _section_candidates(M, cov.P)
+    blocks = _section_blocks(M, cov.P)
     proj = cov.projection.matrix
-    composites = [_composite(proj, base, rows) for base, rows in basis]
     m = M.rank
-    # one equation per matrix entry of (sum x_j proj*S_j) = identity, keyed
-    # by (coefficients, target) and kept at its first entry; zero equations
-    # with target 0 are dropped
+    # the composites D_k = proj S_k of a summand in one product: with flat(Y)
+    # the n x mc matrix whose row r is Y[r] read row by row, entry (i, lc + k)
+    # of proj[:, base:base + n] flat(Y) is D_k[i][l]
+    products = []
+    for base, Y in blocks:
+        n, c = len(Y), Y[0].cols
+        if c:
+            cols = Mat(m, n, [row[base:base + n] for row in proj.a])
+            flat = Mat(n, m * c, [[x for row in y.a for x in row] for y in Y])
+            products.append((c, cols.mul(flat).a))
+    # one equation per matrix entry of (sum x_j D_j) = identity, keyed by
+    # (coefficients, target) and kept at its first entry; zero equations with
+    # target 0 are dropped
     entries: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
     for i in range(m):
         for j in range(m):
-            key = (tuple(D[i][j] for D in composites), int(i == j))
+            key = (tuple(x for c, C in products for x in C[i][j * c:(j + 1) * c]),
+                   int(i == j))
             if key not in entries and (i == j or any(key[0])):
                 entries[key] = (i, j)
-    A = Mat.from_rows([list(row) for row, _ in entries], len(basis))
+    A = Mat.from_rows([list(row) for row, _ in entries], sum(c for c, _ in products))
     rhs = [target for _, target in entries]
     lam = refute_mod(A, rhs, N)
     if lam is not None:
@@ -421,12 +402,13 @@ def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
     if x is None:
         raise InternalCheckError("section system solvable mod |G| but not over Z")
     S = Mat.zero(cov.P.rank, m)
-    for coeff, (base, rows) in zip(x, basis):
-        if coeff:
-            for r, row in enumerate(rows):
-                srow = S.a[base + r]
-                for j in range(m):
-                    srow[j] += coeff * row[j]
+    start = 0
+    for base, Y in blocks:
+        xk = x[start:start + Y[0].cols]
+        start += len(xk)
+        if any(xk):
+            for r, y in enumerate(Y):
+                S.a[base + r] = y.mulvec(xk)
     # re-verify the witness: section identity and equivariance, exactly
     if not proj.mul(S).is_identity():
         raise InternalCheckError("section candidate failed the identity check")

@@ -343,6 +343,15 @@ class TestReproduce:
         # zero cases would otherwise report "pass": true
         assert_one_line_error(*invoke(capsys, "reproduce", "endo-miyata", *args))
 
+    @pytest.mark.parametrize("n", ["1", "-3"])
+    def test_voskresenskii_rejects_n_below_2(self, capsys, n):
+        assert_one_line_error(*invoke(capsys, "reproduce", "voskresenskii", "--n", n))
+
+    def test_voskresenskii_n_above_bound_exit_2(self, capsys):
+        code, out, err = invoke(capsys, "reproduce", "voskresenskii", "--n", "7")
+        assert code == 2 and out == ""
+        assert err.startswith("resource bound exceeded")
+
     def test_stable_across_hash_seeds(self, tmp_path):
         # golden-file safety: identical bytes from fresh interpreters with
         # different hash randomization
@@ -372,3 +381,15 @@ class TestReproduce:
                               "--field", "Q", "--out", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["answer"] == "Yes"
+
+    @pytest.mark.parametrize("target", [
+        pytest.param(["missing", "x.json"], id="missing-directory"),
+        pytest.param(["existing"], id="is-a-directory"),
+    ])
+    def test_out_unwritable_exit_1(self, capsys, tmp_path, target):
+        (tmp_path / "existing").mkdir()
+        out = tmp_path.joinpath(*target)
+        code, stdout, err = invoke(capsys, "group-info", "--group", "C4", "--out", str(out))
+        assert_one_line_error(code, stdout, err)
+        assert err.startswith(f"error: cannot write {out}")
+        assert list(tmp_path.rglob("*.tmp")) == []

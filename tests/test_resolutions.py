@@ -102,6 +102,44 @@ class TestFixedPointCover:
                 if C.rank:
                     assert is_coflabby(C)
 
+    def test_orbit_seeds_match_all_elements_oracle(self):
+        def oracle(M):
+            # the seed set from every element's matrix: columns that all of
+            # them send to a +1 unit vector, shrunk until closed
+            n = M.rank
+            images = {}
+            for g, A in M.expand().items():
+                images[g] = {}
+                for j in range(n):
+                    col = A.col(j)
+                    if sorted(col) == [0] * (n - 1) + [1]:
+                        images[g][j] = col.index(1)
+            kept = set(range(n))
+            while any(images[g].get(j) not in kept for g in images for j in kept):
+                kept = {j for j in kept if all(images[g].get(j) in kept for g in images)}
+            seeds, seen = [], set()
+            for j in sorted(kept):
+                if j not in seen:
+                    seen |= {images[g][j] for g in images}
+                    seeds.append((tuple(sorted(g for g in images if images[g][j] == j)), j))
+            return seeds
+
+        rng = random.Random(8)
+        lattices = [lenstra_lattice(3).M]
+        for G in catalog_groups_upto(12):
+            for H in G.subgroup_conjugacy_representatives():
+                torus = dual(augmentation_kernel(G, H))
+                lattices += [torus, dual(torus)]
+            lattices.append(random_lattice(G, 5, rng))
+            lattices.append(random_permutation_lattice(G, rng, max_rank=10))
+        lattices += [flabby_resolution(M).F for M in lattices[:40]]
+        seeded = 0
+        for M in lattices:
+            seeds = [(H.members, j) for H, j in resolutions._permutation_orbit_seeds(M)]
+            assert seeds == oracle(M), M
+            seeded += bool(seeds)
+        assert 0 < seeded < len(lattices)
+
 
 class TestFlabbyResolution:
     def test_sign_resolution(self):
@@ -198,7 +236,7 @@ class TestIsInvertible:
 
     def test_section_candidates_are_equivariant(self):
         from retractrat.lattices import augmentation_kernel
-        from retractrat.resolutions import _section_candidates
+        from retractrat.resolutions import _section_blocks
         rng = random.Random(23)
         lattices = []
         for name in ["C4", "S3", "V4", "D8", "Q8", "A4"]:
@@ -213,10 +251,11 @@ class TestIsInvertible:
                     lattices.append(sign_lattice(G, H))
         for M in lattices:
             P = fixed_point_cover(M).P
-            for base, rows in _section_candidates(M, P):
-                S = Mat.zero(P.rank, M.rank)
-                S.a[base:base + len(rows)] = [list(row) for row in rows]
-                LatticeMap(M, P, S)  # raises unless equivariant
+            for base, Y in _section_blocks(M, P):
+                for j in range(Y[0].cols):
+                    S = Mat.zero(P.rank, M.rank)
+                    S.a[base:base + len(Y)] = [y.col(j) for y in Y]
+                    LatticeMap(M, P, S)  # raises unless equivariant
 
     def test_lenstra_class_not_invertible(self):
         data = lenstra_lattice(3)
@@ -255,32 +294,53 @@ def cross_check_cases():
     return base + [(f"tail of {label}", flabby_resolution(M).F) for label, M in base]
 
 
+def dense_candidates(M, P):
+    """The section candidates as dense P.rank x M.rank matrices, written from
+    their definition: for each summand Z[G/H] of P and each vector u of the
+    basis of (M*)^H, the row of the coset rep H is A*(rep) u."""
+    Mdual = dual(M)
+    out = []
+    base = 0
+    for H in P.summands:
+        reps, _ = H.cosets()
+        FB = fixed_basis(Mdual, H)
+        for j in range(FB.cols):
+            S = Mat.zero(P.rank, M.rank)
+            for r, rep in enumerate(reps):
+                S.a[base + r] = Mdual.act(rep).mulvec(FB.col(j))
+            out.append(S)
+        base += len(reps)
+    return out
+
+
 @pytest.fixture(scope="class")
 def cross_checked():
-    """Each case decided by is_invertible, and for every section system it
+    """Each case decided by is_invertible; for every section system it
     decided mod |G| the pair (solvable mod |G|, solvable over Z), the exact
-    answer taken by solve_integer on the same system."""
-    systems = []
+    answer taken by solve_integer on the same system; and the systems
+    themselves, as (A, b) in the order of the cases of nonzero rank."""
+    systems, equations = [], []
 
     def recording(A, b, N):
         lam = refute_mod(A, b, N)
         systems.append((lam is None, solve_integer(A, b) is not None))
+        equations.append((A, list(b)))
         return lam
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resolutions, "refute_mod", recording)
         decisions = [(label, is_invertible(M)) for label, M in cross_check_cases()]
-    return decisions, systems
+    return decisions, systems, equations
 
 
 class TestModularDecision:
     def test_agrees_with_exact_solve(self, cross_checked):
-        _, systems = cross_checked
+        _, systems, _ = cross_checked
         assert all(modular == exact for modular, exact in systems)
         assert {modular for modular, _ in systems} == {True, False}
 
     def test_every_no_carries_a_verified_refutation(self, cross_checked):
-        decisions, _ = cross_checked
+        decisions, _, _ = cross_checked
         answers = set()
         for label, dec in decisions:
             answers.add(dec.answer)
@@ -302,7 +362,7 @@ class TestModularDecision:
         # section system can make the rest unsolvable mod |G|; the lambda of
         # that smaller system kills every composite but one, and
         # verify_refutation, which recomputes all of them, must reject it.
-        decisions, _ = cross_checked
+        decisions, _, _ = cross_checked
         tried = 0
         for label, dec in decisions:
             if not dec.answer or dec.cover.M.rank == 0:
@@ -310,8 +370,7 @@ class TestModularDecision:
             cov = dec.cover
             m, N = cov.M.rank, cov.M.group.order
             proj = cov.projection.matrix
-            composites = [resolutions._composite(proj, base, rows)
-                          for base, rows in resolutions._section_candidates(cov.M, cov.P)]
+            composites = [proj.mul(S).a for S in dense_candidates(cov.M, cov.P)]
             for k in range(len(composites)):
                 kept = composites[:k] + composites[k + 1:]
                 A = Mat.from_rows([[D[i][j] for D in kept]
@@ -327,6 +386,30 @@ class TestModularDecision:
             if tried >= 20:
                 break
         assert tried
+
+    def test_section_system_matches_dense_composites(self, cross_checked):
+        # the system is rebuilt from the dense composites proj S_j: one
+        # equation per entry (i, j) in row-major order, the first of each
+        # (coefficients, target), zero equations with target 0 dropped
+        decisions, _, equations = cross_checked
+        cases = [(label, dec) for label, dec in decisions if dec.cover.M.rank]
+        assert len(cases) == len(equations)
+        for (label, dec), (A, b) in zip(cases, equations):
+            cov = dec.cover
+            m = cov.M.rank
+            composites = [cov.projection.matrix.mul(S).a
+                          for S in dense_candidates(cov.M, cov.P)]
+            rows, rhs, seen = [], [], set()
+            for i in range(m):
+                for j in range(m):
+                    key = (tuple(D[i][j] for D in composites), int(i == j))
+                    if key in seen or not (key[1] or any(key[0])):
+                        continue
+                    seen.add(key)
+                    rows.append(list(key[0]))
+                    rhs.append(key[1])
+            assert A.cols == len(composites), label
+            assert (A.a, b) == (rows, rhs), label
 
     def test_wrong_refutation_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(resolutions, "refute_mod", lambda A, b, N: [1] * A.rows)
