@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import random
@@ -268,6 +269,7 @@ def _reproduce(args) -> dict:
     return out
 
 
+@functools.cache  # parse_args keeps no state between calls
 def build_parser() -> _Parser:
     p = _Parser(prog="retractrat",
                 description="retract-rationality computations with G-lattices")

@@ -13,7 +13,7 @@ import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InternalCheckError, ResourceBoundError, UserInputError
 
@@ -153,6 +153,33 @@ class FiniteGroup:
                         nxt.append(b)
             frontier = nxt
         return tuple(sorted(seen))
+
+    def extend(self, start, step: Callable, what: str) -> dict:
+        """Extend generator data to every element: v(0) = start and
+        v(g*s) = step(v(g), s), breadth first over the generators s.
+
+        Every element revisited along the way must get the same value again;
+        by induction on word length that makes v obey the step law for every
+        g and s.  A disagreement, or generators that miss part of the group,
+        raises UserInputError naming what was extended."""
+        table = self.mul_table
+        values = {0: start}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for g in frontier:
+                vg, row = values[g], table[g]
+                for s in self.generators:
+                    h, val = row[s], step(vg, s)
+                    if h not in values:
+                        values[h] = val
+                        nxt.append(h)
+                    elif values[h] != val:
+                        raise UserInputError(f"{what} is inconsistent at element {h}")
+            frontier = nxt
+        if len(values) != self.order:
+            raise UserInputError(f"generators with {what} do not reach the whole group")
+        return values
 
     def element_order(self, a: int) -> int:
         if self._orders is None:

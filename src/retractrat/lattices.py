@@ -55,43 +55,24 @@ class GLattice:
             self.expand()  # verifies the homomorphism property
 
     def expand(self) -> dict[int, Mat]:
-        """A(g) for every g, by breadth-first products over the generators.
-
-        Consistency is checked along the way: A(g * s) must agree with
-        A(g) A(s) for every reached g and generator s, which forces the full
-        homomorphism law by induction on word length.
-        """
+        """A(g) for every g, from A(g * s) = A(g) A(s) over the generators s;
+        FiniteGroup.extend checks that this defines a homomorphism."""
         # build-then-publish: the map is assigned only once complete, so
         # concurrent readers never observe a partial expansion
-        if self._expanded is not None:
-            return self._expanded
-        G = self.group
-        mats: dict[int, Mat] = {0: Mat.identity(self.rank)}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s, ms in self.action.items():
-                    h = G.mul(g, s)
-                    prod = mats[g].mul(ms)
-                    known = mats.get(h)
-                    if known is None:
-                        mats[h] = prod
-                        nxt.append(h)
-                    elif known != prod:
-                        raise UserInputError(
-                            f"action is inconsistent at element {h}: not a homomorphism")
-            frontier = nxt
-        if len(mats) != G.order:
-            raise UserInputError("generators with action do not reach the whole group")
-        self._expanded = mats
-        return mats
+        if self._expanded is None:
+            action = self.action
+            self._expanded = self.group.extend(
+                Mat.identity(self.rank), lambda A, s: A.mul(action[s]), "action")
+        return self._expanded
 
     def act(self, g: int) -> Mat:
-        return self.expand()[g]
+        """A(g); a generator's matrix is read without expanding."""
+        m = self.action.get(g)
+        return m if m is not None else self.expand()[g]
 
     def is_permutation_lattice(self) -> bool:
-        return all(m.is_permutation() for m in self.expand().values())
+        # products of permutation matrices are permutation matrices
+        return all(m.is_permutation() for m in self.action.values())
 
     def __repr__(self) -> str:
         gname = self.group.name or f"order-{self.group.order} group"
@@ -133,9 +114,7 @@ def permutation_lattice(G: FiniteGroup, stabilizers: Sequence[Subgroup]) -> GLat
     cosets = [H.cosets() for H in stabilizers]
     rank = sum(len(reps) for reps, _ in cosets)
     action = {s: _permutation_action_matrix(G, cosets, s, rank) for s in G.generators}
-    lat = GLattice(G, rank, action, summands=list(stabilizers), check=False)
-    lat.expand()
-    return lat
+    return GLattice(G, rank, action, summands=list(stabilizers), check=False)
 
 
 def _permutation_action_matrix(G: FiniteGroup, cosets, g: int, rank: int) -> Mat:
@@ -160,10 +139,13 @@ def trivial_lattice(G: FiniteGroup, rank: int = 1) -> GLattice:
 
 def dual(M: GLattice) -> GLattice:
     """Contragredient lattice: A*(g) = transpose(A(g^-1)).  An involution up to
-    exact matrix equality; duals of permutation lattices keep their matrices."""
+    exact matrix equality.  Permutation matrices are orthogonal, so a
+    permutation lattice is its own dual and is returned as it is."""
+    if M.summands is not None:
+        return M
     G = M.group
     action = {s: M.act(G.inv(s)).transpose() for s in G.generators}
-    return GLattice(G, M.rank, action, summands=M.summands, check=False)
+    return GLattice(G, M.rank, action, check=False)
 
 
 def direct_sum(M: GLattice, N: GLattice) -> GLattice:
@@ -294,7 +276,6 @@ def lenstra_lattice(n: int) -> LenstraData:
 
     action = {s: act_matrix(units[s]) for s in pi.generators}
     N = GLattice(pi, rank_n, action, check=False)
-    N.expand()
     phi = tuple(r % q for r in residues)
 
     # kernel of phi over Z: solutions of sum(i * x_i) = 0 mod q, computed as the

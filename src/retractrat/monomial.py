@@ -52,38 +52,18 @@ class MonomialAction:
         return all(all(x == 0 for x in vec) for vec in self.coeff.values())
 
     def expand(self) -> dict[int, tuple[int, ...]]:
-        """Coefficient vector for every group element, with consistency checks.
+        """Coefficient vector for every group element, from
+        c(g s) = c(s) + A(s)^T c(g) over the generators s; a disagreement on
+        a revisited element means the data does not define an action."""
+        if self._expanded is None:
+            lat, d = self.lattice, self.d
+            At = {s: lat.act(s).transpose() for s in lat.group.generators}
 
-        Uses c(gh) = c(h) + A(h)^T c(g); any disagreement on a revisited
-        element means the data does not define an action.
-        """
-        if self._expanded is not None:
-            return self._expanded
-        G = self.lattice.group
-        d = self.d
-        coeffs: dict[int, tuple[int, ...]] = {0: tuple([0] * self.lattice.rank)}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                cg = coeffs[g]
-                for s in G.generators:
-                    h = G.mul(g, s)
-                    As = self.lattice.act(s)
-                    cs = self.coeff[s]
-                    val = tuple(
-                        (cs[j] + sum(As.a[i][j] * cg[i] for i in range(len(cg)))) % d
-                        for j in range(len(cg)))
-                    known = coeffs.get(h)
-                    if known is None:
-                        coeffs[h] = val
-                        nxt.append(h)
-                    elif known != val:
-                        raise UserInputError(
-                            f"coefficients violate the relations at element {h}")
-            frontier = nxt
-        self._expanded = coeffs
-        return coeffs
+            def step(c, s):
+                return tuple((x + y) % d for x, y in zip(self.coeff[s], At[s].mulvec(c)))
+
+            self._expanded = lat.group.extend(tuple([0] * lat.rank), step, "coefficients")
+        return self._expanded
 
     def action_kernel_members(self) -> list[int]:
         """Elements acting trivially on both exponents and coefficients."""

@@ -59,6 +59,7 @@ solve writes out, checked as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .cohomology import is_flabby, tate_minus1, tate_zero
@@ -267,7 +268,7 @@ def flabby_resolution(M: GLattice, frugal: bool = True) -> FlabbyResolution:
     """
     cov = fixed_point_cover(dual(M), frugal=frugal)
     inclusion = cover_kernel(cov)
-    P = dual(cov.P)  # permutation matrices are orthogonal: same matrices
+    P = cov.P  # a permutation lattice is its own dual
     F = dual(inclusion.source)
     inj = LatticeMap(M, P, cov.projection.matrix.transpose())
     surj = LatticeMap(P, F, inclusion.matrix.transpose())
@@ -383,11 +384,11 @@ def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
     entries: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
     for i in range(m):
         for j in range(m):
-            key = (tuple(x for c, C in products for x in C[i][j * c:(j + 1) * c]),
+            key = (tuple(chain.from_iterable(C[i][j * c:(j + 1) * c] for c, C in products)),
                    int(i == j))
             if key not in entries and (i == j or any(key[0])):
                 entries[key] = (i, j)
-    A = Mat.from_rows([list(row) for row, _ in entries], sum(c for c, _ in products))
+    A = Mat(len(entries), sum(c for c, _ in products), [list(row) for row, _ in entries])
     rhs = [target for _, target in entries]
     lam = refute_mod(A, rhs, N)
     if lam is not None:

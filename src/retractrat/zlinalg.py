@@ -95,18 +95,6 @@ class Mat:
             raise ValueError("vector length mismatch")
         return [sum(x * y for x, y in zip(row, v)) for row in self.a]
 
-    def add(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Mat(self.rows, self.cols,
-                   [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.a, other.a)])
-
-    def sub(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Mat(self.rows, self.cols,
-                   [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(self.a, other.a)])
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.a for x in row)
 

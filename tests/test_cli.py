@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from retractrat.cli import run
+from retractrat.cli import build_parser, run
 from retractrat.groups import catalog_group
 from retractrat.lattices import lattice_document, regular_lattice
 
@@ -288,6 +288,21 @@ class TestVerdictVerbs:
                               "--field", f"custom:{fpath}")
         assert code == 0
         assert json.loads(out)["trace"][0]["premises"]["p"] == 2
+
+
+class TestParserReuse:
+    def test_back_to_back_runs_share_no_state(self, capsys, tmp_path):
+        assert build_parser() is build_parser()
+        code, out, _ = invoke(capsys, "verdict-noether", "--group", "C8", "--field", "C")
+        assert code == 0 and json.loads(out)["answer"] == "Yes"
+        target = tmp_path / "result.json"
+        code, out, _ = invoke(capsys, "verdict-noether", "--group", "C8", "--out", str(target))
+        assert code == 0 and out == ""
+        assert json.loads(target.read_text())["answer"] == "No"  # the default field Q
+        target.unlink()
+        code, out, _ = invoke(capsys, "verdict-noether", "--group", "C8")
+        assert code == 0 and json.loads(out)["answer"] == "No"
+        assert not target.exists()
 
 
 class TestReproduce:

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import sign_lattice
 from retractrat.errors import UserInputError
-from retractrat.groups import catalog_group
+from retractrat.groups import FiniteGroup, catalog_group, catalog_groups_upto
 from retractrat.lattices import (
     GLattice,
     LatticeMap,
@@ -91,6 +91,70 @@ class TestPermutationLattices:
         assert not sign_lattice(C2, C2.trivial_subgroup()).is_permutation_lattice()
 
 
+class TestExtend:
+    def test_expansion_matches_product_oracle(self):
+        rng = random.Random(16)
+        for G in catalog_groups_upto(16):
+            M = random_lattice(G, 4, rng)
+            mats = G.extend(Mat.identity(M.rank), lambda A, s: A.mul(M.action[s]), "action")
+            assert mats == M.expand()
+            assert all(mats[s] == M.action[s] for s in G.generators)
+            for g in G.elements():
+                for h in G.elements():
+                    assert mats[G.mul(g, h)] == mats[g].mul(mats[h]), (G.name, g, h)
+
+    def test_inconsistent_step_raises(self):
+        C3 = catalog_group("C3")
+        assert sorted(C3.extend(0, lambda v, s: (v + 1) % 3, "count").values()) == [0, 1, 2]
+        # three steps return to the identity with the value 3, not 0
+        with pytest.raises(UserInputError, match="count is inconsistent"):
+            C3.extend(0, lambda v, s: v + 1, "count")
+
+    def test_generators_must_reach_the_group(self):
+        C4 = catalog_group("C4")
+        G = FiniteGroup(C4.mul_table, generators=[2], check=False)
+        with pytest.raises(UserInputError, match="do not reach"):
+            G.extend(0, lambda v, s: v, "data")
+
+    def test_generator_reads_do_not_expand(self, S3):
+        M = regular_lattice(S3)
+        assert all(M.act(s) is M.action[s] for s in S3.generators)
+        assert M._expanded is None
+        M.act(0)
+        assert M._expanded is not None
+
+
+class TestIsPermutationLattice:
+    def test_matches_all_elements_oracle(self, S3):
+        def oracle(M):
+            return all(A.is_permutation() for A in M.expand().values())
+
+        rng = random.Random(31)
+        C4 = catalog_group("C4")
+        H2 = next(h for h in S3.subgroups() if h.order == 2)
+        H3 = next(h for h in S3.subgroups() if h.order == 3)
+        swap = Mat.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+        shear = Mat.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        lattices = [
+            regular_lattice(S3),
+            permutation_lattice(S3, [H2, H3, S3.full_subgroup()]),
+            sign_lattice(S3, H3),
+            conjugated(regular_lattice(C4), swap),
+            conjugated(regular_lattice(C4), shear),
+            restrict(regular_lattice(S3), H2),
+            restrict(sign_lattice(S3, H3), H2),
+        ]
+        for name in ["C2", "C4", "S3", "D8", "Q8"]:
+            G = catalog_group(name)
+            lattices += [random_lattice(G, 4, rng) for _ in range(6)]
+        answers = []
+        for M in lattices:
+            answers.append(M.is_permutation_lattice())
+            assert answers[-1] == oracle(M), M
+        assert answers[:7] == [True, True, False, True, False, True, False]
+        assert True in answers[7:] and False in answers[7:]
+
+
 class TestDual:
     def test_trivial_and_sign_self_dual(self, C2):
         Z = trivial_lattice(C2)
@@ -105,10 +169,15 @@ class TestDual:
             M = random_lattice(G, 4, rng)
             assert lattices_equal(dual(dual(M)), M)
 
-    def test_dual_permutation_same_matrices(self):
-        C3 = catalog_group("C3")
-        M = regular_lattice(C3)
-        assert lattices_equal(dual(M), M)
+    def test_dual_permutation_same_matrices(self, S3):
+        # permutation matrices are orthogonal: a permutation lattice is its own dual
+        H = next(h for h in S3.subgroups() if h.order == 2)
+        for P in [regular_lattice(catalog_group("C3")), regular_lattice(S3),
+                  permutation_lattice(S3, [H, S3.full_subgroup()]),
+                  direct_sum(regular_lattice(S3), permutation_lattice(S3, [H]))]:
+            assert dual(P) is P
+            Q = GLattice(P.group, P.rank, P.action, check=False)  # same matrices, no summands
+            assert lattices_equal(dual(Q), P)
 
 
 class TestDirectSumRestrict:

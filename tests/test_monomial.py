@@ -1,12 +1,13 @@
 """Monomial actions: validation, extension classes, rescaling round-trips."""
 
 import itertools
+import random
 
 import pytest
 
 from retractrat.errors import UserInputError
 from retractrat.groups import catalog_group
-from retractrat.lattices import GLattice, regular_lattice, trivial_lattice
+from retractrat.lattices import GLattice, random_lattice, regular_lattice, trivial_lattice
 from retractrat.monomial import (
     MonomialAction,
     extension_class,
@@ -64,6 +65,25 @@ class TestValidation:
         with pytest.raises(UserInputError):
             MonomialAction(lat, 4, {a: (0,), b: (1,)})
         assert MonomialAction(lat, 4, {a: (0,), b: (2,)}).expand()
+
+    def test_expansion_obeys_coefficient_law_on_all_pairs(self):
+        # rescaling a purely monomial action by v gives the coboundary
+        # coefficients v - A(s)^T v, a valid action
+        rng = random.Random(12)
+        twisted = 0
+        for name in ["C4", "S3", "D8", "Q8"]:
+            G = catalog_group(name)
+            lat = random_lattice(G, 3, rng)
+            v = [rng.randrange(6) for _ in range(lat.rank)]
+            a = rescale(MonomialAction(lat, 6, {s: (0,) * lat.rank for s in G.generators}), v, 6)
+            twisted += not a.is_purely_monomial
+            c = a.expand()
+            for g in G.elements():
+                for h in G.elements():
+                    Aht = lat.act(h).transpose()
+                    want = tuple((x + y) % 6 for x, y in zip(c[h], Aht.mulvec(c[g])))
+                    assert c[G.mul(g, h)] == want, (name, g, h)
+        assert twisted
 
     def test_parse_document(self):
         doc = {"group": "C2", "rank": 1, "action": {"1": [[-1]]},

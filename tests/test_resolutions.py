@@ -11,6 +11,7 @@ from retractrat.cohomology import is_coflabby, profile
 from retractrat.errors import InternalCheckError
 from retractrat.groups import catalog_group, catalog_groups_upto
 from retractrat.lattices import (
+    GLattice,
     LatticeMap,
     augmentation_kernel,
     direct_sum,
@@ -169,6 +170,28 @@ class TestFlabbyResolution:
             M = random_permutation_lattice(G, rng, max_rank=8)
             res = flabby_resolution(M)
             assert res.F.rank == 0
+
+
+class TestPermutationLatticesStayUnexpanded:
+    def test_decision_and_resolution_read_only_generators_of_covers(self, monkeypatch):
+        lattices = [lenstra_lattice(3).M]
+        for name in ["C4", "S3", "D8", "Q8", "A4"]:
+            G = catalog_group(name)
+            lattices += [dual(augmentation_kernel(G, H))
+                         for H in G.subgroup_conjugacy_representatives()]
+        expanded = []
+        real = GLattice.expand
+
+        def spy(M):
+            expanded.append(M.summands is not None)
+            return real(M)
+
+        monkeypatch.setattr(GLattice, "expand", spy)
+        for M in lattices:
+            res = flabby_resolution(M)
+            assert res.P.summands is not None
+            is_invertible(M)
+        assert expanded and not any(expanded)
 
 
 class TestIsInvertible:
