@@ -138,10 +138,9 @@ def profile(M: GLattice, subgroups: SubgroupMode = "prime-power") -> CohomologyP
     restriction of Tate cohomology to Sylow subgroups is injective, and the
     subgroups of a Sylow subgroup all have prime-power order.
     """
-    Mdual = dual(M)
     entries = {}
     for H in _profile_subgroups(M, subgroups):
-        entries[H.members] = (tate_minus1(H, M), tate_minus1(H, Mdual))
+        entries[H.members] = (tate_minus1(H, M), h1(H, M))
     return CohomologyProfile(M, entries, subgroups)
 
 

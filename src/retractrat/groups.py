@@ -106,16 +106,15 @@ class FiniteGroup:
                         raise UserInputError(f"associativity fails at ({x},{g},{y})")
 
     def _build_inverses(self) -> tuple[int, ...]:
-        inv = [-1] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.mul_table[a][b] == 0:
-                    if self.mul_table[b][a] != 0:
-                        raise UserInputError(f"element {a} has no two-sided inverse")
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise UserInputError(f"element {a} has no inverse")
+        inv = []
+        for a, row in enumerate(self.mul_table):
+            try:
+                b = row.index(0)
+            except ValueError:
+                raise UserInputError(f"element {a} has no inverse") from None
+            if self.mul_table[b][a] != 0:
+                raise UserInputError(f"element {a} has no two-sided inverse")
+            inv.append(b)
         return tuple(inv)
 
     def _generates(self, gens: Sequence[int]) -> bool:
@@ -525,6 +524,7 @@ class Subgroup:
         self.is_normal = all(parent.conjugate(g, h) in mem
                              for g in parent.generators for h in self.members)
         self._gens: Optional[tuple[int, ...]] = None
+        self._group: Optional[FiniteGroup] = None
 
     @property
     def parent(self) -> FiniteGroup:
@@ -575,12 +575,15 @@ class Subgroup:
         return tuple(reps), coset_of
 
     def as_group(self) -> FiniteGroup:
-        """Standalone FiniteGroup with the induced table (identity stays 0)."""
-        index = {g: i for i, g in enumerate(self.members)}
-        mul = self.parent.mul
-        table = [[index[mul(a, b)] for b in self.members] for a in self.members]
-        gens = [index[g] for g in self.generators]
-        return FiniteGroup(table, gens, name=None, check=False)
+        """Standalone FiniteGroup with the induced table (identity stays 0),
+        built once; it holds no reference to the parent."""
+        if self._group is None:
+            index = {g: i for i, g in enumerate(self.members)}
+            mul = self.parent.mul
+            table = [[index[mul(a, b)] for b in self.members] for a in self.members]
+            gens = [index[g] for g in self.generators]
+            self._group = FiniteGroup(table, gens, name=None, check=False)
+        return self._group
 
     def __repr__(self) -> str:
         return f"Subgroup{self.members}"
@@ -680,7 +683,7 @@ def _group_from_permutations(perms: list[tuple[int, ...]], degree: int,
     identity = tuple(range(degree))
 
     def compose(p, q):  # (p∘q)(i) = p(q(i))
-        return tuple(p[q[i]] for i in range(degree))
+        return tuple(map(p.__getitem__, q))
 
     elements = [identity]
     index = {identity: 0}

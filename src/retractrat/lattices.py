@@ -34,7 +34,9 @@ class GLattice:
     """Integral representation: one unimodular rank x rank matrix per generator,
     expanded lazily (and verified) to every group element.  A permutation
     lattice also records its summands: the stabilizer H of each Z[G/H] block,
-    whose basis is the cosets of H in the order of H.cosets()."""
+    whose basis is the cosets of H in the order of H.cosets().  The lattice
+    keeps what is derived from it (expansion, dual, fixed bases), each built
+    on first use; none of it refers back to the lattice."""
 
     def __init__(self, group: FiniteGroup, rank: int, action: dict[int, Mat],
                  summands: Optional[list[Subgroup]] = None,
@@ -44,6 +46,8 @@ class GLattice:
         self.action = dict(action)
         self.summands = summands
         self._expanded: Optional[dict[int, Mat]] = None
+        self._dual: Optional[GLattice] = None
+        self._fixed: dict[Subgroup, Mat] = {}
         if set(self.action) != set(group.generators):
             raise UserInputError("action must be given on exactly the group generators")
         for g, m in self.action.items():
@@ -138,14 +142,21 @@ def trivial_lattice(G: FiniteGroup, rank: int = 1) -> GLattice:
 
 
 def dual(M: GLattice) -> GLattice:
-    """Contragredient lattice: A*(g) = transpose(A(g^-1)).  An involution up to
-    exact matrix equality.  Permutation matrices are orthogonal, so a
-    permutation lattice is its own dual and is returned as it is."""
+    """Contragredient lattice: A*(g) = transpose(A(g^-1)), built on the first
+    call and the same object on every later one; an expansion of M is
+    transposed into the dual's.  An involution up to exact matrix equality.
+    Permutation matrices are orthogonal, so a permutation lattice is its own
+    dual and is returned as it is."""
     if M.summands is not None:
         return M
-    G = M.group
-    action = {s: M.act(G.inv(s)).transpose() for s in G.generators}
-    return GLattice(G, M.rank, action, check=False)
+    if M._dual is None:
+        G = M.group
+        action = {s: M.act(G.inv(s)).transpose() for s in G.generators}
+        D = GLattice(G, M.rank, action, check=False)
+        if M._expanded is not None:
+            D._expanded = {g: M._expanded[G.inv(g)].transpose() for g in G.elements()}
+        M._dual = D
+    return M._dual
 
 
 def direct_sum(M: GLattice, N: GLattice) -> GLattice:
@@ -222,18 +233,20 @@ def invariant_sublattice(M: GLattice, K: Mat) -> GLattice:
 
 
 def fixed_basis(M: GLattice, H: Subgroup) -> Mat:
-    """Canonical (Hermite) basis, as columns, of the sublattice fixed by H."""
-    gens = H.generators
-    if not gens:
-        return Mat.identity(M.rank)
-    rows: list[list[int]] = []
-    for h in gens:
-        A = M.act(h)
-        for i in range(M.rank):
-            row = A.a[i][:]
-            row[i] -= 1
-            rows.append(row)
-    return kernel_basis(Mat.from_rows(rows, M.rank))
+    """Canonical (Hermite) basis, as columns, of the sublattice fixed by H;
+    computed once per lattice and subgroup, and shared, so never mutated."""
+    FB = M._fixed.get(H)
+    if FB is None:
+        rows: list[list[int]] = []
+        for h in H.generators:
+            A = M.act(h)
+            for i in range(M.rank):
+                row = A.a[i][:]
+                row[i] -= 1
+                rows.append(row)
+        FB = M._fixed[H] = (kernel_basis(Mat.from_rows(rows, M.rank)) if rows
+                            else Mat.identity(M.rank))
+    return FB
 
 
 # -- the Lenstra lattice -----------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .errors import UserInputError
 from .groups import is_int
-from .lattices import GLattice, generator_key, parse_lattice
+from .lattices import GLattice, dual, generator_key, parse_lattice
 from .zlinalg import Mat, solve_integer
 
 
@@ -155,13 +155,9 @@ def extension_class(action: MonomialAction) -> ExtensionClass:
     """Cocycle of the coefficient extension plus its vanishing decisions."""
     lat = action.lattice
     G = lat.group
-    coeffs = action.expand()
-    cocycle = {}
-    for g, c in coeffs.items():
-        Ait = lat.act(G.inv(g)).transpose()
-        cocycle[g] = tuple(
-            sum(Ait.a[i][j] * c[j] for j in range(lat.rank)) % action.d
-            for i in range(lat.rank))
+    Mdual = dual(lat)  # z(g) = A(g^-1)^T c(g) = A*(g) c(g)
+    cocycle = {g: tuple(x % action.d for x in Mdual.act(g).mulvec(c))
+               for g, c in action.expand().items()}
     v = _coboundary_witness(action, action.d, 1)
     stable_mod = action.d * G.order
     v_stable = v if v is not None else _coboundary_witness(action, stable_mod, G.order)

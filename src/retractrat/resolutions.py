@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
-from .cohomology import is_flabby, tate_minus1, tate_zero
+from .cohomology import h1, is_flabby, tate_minus1, tate_zero
 from .errors import InternalCheckError, ResourceBoundError
 from .groups import Subgroup
 from .lattices import (
@@ -292,15 +292,6 @@ def flabby_resolution(M: GLattice, frugal: bool = True) -> FlabbyResolution:
     return FlabbyResolution(M, P, F, inj, surj)
 
 
-def _dual_fixed_bases(Mdual: GLattice, summands: list[Subgroup]) -> dict[Subgroup, Mat]:
-    """fixed_basis(Mdual, H) for each distinct stabilizer H among the summands."""
-    out: dict[Subgroup, Mat] = {}
-    for H in summands:
-        if H not in out:
-            out[H] = fixed_basis(Mdual, H)
-    return out
-
-
 def _section_blocks(M: GLattice, P: GLattice) -> list[tuple[int, list[Mat]]]:
     """Z-basis of the equivariant maps M -> P, one (base, Y) block per coset
     summand Z[G/H] of P, which starts at row base.
@@ -310,13 +301,12 @@ def _section_blocks(M: GLattice, P: GLattice) -> list[tuple[int, list[Mat]]]:
     with FB the basis of (M*)^H, Y[r] = A*(rep_r) FB, and column j of Y[r] is
     row base + r of the summand's candidate j."""
     Mdual = dual(M)
-    summands = P.summands or []
-    fixed = _dual_fixed_bases(Mdual, summands)
     out: list[tuple[int, list[Mat]]] = []
     base = 0
-    for H in summands:
+    for H in P.summands or []:
         reps, _ = H.cosets()
-        out.append((base, [Mdual.act(rep).mul(fixed[H]) for rep in reps]))
+        FB = fixed_basis(Mdual, H)
+        out.append((base, [Mdual.act(rep).mul(FB) for rep in reps]))
         base += len(reps)
     return out
 
@@ -338,16 +328,14 @@ def verify_refutation(decision: InvertibilityDecision) -> bool:
     if sum(Lam.a[i][i] for i in range(m)) % N == 0:
         return False
     W = cov.projection.matrix.transpose().mul(Lam).a
-    summands = cov.P.summands or []
-    fixed = _dual_fixed_bases(dual(M), summands)
     base = 0
-    for H in summands:
+    for H in cov.P.summands or []:
         reps, _ = H.cosets()
         v = [0] * m
         for r, rep in enumerate(reps):
             v = [x + y for x, y in zip(v, M.act(G.inv(rep)).mulvec(W[base + r]))]
         base += len(reps)
-        FB = fixed[H]
+        FB = fixed_basis(dual(M), H)
         if any(sum(x * y for x, y in zip(v, FB.col(j))) % N for j in range(FB.cols)):
             return False
     return True
@@ -428,10 +416,9 @@ def class_fingerprint(M: GLattice) -> Fingerprint:
     lattice); it does NOT decide equality of flabby classes.
     """
     F = flabby_resolution(M).F
-    Fdual = dual(F)  # degree 1 is degree -1 of the dual, as in cohomology.h1
     table: Fingerprint = {}
     for H in M.group.subgroups():
         if H.order == 1:
             continue
-        table[H.members] = (tate_minus1(H, F), tate_zero(H, F), tate_minus1(H, Fdual))
+        table[H.members] = (tate_minus1(H, F), tate_zero(H, F), h1(H, F))
     return table

@@ -90,6 +90,18 @@ class TestParse:
         assert calls == [len(table)]
         assert G.generators == G.minimal_generators()
 
+    @pytest.mark.parametrize("table, message", [
+        # element 1 has no inverse and element 2 only a one-sided one
+        ([[0, 1, 2], [1, 1, 2], [2, 0, 1]], "element 1 has no inverse"),
+        # element 1 has only a one-sided inverse and element 2 none
+        ([[0, 1, 2], [1, 2, 0], [2, 2, 1]], "element 1 has no two-sided inverse"),
+    ])
+    def test_inverse_errors_in_element_order(self, table, message):
+        from retractrat.groups import FiniteGroup
+
+        with pytest.raises(UserInputError, match=f"^{message}$"):
+            FiniteGroup(table, [1, 2], check=False)
+
     def test_associativity_check_against_all_triples(self):
         """Seeded Latin squares with identity, group tables relabeled with 0
         fixed among them: the table parses exactly when every triple
@@ -206,6 +218,19 @@ class TestSubgroups:
             ref = weakref.ref(G)
             del G
             assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_subgroup_group_kept_and_freed_without_cycle_collector(self):
+        gc.disable()
+        try:
+            G = parse_group(A5_DOC)
+            groups = [H.as_group() for H in G.subgroups()]
+            assert all(H.as_group() is K for H, K in zip(G.subgroups(), groups))
+            groups[-1].subgroups()
+            refs = [weakref.ref(G)] + [weakref.ref(K) for K in groups]
+            del G, groups
+            assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
 

@@ -1,6 +1,8 @@
 """Lattice constructors, conventions, and the units-congruence kernel lattice."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -14,6 +16,7 @@ from retractrat.lattices import (
     conjugated,
     direct_sum,
     dual,
+    fixed_basis,
     lattice_document,
     lenstra_lattice,
     parse_lattice,
@@ -23,7 +26,8 @@ from retractrat.lattices import (
     restrict,
     trivial_lattice,
 )
-from retractrat.zlinalg import Mat
+from retractrat.resolutions import is_invertible
+from retractrat.zlinalg import Mat, kernel_basis
 
 
 def lattices_equal(M, N):
@@ -178,6 +182,77 @@ class TestDual:
             assert dual(P) is P
             Q = GLattice(P.group, P.rank, P.action, check=False)  # same matrices, no summands
             assert lattices_equal(dual(Q), P)
+
+
+def fixed_basis_oracle(M, H):
+    """Basis of M^H from the conditions (A(h) - 1) v = 0 over every member h
+    of H, not only its generators."""
+    rows = []
+    for h in H.members:
+        A = M.act(h)
+        rows += [[A.a[i][j] - (i == j) for j in range(M.rank)] for i in range(M.rank)]
+    return kernel_basis(Mat.from_rows(rows, M.rank))
+
+
+class TestDerivedData:
+    """A lattice builds its dual and its fixed bases once and keeps them."""
+
+    def test_dual_is_kept(self):
+        rng = random.Random(9)
+        for G in catalog_groups_upto(16):
+            M = random_lattice(G, 4, rng)
+            assert dual(M) is dual(M)
+            assert dual(dual(M)) is dual(dual(M))
+
+    def test_dual_action_is_inverse_transpose(self):
+        rng = random.Random(21)
+        for G in catalog_groups_upto(16):
+            for expanded in (False, True):
+                M = random_lattice(G, 4, rng)
+                if expanded:
+                    M.expand()
+                D = dual(M)
+                # the dual of an expanded lattice starts out expanded
+                assert D._expanded is not None or not expanded
+                for g in G.elements():
+                    assert D.act(g) == M.act(G.inv(g)).transpose(), (G.name, g)
+                walk = G.extend(Mat.identity(D.rank), lambda A, s: A.mul(D.action[s]), "dual")
+                assert D.expand() == walk
+
+    def test_fixed_basis_matches_oracle_before_and_after_the_decision(self):
+        rng = random.Random(33)
+        for G in catalog_groups_upto(16):
+            M = random_lattice(G, 4, rng)
+            lattices = (M, dual(M))
+            expected = {(i, H): fixed_basis_oracle(L, H)
+                        for i, L in enumerate(lattices) for H in G.subgroups()}
+            stored = {}
+            for (i, H), FB in expected.items():
+                stored[i, H] = fixed_basis(lattices[i], H)
+                assert stored[i, H] == FB, (G.name, i, H)
+                assert all(lattices[i].act(h).mulvec(FB.col(j)) == FB.col(j)
+                           for h in H.members for j in range(FB.cols))
+            is_invertible(M)
+            assert dual(M) is lattices[1]
+            for (i, H), FB in expected.items():
+                assert fixed_basis(lattices[i], H) is stored[i, H]
+                assert stored[i, H] == FB, (G.name, i, H)
+
+    def test_lattice_freed_without_cycle_collector(self):
+        G = catalog_group("S3")
+        gc.disable()
+        try:
+            M = random_lattice(G, 5, random.Random(3))
+            D = dual(M)
+            for H in G.subgroups():
+                fixed_basis(M, H)
+                fixed_basis(D, H)
+            assert M._dual is D and M._fixed and D._fixed
+            refs = [weakref.ref(M), weakref.ref(D)]
+            del M, D
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestDirectSumRestrict:
