@@ -241,25 +241,42 @@ class FiniteGroup:
     def subgroups(self) -> list["Subgroup"]:
         """All subgroups (not just up to conjugacy), sorted by order then members.
 
-        Algorithm: cyclic extension (Neubüser).  Every subgroup is generated
-        by cyclic subgroups of prime-power order, since each element is a
-        product of commuting prime-power-order powers of itself.  Starting
-        from the trivial subgroup, each newly found subgroup H is joined with
-        every such cyclic subgroup <z>, z not in H, until a round finds
-        nothing new.  A join is the closure of H's few recorded generators
-        and z, so it costs O(|<H, z>|) table lookups, not O(|H|^2).
+        Algorithm: cyclic extension by prime index (Neubüser).  A zuppo is
+        an element of prime-power order; one generator z is kept per cyclic
+        subgroup they form, with its prime p.  Starting from the trivial
+        subgroup, each newly found subgroup H is extended by every zuppo z
+        with z not in H, z^p in H and z normalising H (z h z^-1 in H for
+        H's recorded generators h).  Then <H, z> = H u Hz u ... u Hz^(p-1),
+        built in p|H| table lookups.  Every other zuppo in that join is a
+        p-element outside H and gives the same join, so it is skipped for H.
+
+        Completeness: a solvable K != 1 has a normal subgroup H of prime
+        index p, and for any z in K \\ H the p-part of z lies outside H, has
+        its p-th power in H, normalises H and generates K with H; so by
+        induction on |K| every solvable subgroup is found.  The least
+        non-solvable group is A5, of order 60, and a group of order below
+        120 that contains A5 is A5 itself.  Under SUBGROUP_ORDER_BOUND = 64
+        every proper subgroup is therefore solvable, and adding G itself
+        completes the list.
         """
         if self._subgroups is not None:
             return self._subgroups
         if self.order > SUBGROUP_ORDER_BOUND:
             raise ResourceBoundError(
                 f"subgroup enumeration bound {SUBGROUP_ORDER_BOUND} exceeded")
-        # one generator per cyclic subgroup of prime-power order
+        table = self.mul_table
+        # one generator z per cyclic subgroup of prime-power order, with its
+        # prime p, z^p and the conjugation map h -> z h z^-1
         cyclic: dict[tuple[int, ...], int] = {}
         for g in range(1, self.order):
             if _is_prime_power(self.element_order(g)):
                 cyclic.setdefault(self.closure([g]), g)
-        zuppos = tuple(cyclic.values())
+        zuppos = []
+        for z in cyclic.values():
+            p = _is_prime_power(self.element_order(z))
+            row, zinv = table[z], self.inv_table[z]
+            conj = [table[row[h]][zinv] for h in range(self.order)]
+            zuppos.append((z, p, self.power(z, p), conj))
         found: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}  # members -> generators
         frontier = [(0,)]
         while frontier:
@@ -267,14 +284,23 @@ class FiniteGroup:
             for members in frontier:
                 gens = found[members]
                 inside = set(members)
-                for z in zuppos:
-                    if z in inside:
+                covered = set(inside)  # H and the joins already built from it
+                for z, p, zp, conj in zuppos:
+                    if z in covered or zp not in inside \
+                            or any(conj[h] not in inside for h in gens):
                         continue
-                    join = self.closure(gens + (z,))
+                    join = list(members)
+                    coset = members
+                    for _ in range(p - 1):
+                        coset = [table[h][z] for h in coset]
+                        join += coset
+                    covered.update(join)
+                    join = tuple(sorted(join))
                     if join not in found:
                         found[join] = gens + (z,)
                         nxt.append(join)
             frontier = nxt
+        found.setdefault(tuple(range(self.order)), self.generators)  # missed only when G = A5
         subs = [Subgroup(self, members) for members in sorted(found, key=lambda m: (len(m), m))]
         self._subgroups = subs
         self._subgroup_index = {s.members: s for s in subs}
@@ -455,17 +481,20 @@ class FiniteGroup:
 
     # -- quotients and products -------------------------------------------------
 
-    def quotient(self, H: "Subgroup") -> tuple["FiniteGroup", list[int]]:
+    def quotient(self, H: "Subgroup") -> tuple["FiniteGroup", tuple[int, ...]]:
         """(G/H, projection) for a normal subgroup H, cosets indexed as in
-        H.cosets(); the images of G's generators generate G/H."""
+        H.cosets(); the images of G's generators generate G/H.  Built once
+        and kept on H; neither part refers back to G."""
         if H.parent is not self:
             raise UserInputError("subgroup belongs to a different group")
         if not H.is_normal:
             raise UserInputError("subgroup is not normal")
-        reps, proj = H.cosets()
-        table = [[proj[self.mul(a, b)] for b in reps] for a in reps]
-        gens = sorted({proj[g] for g in self.generators} - {0})
-        return FiniteGroup(table, gens, name=None, check=False), proj
+        if H._quotient is None:
+            reps, proj = H.cosets()
+            table = [[proj[self.mul(a, b)] for b in reps] for a in reps]
+            gens = sorted({proj[g] for g in self.generators} - {0})
+            H._quotient = (FiniteGroup(table, gens, name=None, check=False), tuple(proj))
+        return H._quotient
 
     def semidirect_decompositions(self) -> list[tuple["Subgroup", "Subgroup"]]:
         """All (N, K) with N normal, K a complement: N & K = 1, |N||K| = |G|,
@@ -525,6 +554,7 @@ class Subgroup:
                              for g in parent.generators for h in self.members)
         self._gens: Optional[tuple[int, ...]] = None
         self._group: Optional[FiniteGroup] = None
+        self._quotient: Optional[tuple[FiniteGroup, tuple[int, ...]]] = None
 
     @property
     def parent(self) -> FiniteGroup:

@@ -144,14 +144,25 @@ def trivial_lattice(G: FiniteGroup, rank: int = 1) -> GLattice:
 def dual(M: GLattice) -> GLattice:
     """Contragredient lattice: A*(g) = transpose(A(g^-1)), built on the first
     call and the same object on every later one; an expansion of M is
-    transposed into the dual's.  An involution up to exact matrix equality.
-    Permutation matrices are orthogonal, so a permutation lattice is its own
-    dual and is returned as it is."""
+    transposed into the dual's.  An unexpanded M stays unexpanded: A(s^-1)
+    is then A(s)^(ord(s)-1) unless s^-1 is itself a generator.  An
+    involution up to exact matrix equality.  Permutation matrices are
+    orthogonal, so a permutation lattice is its own dual and is returned as
+    it is."""
     if M.summands is not None:
         return M
     if M._dual is None:
         G = M.group
-        action = {s: M.act(G.inv(s)).transpose() for s in G.generators}
+
+        def inverse(s: int) -> Mat:
+            if G.inv(s) in M.action or M._expanded is not None:
+                return M.act(G.inv(s))
+            A = out = M.action[s]
+            for _ in range(G.element_order(s) - 2):
+                out = out.mul(A)
+            return out
+
+        action = {s: inverse(s).transpose() for s in G.generators}
         D = GLattice(G, M.rank, action, check=False)
         if M._expanded is not None:
             D._expanded = {g: M._expanded[G.inv(g)].transpose() for g in G.elements()}

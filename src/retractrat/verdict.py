@@ -294,8 +294,13 @@ def _noether(G: FiniteGroup, k: FieldDescriptor) -> Verdict:
 
 
 def _noether_uncached(G: FiniteGroup, k: FieldDescriptor) -> Verdict:
+    # the memo lives as long as the process, so its steps name a bare copy
+    # of G: G and what it keeps (subgroups, their groups and quotients) are
+    # freed when the caller drops G
+    scope = FiniteGroup(G.mul_table, G.generators, name=G.name, check=False)
+
     def _step(rule: str, cite: str, premises: dict) -> TraceStep:
-        return TraceStep(rule, cite, premises, scope_group=G)
+        return TraceStep(rule, cite, premises, scope_group=scope)
 
     pending: list[TraceStep] = []
 

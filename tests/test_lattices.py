@@ -212,8 +212,11 @@ class TestDerivedData:
                 if expanded:
                     M.expand()
                 D = dual(M)
-                # the dual of an expanded lattice starts out expanded
+                # the dual of an expanded lattice starts out expanded, and
+                # building the dual of an unexpanded one expands neither
                 assert D._expanded is not None or not expanded
+                if not expanded:
+                    assert M._expanded is None, G.name
                 for g in G.elements():
                     assert D.act(g) == M.act(G.inv(g)).transpose(), (G.name, g)
                 walk = G.extend(Mat.identity(D.rank), lambda A, s: A.mul(D.action[s]), "dual")

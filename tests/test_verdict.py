@@ -1,10 +1,20 @@
 """The verdict engine: fields, rules, traces, replay."""
 
+import gc
+import weakref
+
 import pytest
 
 from conftest import metacyclic_group, sign_lattice
 from retractrat.errors import UserInputError
-from retractrat.groups import catalog_group, catalog_groups_upto, cyclic_group
+from retractrat import verdict
+from retractrat.groups import (
+    catalog_group,
+    catalog_groups_upto,
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+)
 from retractrat.lattices import (
     GLattice,
     lenstra_lattice,
@@ -217,6 +227,26 @@ class TestReplay:
                 assert v.answer in ("Yes", "No", "Unknown")
                 assert replay_trace(v), (G.name, k.name)
                 assert noether_verdict(G, k).to_json() == v.to_json()
+
+    def test_memo_frees_the_group_and_what_it_keeps(self):
+        # the memo lives as long as the process; its steps name bare copies,
+        # so a group goes with its subgroups' groups and quotients
+        verdict._NOETHER_MEMO.clear()
+        gc.disable()
+        try:
+            G = direct_product(dihedral_group(8), cyclic_group(2))
+            v = noether_verdict(G, RATIONALS)
+            derived = [H._group for H in G.subgroups() if H._group is not None] \
+                + [H._quotient[0] for H in G.subgroups() if H._quotient is not None]
+            assert derived
+            refs = [weakref.ref(G)] + [weakref.ref(K) for K in derived]
+            del G, v, derived
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+        # a memo hit replays against the bare copies
+        again = noether_verdict(direct_product(dihedral_group(8), cyclic_group(2)), RATIONALS)
+        assert replay_trace(again)
 
     def test_replay_needs_context(self):
         from retractrat.verdict import Verdict
