@@ -258,8 +258,9 @@ def _reproduce(args) -> dict:
     # timing goes to stderr so seeded runs stay bit-identical on stdout
     started = time.time()
     if args.suite == "voskresenskii":
-        if args.n < 2:
-            raise UserInputError("--n must be at least 2")
+        # the published values hold for n >= 3: (Z/4)^x is cyclic
+        if args.n < 3:
+            raise UserInputError("--n must be at least 3")
         out = _reproduce_voskresenskii(args.n)
     elif args.suite == "endo-miyata":
         out = _reproduce_endo_miyata(args.max_order, args.trials, args.seed)

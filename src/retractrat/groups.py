@@ -45,15 +45,16 @@ class FiniteGroup:
 
     mul/inv are total tables; generators is some generating list (possibly
     empty for the trivial group), picked by minimal_generators when None is
-    given.  Instances are immutable after construction and cache derived
-    data (subgroups, element orders).
+    given.  Rows are kept as given, as tuples; check=True rejects a
+    non-integer entry or generator.  Instances are immutable after
+    construction and cache derived data (subgroups, element orders).
     """
 
     def __init__(self, mul_table: Sequence[Sequence[int]],
                  generators: Optional[Sequence[int]] = None,
                  name: Optional[str] = None, check: bool = True):
         self.order = len(mul_table)
-        self.mul_table = tuple(tuple(int(x) for x in row) for row in mul_table)
+        self.mul_table = tuple(map(tuple, mul_table))
         self.name = name
         self._subgroups: Optional[list[Subgroup]] = None
         self._subgroup_index: dict[tuple[int, ...], Subgroup] = {}
@@ -63,9 +64,13 @@ class FiniteGroup:
         self.inv_table = self._build_inverses()
         if generators is None:
             generators = self.minimal_generators()
-        self.generators = tuple(int(g) for g in generators)
-        if check and not self._generates(self.generators):
-            raise UserInputError("declared generators do not generate the group")
+        self.generators = tuple(generators)
+        if check:
+            if not all(is_int(g) and 0 <= g < self.order for g in self.generators):
+                raise UserInputError(f"declared generators {list(self.generators)} are not "
+                                     f"all elements 0..{self.order - 1}")
+            if len(self.closure(self.generators)) != self.order:
+                raise UserInputError("declared generators do not generate the group")
 
     # -- construction checks ------------------------------------------------
 
@@ -79,8 +84,8 @@ class FiniteGroup:
             if len(row) != n:
                 raise UserInputError(f"row {i} has length {len(row)}, expected {n}")
             for x in row:
-                if not 0 <= x < n:
-                    raise UserInputError(f"table entry {x} out of range")
+                if not (is_int(x) and 0 <= x < n):
+                    raise UserInputError(f"table entry {x!r} is not an element 0..{n - 1}")
         for g in range(n):
             if self.mul_table[0][g] != g or self.mul_table[g][0] != g:
                 raise UserInputError("element 0 is not a two-sided identity")
@@ -116,9 +121,6 @@ class FiniteGroup:
                 raise UserInputError(f"element {a} has no two-sided inverse")
             inv.append(b)
         return tuple(inv)
-
-    def _generates(self, gens: Sequence[int]) -> bool:
-        return len(self.closure(gens)) == self.order
 
     # -- basic operations ----------------------------------------------------
 
@@ -200,7 +202,7 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         t = self.mul_table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(self.order))
+        return all(t[a][b] == t[b][a] for a, b in itertools.combinations(self.generators, 2))
 
     def is_cyclic(self) -> bool:
         return any(self.element_order(g) == self.order for g in range(self.order))
@@ -301,7 +303,8 @@ class FiniteGroup:
                         nxt.append(join)
             frontier = nxt
         found.setdefault(tuple(range(self.order)), self.generators)  # missed only when G = A5
-        subs = [Subgroup(self, members) for members in sorted(found, key=lambda m: (len(m), m))]
+        subs = [Subgroup(self, members, found[members])
+                for members in sorted(found, key=lambda m: (len(m), m))]
         self._subgroups = subs
         self._subgroup_index = {s.members: s for s in subs}
         return subs
@@ -498,19 +501,16 @@ class FiniteGroup:
 
     def semidirect_decompositions(self) -> list[tuple["Subgroup", "Subgroup"]]:
         """All (N, K) with N normal, K a complement: N & K = 1, |N||K| = |G|,
-        both proper and nontrivial."""
+        both proper and nontrivial (members[0] is the identity)."""
+        by_order: dict[int, list[Subgroup]] = {}
+        for K in self.subgroups():
+            by_order.setdefault(K.order, []).append(K)
         out = []
-        subs = self.subgroups()
-        for N in subs:
-            if not N.is_normal or N.order in (1, self.order):
-                continue
-            target = self.order // N.order
-            nset = set(N.members)
-            for K in subs:
-                if K.order != target:
-                    continue
-                if len(nset & set(K.members)) == 1:
-                    out.append((N, K))
+        for N in self.subgroups():
+            if N.is_normal and 1 < N.order < self.order:
+                rest = set(N.members[1:])
+                out += [(N, K) for K in by_order.get(self.order // N.order, ())
+                        if rest.isdisjoint(K.members[1:])]
         return out
 
     def direct_decompositions(self) -> list[tuple["Subgroup", "Subgroup"]]:
@@ -528,30 +528,24 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """Subgroup given by its sorted member list; validated on construction.
+    """A record built only by FiniteGroup.subgroups(): the sorted members it
+    proved to be a subgroup and the generators it recorded (spanned_by).
+    There is one object per (group, members), so identity is equality.
 
     The parent group caches its subgroups, so the subgroup holds the parent
     through a weak reference: a strong one would make every group a
     reference cycle that only the cyclic garbage collector frees.
     """
 
-    def __init__(self, parent: FiniteGroup, members: Iterable[int]):
+    def __init__(self, parent: FiniteGroup, members: tuple[int, ...],
+                 spanned_by: tuple[int, ...]):
         self._parent = weakref.ref(parent)
-        self.members = tuple(sorted(members))
-        mem = set(self.members)
-        if 0 not in mem:
-            raise UserInputError("subgroup must contain the identity")
-        for a in self.members:
-            if parent.inv(a) not in mem:
-                raise UserInputError("subgroup not closed under inverses")
-            for b in self.members:
-                if parent.mul(a, b) not in mem:
-                    raise UserInputError("subgroup not closed under multiplication")
-        if parent.order % len(self.members) != 0:
-            raise UserInputError("subgroup order does not divide group order")
-        # conjugation by each generator maps H into H iff H is normal
+        self.members = members
+        self.spanned_by = spanned_by
+        # H is normal iff g h g^-1 is in H for the generators g of G and h of H
+        mem = set(members)
         self.is_normal = all(parent.conjugate(g, h) in mem
-                             for g in parent.generators for h in self.members)
+                             for g in parent.generators for h in spanned_by)
         self._gens: Optional[tuple[int, ...]] = None
         self._group: Optional[FiniteGroup] = None
         self._quotient: Optional[tuple[FiniteGroup, tuple[int, ...]]] = None
@@ -579,7 +573,7 @@ class Subgroup:
 
     def is_abelian(self) -> bool:
         t = self.parent.mul_table
-        return all(t[a][b] == t[b][a] for a in self.members for b in self.members)
+        return all(t[a][b] == t[b][a] for a, b in itertools.combinations(self.spanned_by, 2))
 
     def exponent(self) -> int:
         order_of = self.parent.element_order
@@ -617,13 +611,6 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup{self.members}"
-
-    def __eq__(self, other):
-        return isinstance(other, Subgroup) and other.parent is self.parent \
-            and other.members == self.members
-
-    def __hash__(self):
-        return hash((id(self.parent), self.members))
 
 
 @dataclass(frozen=True)
@@ -663,6 +650,13 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def is_index_key(key) -> bool:
+    """A key naming an index canonically, so no two keys name one index:
+    ASCII digits, no leading zero, at most 18 (int() limits its digits)."""
+    return isinstance(key, str) and key.isascii() and key.isdigit() \
+        and len(key) <= 18 and (key == "0" or key[0] != "0")
+
+
 def is_int_matrix(rows, n_rows: int, n_cols: int) -> bool:
     """A list of n_rows lists of n_cols integers each."""
     return (isinstance(rows, list) and len(rows) == n_rows
@@ -685,9 +679,9 @@ def parse_group(spec: dict) -> FiniteGroup:
         raise UserInputError("group 'name' must be a string")
     if "table" in spec:
         table = spec["table"]
-        n = len(table) if isinstance(table, list) else -1
-        if not is_int_matrix(table, n, n):
-            raise UserInputError("group 'table' must be a square list of integer rows")
+        # the entries and the shape are checked by FiniteGroup
+        if not (isinstance(table, list) and all(isinstance(row, list) for row in table)):
+            raise UserInputError("group 'table' must be a list of integer rows")
         return FiniteGroup(table, name=name, check=True)
     if "perm_generators" in spec:
         degree = spec.get("degree")

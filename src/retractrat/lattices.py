@@ -16,6 +16,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     catalog_group,
+    is_index_key,
     is_int,
     is_int_matrix,
     parse_group,
@@ -386,8 +387,8 @@ def random_lattice(G: FiniteGroup, max_rank: int, rng: random.Random) -> GLattic
 
 
 def generator_key(key, what: str) -> int:
-    """The generator index that a document key names: a decimal string."""
-    if not (isinstance(key, str) and key.isdecimal()):
+    """The generator index that a document key names: a canonical decimal."""
+    if not is_index_key(key):
         raise UserInputError(f"{what} key {key!r} is not a generator index")
     return int(key)
 

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import InternalCheckError, UserInputError
-from .groups import FiniteGroup, _factorint
+from .groups import FiniteGroup, _factorint, is_index_key
 from .lattices import GLattice, action_kernel
 from .monomial import MonomialAction, extension_class
 from .resolutions import flabby_resolution, is_invertible
@@ -150,13 +150,13 @@ def parse_field(doc) -> FieldDescriptor:
 
 
 def _field_table(doc: dict, key: str) -> tuple[tuple[int, bool], ...]:
-    """A field table: an object from decimal strings >= 1 to true/false."""
+    """A field table: an object from canonical decimals >= 1 to true/false."""
     table = doc.get(key, {})
     if not isinstance(table, dict):
         raise UserInputError(f"field '{key}' must be an object")
     out = []
     for k, v in table.items():
-        if not (isinstance(k, str) and k.isdecimal() and int(k) >= 1):
+        if not (is_index_key(k) and k != "0"):
             raise UserInputError(f"field '{key}' key {k!r} is not a decimal integer >= 1")
         if not isinstance(v, bool):
             raise UserInputError(f"field '{key}' value for {k} must be true or false")
@@ -367,11 +367,8 @@ def _noether_uncached(G: FiniteGroup, k: FieldDescriptor) -> Verdict:
             })
             return Verdict(NO, [step])
         if k.cyclotomic_2power_cyclic(n) == "no":
-            hset = set(H.members)
-            complement = next(
-                (C for C in G.subgroups()
-                 if C.order == qorder and C.is_cyclic()
-                 and len(hset & set(C.members)) == 1), None)
+            complement = next((C for N, C in G.semidirect_decompositions()
+                               if N is H and C.is_cyclic()), None)
             if complement is not None:
                 step = _step("2power-quotient-split", CITE_2POWER_SPLIT, {
                     "normal_subgroup": list(H.members),

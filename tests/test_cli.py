@@ -122,6 +122,11 @@ class TestStrictLatticeDocuments:
         pytest.param(2, {"1": [[1, 0], [0]]}, id="ragged-rows"),
         pytest.param(2, {"1": [[1, 0, 0], [0, 1, 0]]}, id="2x3-at-rank-2"),
         pytest.param(1, {"x": [[-1]]}, id="non-index-key"),
+        # one generator named twice: the later value used to win silently
+        pytest.param(1, {"1": [[-1]], "01": [[1]]}, id="leading-zero-key"),
+        pytest.param(1, {"01": [[1]], "1": [[-1]]}, id="leading-zero-key-first"),
+        pytest.param(1, {"\u0661": [[-1]]}, id="arabic-indic-key"),
+        pytest.param(1, {"1" * 5000: [[-1]]}, id="5000-digit-key"),
         pytest.param(1, [[[-1]]], id="list-action"),
     ])
     def test_malformed_lattice_exit_1(self, capsys, tmp_path, rank, action):
@@ -155,6 +160,9 @@ class TestStrictDocuments:
         pytest.param({"is_rationals": 1}, id="int-is-rationals"),
         pytest.param({"roots_of_unity": {"x": True}}, id="non-decimal-root-key"),
         pytest.param({"roots_of_unity": {"0": True}}, id="zero-root-key"),
+        pytest.param({"cyclotomic_2power_cyclic": {"3": True, "03": False}},
+                     id="leading-zero-cyclotomic-key"),
+        pytest.param({"roots_of_unity": {"\u0664": True}}, id="arabic-indic-root-key"),
         pytest.param({"roots_of_unity": {"4": 1}}, id="int-root-value"),
         pytest.param({"roots_of_unity": [4]}, id="list-roots-table"),
         pytest.param({"cyclotomic_2power_cyclic": {"3": "no"}}, id="string-cyclotomic-value"),
@@ -169,6 +177,8 @@ class TestStrictDocuments:
 
     @pytest.mark.parametrize("change", [
         pytest.param({"coeff": {"x": [1]}}, id="non-index-coeff-key"),
+        pytest.param({"coeff": {"1": [1], "01": [0]}}, id="leading-zero-coeff-key"),
+        pytest.param({"coeff": {"01": [0], "1": [1]}}, id="leading-zero-coeff-key-first"),
         pytest.param({"d": True}, id="bool-d"),
         pytest.param({"coeff": {"1": 5}}, id="int-coeff-vector"),
         pytest.param({"coeff": {"1": [True]}}, id="bool-coeff-entry"),
@@ -358,8 +368,8 @@ class TestReproduce:
         # zero cases would otherwise report "pass": true
         assert_one_line_error(*invoke(capsys, "reproduce", "endo-miyata", *args))
 
-    @pytest.mark.parametrize("n", ["1", "-3"])
-    def test_voskresenskii_rejects_n_below_2(self, capsys, n):
+    @pytest.mark.parametrize("n", ["2", "1", "-3"])
+    def test_voskresenskii_rejects_n_below_3(self, capsys, n):
         assert_one_line_error(*invoke(capsys, "reproduce", "voskresenskii", "--n", n))
 
     def test_voskresenskii_n_above_bound_exit_2(self, capsys):

@@ -1,10 +1,11 @@
 """Golden digests: the stdout of a fixed set of commands, byte for byte.
 
 tests/golden_digests.json maps each command line to the sha256 of its
-stdout.  The commands run in a directory holding the lattice documents
-below, so a command line names its document by file name.  Refactors of
-the cover, the section search or the coset bookkeeping must leave every
-digest unchanged.  To re-record after a deliberate output change, run
+stdout.  The commands run in a directory holding the lattice and group
+documents below, so a command line names its document by file name.
+Refactors of the cover, the section search, the coset bookkeeping or the
+subgroup enumeration must leave every digest unchanged.  To re-record
+after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -52,6 +53,30 @@ def documents() -> dict:
     return {name: lattice_document(M) for name, M in lattices.items()}
 
 
+def _cycles(*lengths):
+    """Image lists (1-based) of one cycle per length on disjoint points."""
+    degree, start, out = sum(lengths), 1, []
+    for n in lengths:
+        images = list(range(1, degree + 1))
+        for i in range(n):
+            images[start + i - 1] = start + (i + 1) % n
+        out.append(images)
+        start += n
+    return out
+
+
+# permutation documents of order 48 and 64 with many subgroups (98, 129, 389)
+GROUP_DOCUMENTS = {
+    "group-S4xC2.json": {"name": "S4xC2", "degree": 6,
+                         "perm_generators": [[2, 3, 4, 1, 5, 6], [2, 1, 3, 4, 5, 6],
+                                             [1, 2, 3, 4, 6, 5]]},
+    "group-C4^3.json": {"name": "C4^3", "degree": 12, "perm_generators": _cycles(4, 4, 4)},
+    "group-D8xD8.json": {"name": "D8xD8", "degree": 8,
+                         "perm_generators": [[2, 3, 4, 1, 5, 6, 7, 8], [1, 4, 3, 2, 5, 6, 7, 8],
+                                             [1, 2, 3, 4, 6, 7, 8, 5], [1, 2, 3, 4, 5, 8, 7, 6]]},
+}
+
+
 def commands() -> list[list[str]]:
     out = []
     for doc in documents():
@@ -60,6 +85,10 @@ def commands() -> list[list[str]]:
     for group in ("D8", "Q8", "A4", "C2xC4", "D16"):
         out.append(["group-info", "--group", group])
         out.append(["verdict-noether", "--group", group, "--field", "Q"])
+    for doc in GROUP_DOCUMENTS:
+        out.append(["group-info", "--group", doc])
+        for field in ("Q", "C"):
+            out.append(["verdict-noether", "--group", doc, "--field", field])
     out.append(["reproduce", "endo-miyata", "--max-order", "6", "--trials", "2",
                 "--seed", "5"])
     return out
@@ -67,7 +96,7 @@ def commands() -> list[list[str]]:
 
 def digests(workdir: Path) -> dict:
     """Command line -> sha256 of its stdout, run inside workdir."""
-    for name, doc in documents().items():
+    for name, doc in (documents() | GROUP_DOCUMENTS).items():
         (workdir / name).write_text(json.dumps(doc))
     out = {}
     cwd = os.getcwd()

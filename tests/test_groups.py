@@ -1,5 +1,6 @@
 """Groups: parsing, subgroup enumeration, and the structure recognizers."""
 
+import functools
 import gc
 import itertools
 import random
@@ -98,6 +99,7 @@ SCAN_GROUPS = {
 }
 
 
+@functools.cache
 def small_permutation_groups(count, seed, max_order=64):
     """count seeded random permutation groups of degree 3..8 and order at
     most max_order.  Half of the even-degree draws preserve the pairs
@@ -134,6 +136,18 @@ def small_permutation_groups(count, seed, max_order=64):
             out.append(parse_group({"perm_generators": [[x + 1 for x in p] for p in perms],
                                     "degree": degree}))
     return out
+
+
+# catalog names, scan-group names and the seeded random permutation groups
+GROUP_SETS = list(CATALOG_NAMES) + list(SCAN_GROUPS) + ["random-permutation-groups"]
+
+
+def group_set(name):
+    if name in SCAN_GROUPS:
+        return [SCAN_GROUPS[name][0]()]
+    if name == "random-permutation-groups":
+        return small_permutation_groups(200, seed=10)
+    return [catalog_group(name)]
 
 
 class TestParse:
@@ -192,6 +206,21 @@ class TestParse:
 
         with pytest.raises(UserInputError, match=f"^{message}$"):
             FiniteGroup(table, [1, 2], check=False)
+
+    @pytest.mark.parametrize("table, generators", [
+        ([[0, 1], [1, 0]], [-1]),
+        ([[0, 1], [1, 0]], [5]),
+        ([[0, 1], [1, 0]], [1.0]),
+        ([[0, 1], [1, 0]], [True]),
+        ([[0, 1], [1.0, 0]], [1]),
+        ([[0, 1], [1, 0]], ["1"]),
+    ])
+    def test_entries_and_generators_checked_not_coerced(self, table, generators):
+        from retractrat.groups import FiniteGroup
+
+        with pytest.raises(UserInputError) as info:
+            FiniteGroup(table, generators)
+        assert "\n" not in str(info.value)
 
     def test_associativity_check_against_all_triples(self):
         """Seeded Latin squares with identity, group tables relabeled with 0
@@ -317,13 +346,17 @@ class TestSubgroups:
         assert G.order == 60 and len(subs) == 59
         assert [s.order for s in subs if s.is_normal] == [1, 60]  # A5 is simple
 
-    @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES])
+    @pytest.mark.parametrize("name", GROUP_SETS)
     def test_normality_from_generators(self, name):
-        G = catalog_group(name)
-        for S in G.subgroups():
-            mem = set(S.members)
-            assert S.is_normal == all(G.conjugate(g, h) in mem
-                                      for g in range(G.order) for h in S.members)
+        for G in group_set(name):
+            assert G.is_abelian() == all(G.mul(a, b) == G.mul(b, a)
+                                         for a in range(G.order) for b in range(G.order))
+            for S in G.subgroups():
+                mem = set(S.members)
+                assert S.is_normal == all(G.conjugate(g, h) in mem
+                                          for g in range(G.order) for h in S.members)
+                assert S.is_abelian() == all(G.mul(a, b) == G.mul(b, a)
+                                             for a in S.members for b in S.members)
 
     def test_group_freed_without_cycle_collector(self):
         gc.disable()
@@ -381,17 +414,32 @@ class TestSubgroups:
         with pytest.raises(UserInputError):
             D8.subgroup((0, 1))
 
-    @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES])
+    @pytest.mark.parametrize("name", GROUP_SETS)
     def test_closure_and_lagrange(self, name):
-        G = catalog_group(name)
-        for S in G.subgroups():
-            mem = set(S.members)
-            assert 0 in mem
-            assert G.order % S.order == 0
-            for a in S.members:
-                assert G.inv(a) in mem
-                for b in S.members:
-                    assert G.mul(a, b) in mem
+        # subgroups() builds its records unchecked; this is the check
+        for G in group_set(name):
+            for S in G.subgroups():
+                mem = set(S.members)
+                assert S.members == tuple(sorted(mem))
+                assert 0 in mem
+                assert G.order % S.order == 0
+                assert G.closure(S.spanned_by) == S.members
+                for a in S.members:
+                    assert G.inv(a) in mem
+                    for b in S.members:
+                        assert G.mul(a, b) in mem
+
+    @pytest.mark.parametrize("name", ["catalog"] + list(SCAN_GROUPS))
+    def test_decompositions_against_definition(self, name):
+        groups = catalog_groups_upto(64) if name == "catalog" else group_set(name)
+        for G in groups:
+            subs = G.subgroups()
+            semidirect = [(N, K) for N in subs for K in subs
+                          if N.is_normal and 1 < N.order < G.order
+                          and N.order * K.order == G.order
+                          and set(N.members) & set(K.members) == {0}]
+            assert G.semidirect_decompositions() == semidirect, G
+            assert G.direct_decompositions() == [(N, K) for N, K in semidirect if K.is_normal]
 
     def test_sorted_by_order_then_members(self):
         subs = catalog_group("D8").subgroups()
