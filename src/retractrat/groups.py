@@ -16,22 +16,10 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InternalCheckError, ResourceBoundError, UserInputError
+from .zlinalg import Mat, _factorint, smith_diagonal
 
 PARSE_ORDER_BOUND = 1024
 SUBGROUP_ORDER_BOUND = 64
-
-
-def _factorint(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def _is_prime_power(n: int) -> Optional[int]:
@@ -453,8 +441,6 @@ class FiniteGroup:
     def abelian_decomposition(self) -> list[int]:
         """Prime-power cyclic orders q with G isomorphic to the product of C_q,
         from the Smith form of a relation lattice for a generating set."""
-        from .zlinalg import Mat, smith_diagonal
-
         if not self.is_abelian():
             raise UserInputError("group is not abelian")
         if self.order == 1:

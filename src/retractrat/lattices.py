@@ -30,6 +30,8 @@ from .zlinalg import (
     kernel_basis,
 )
 
+RANK_BOUND = 512  # lattice documents and fixed-point covers
+
 
 class GLattice:
     """Integral representation: one unimodular rank x rank matrix per generator,
@@ -103,6 +105,15 @@ class LatticeMap:
             rhs = self.target.act(s).mul(self.matrix)
             if lhs != rhs:
                 raise UserInputError(f"map is not equivariant at generator {s}")
+
+
+def internal_map(source: GLattice, target: GLattice, matrix: Mat) -> LatticeMap:
+    """LatticeMap for a map the library built itself: a failed shape or
+    equivariance check there is a bug, so it raises InternalCheckError."""
+    try:
+        return LatticeMap(source, target, matrix)
+    except UserInputError as exc:
+        raise InternalCheckError(str(exc)) from exc
 
 
 # -- constructors ----------------------------------------------------------------
@@ -313,7 +324,7 @@ def lenstra_lattice(n: int) -> LenstraData:
         raise InternalCheckError("congruence kernel has unexpected rank")
 
     M = invariant_sublattice(N, K)
-    inclusion = LatticeMap(M, N, K)
+    inclusion = internal_map(M, N, K)
     return LenstraData(q, pi, N, phi, M, inclusion)
 
 
@@ -409,6 +420,8 @@ def parse_lattice(doc: dict) -> GLattice:
     action_doc = doc.get("action", {})
     if not is_int(rank) or rank < 0:
         raise UserInputError("lattice rank must be a non-negative integer")
+    if rank > RANK_BOUND:
+        raise ResourceBoundError(f"lattice rank {rank} exceeds bound {RANK_BOUND}")
     if not isinstance(action_doc, dict):
         raise UserInputError("lattice 'action' must be an object keyed by generator")
     action = {}

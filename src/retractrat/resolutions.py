@@ -66,10 +66,12 @@ from .cohomology import h1, is_flabby, tate_minus1, tate_zero
 from .errors import InternalCheckError, ResourceBoundError
 from .groups import Subgroup
 from .lattices import (
+    RANK_BOUND,
     GLattice,
     LatticeMap,
     dual,
     fixed_basis,
+    internal_map,
     invariant_sublattice,
     permutation_lattice,
 )
@@ -83,8 +85,6 @@ from .zlinalg import (
     refute_mod,
     solve_integer,
 )
-
-COVER_RANK_BOUND = 512
 
 
 @dataclass
@@ -163,9 +163,8 @@ class _CoverBuilder:
             self.columns.append(self.M.act(rep).mulvec(f))
         self.summands.append(H)
         self.cosets.append((reps, coset_of))
-        if len(self.columns) > COVER_RANK_BOUND:
-            raise ResourceBoundError(
-                f"cover rank exceeds bound {COVER_RANK_BOUND}")
+        if len(self.columns) > RANK_BOUND:
+            raise ResourceBoundError(f"cover rank exceeds bound {RANK_BOUND}")
 
     def summand_fixed_image_columns(self, S: Subgroup, index: int) -> list[list[int]]:
         """Images in M of a basis of (one summand)^S: a column per S-orbit."""
@@ -237,7 +236,7 @@ def fixed_point_cover(M: GLattice, frugal: bool = True) -> FixedPointCover:
 
     P = permutation_lattice(G, builder.summands)
     proj_mat = Mat.from_cols(builder.columns, rows=M.rank)
-    projection = LatticeMap(P, M, proj_mat)
+    projection = internal_map(P, M, proj_mat)
 
     # hard postcondition: P^H ->> M^H for every subgroup (not only class reps)
     for S in G.subgroups():
@@ -257,7 +256,7 @@ def cover_kernel(cov: FixedPointCover) -> LatticeMap:
     action of C solved from that of P.  C is coflabby because the cover is
     surjective on every fixed part."""
     K = kernel_basis(cov.projection.matrix)
-    return LatticeMap(invariant_sublattice(cov.P, K), cov.P, K)
+    return internal_map(invariant_sublattice(cov.P, K), cov.P, K)
 
 
 def flabby_resolution(M: GLattice, frugal: bool = True) -> FlabbyResolution:
@@ -270,8 +269,8 @@ def flabby_resolution(M: GLattice, frugal: bool = True) -> FlabbyResolution:
     inclusion = cover_kernel(cov)
     P = cov.P  # a permutation lattice is its own dual
     F = dual(inclusion.source)
-    inj = LatticeMap(M, P, cov.projection.matrix.transpose())
-    surj = LatticeMap(P, F, inclusion.matrix.transpose())
+    inj = internal_map(M, P, cov.projection.matrix.transpose())
+    surj = internal_map(P, F, inclusion.matrix.transpose())
 
     # exactness checks
     if lattice_rank(inj.matrix) != M.rank:
@@ -350,7 +349,7 @@ def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
     """
     cov = fixed_point_cover(M, frugal=frugal)
     if M.rank == 0:
-        ident = LatticeMap(M, cov.P, Mat.zero(cov.P.rank, 0))
+        ident = internal_map(M, cov.P, Mat.zero(cov.P.rank, 0))
         return InvertibilityDecision(True, ident, cov)
     N = M.group.order
     blocks = _section_blocks(M, cov.P)
@@ -401,7 +400,7 @@ def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
     # re-verify the witness: section identity and equivariance, exactly
     if not proj.mul(S).is_identity():
         raise InternalCheckError("section candidate failed the identity check")
-    witness = LatticeMap(M, cov.P, S)  # constructor re-checks equivariance
+    witness = internal_map(M, cov.P, S)  # re-checks equivariance
     return InvertibilityDecision(True, witness, cov)
 
 

@@ -2,10 +2,11 @@
 
 Everything here works over Z with Python's arbitrary-precision integers,
 except refute_mod, which decides a system modulo N.  Matrices are dense and
-small (desk scale); the pivoting strategy of the normal forms is "nonzero
-entry of minimal absolute value, ties broken by smallest row then column
-index", which keeps coefficient growth tame and makes every output
-deterministic.
+small (desk scale).  There is one integer elimination, row_hermite: its
+pivot in each column is the nonzero entry of minimal absolute value, ties
+broken by the smallest row, which keeps coefficient growth tame and makes
+every output deterministic.  The Smith form alternates row_hermite passes
+on a matrix and on its transpose.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
-
-from .groups import _factorint
 
 
 class Mat:
@@ -124,9 +123,6 @@ class Mat:
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and self.a == other.a
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.a)))
-
     def __repr__(self) -> str:
         return f"Mat({self.rows}x{self.cols}, {self.a})"
 
@@ -180,7 +176,7 @@ class SmithDecomposition(NamedTuple):
     V: Mat
 
 
-def _pick_pivot(a: list[list[int]], start_row: int, ncols: int, col: int) -> Optional[int]:
+def _pick_pivot(a: list[list[int]], start_row: int, col: int) -> Optional[int]:
     """Row index >= start_row minimizing |a[i][col]| over nonzero entries."""
     best = None
     best_abs = None
@@ -213,7 +209,7 @@ def row_hermite(A: Mat, transform: bool = False):
             break
         # Euclidean passes until only row r is nonzero in column c.
         while True:
-            i = _pick_pivot(a, r, m, c)
+            i = _pick_pivot(a, r, c)
             if i is None:
                 break
             if i != r:
@@ -334,6 +330,19 @@ class LinearSolver:
 def solve_integer(A: Mat, b: Sequence[int]) -> Optional[list[int]]:
     """Some integral solution of A*x = b, or None if there is none."""
     return LinearSolver(A).solve(b)
+
+
+def _factorint(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def refute_mod(A: Mat, b: Sequence[int], N: int) -> Optional[list[int]]:
@@ -474,100 +483,54 @@ class LatticeAccumulator:
 
 
 def _smith(A: Mat, transforms: bool):
-    """The Smith elimination: (U, D, V) as row lists with U*A*V = D, or
-    (None, D, None) without transforms; U and V unimodular, D diagonal with
-    d1 | d2 | ... >= 0."""
+    """(U, D, V) with U*A*V = D, or (None, D, None) without transforms; U and
+    V unimodular, D diagonal with d1 | d2 | ... >= 0.
+
+    Kannan-Bachem: row Hermite passes on D and on D^T alternate until D is
+    diagonal.  Where d_i does not divide d_j (i < j, d_i != 0), column j is
+    added to column i, and the next row pass puts gcd(d_i, d_j) at (i, i).
+    """
     n, m = A.rows, A.cols
-    a = [row[:] for row in A.a]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transforms else None
-    v = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transforms else None
-    for t in range(min(n, m)):
-        while True:
-            # minimal |entry| in the trailing submatrix, ties by (row, col)
-            pi = pj = -1
-            pabs = None
-            for i in range(t, n):
-                row = a[i]
-                for j in range(t, m):
-                    x = row[j]
-                    if x:
-                        ax = -x if x < 0 else x
-                        if pabs is None or ax < pabs:
-                            pi, pj, pabs = i, j, ax
-            if pabs is None:
-                break
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-                if u is not None:
-                    u[t], u[pi] = u[pi], u[t]
-            if pj != t:
-                for row in a:
-                    row[t], row[pj] = row[pj], row[t]
-                if v is not None:
-                    for row in v:
-                        row[t], row[pj] = row[pj], row[t]
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-                if u is not None:
-                    u[t] = [-x for x in u[t]]
-            piv = a[t][t]
-            clean = True
-            for i in range(t + 1, n):
-                x = a[i][t]
-                if x:
-                    q = x // piv
-                    if q:
-                        a[i] = [y - q * z for y, z in zip(a[i], a[t])]
-                        if u is not None:
-                            u[i] = [y - q * z for y, z in zip(u[i], u[t])]
-                    if a[i][t]:
-                        clean = False
-            for j in range(t + 1, m):
-                x = a[t][j]
-                if x:
-                    q = x // piv
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                        if v is not None:
-                            for row in v:
-                                row[j] -= q * row[t]
-                    if a[t][j]:
-                        clean = False
-            if not clean:
-                continue
-            # divisibility fix: drag in the first offending entry
-            offender = None
-            for i in range(t + 1, n):
-                row = a[i]
-                for j in range(t + 1, m):
-                    if row[j] % piv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [y + z for y, z in zip(a[t], a[offender])]
-            if u is not None:
-                u[t] = [y + z for y, z in zip(u[t], u[offender])]
-        if a[t][t] == 0:
-            break
-    return u, a, v
+    D = A
+    U = Mat.identity(n) if transforms else None
+    V = Mat.identity(m) if transforms else None
+    row_pass = True
+    while True:
+        if row_pass:
+            D, Ur, _ = row_hermite(D, transform=transforms)
+            if transforms:
+                U = Ur.mul(U)
+        else:
+            H, Uc, _ = row_hermite(D.transpose(), transform=transforms)
+            D = H.transpose()
+            if transforms:
+                V = V.mul(Uc.transpose())
+        row_pass = not row_pass
+        if any(x for i, row in enumerate(D.a) for j, x in enumerate(row) if i != j):
+            continue
+        d = [D.a[t][t] for t in range(min(n, m))]
+        fix = next(((i, j) for i in range(len(d)) if d[i]
+                    for j in range(i + 1, len(d)) if d[j] % d[i]), None)
+        if fix is None:
+            return U, D, V
+        i, j = fix
+        D.a[j][i] = d[j]
+        if transforms:
+            for row in V.a:
+                row[i] += row[j]
+        row_pass = True
 
 
 def smith_normal_form(A: Mat) -> SmithDecomposition:
     """Smith normal form with transforms: U*A*V = D, U and V unimodular,
     D diagonal with d1 | d2 | ... >= 0."""
-    u, a, v = _smith(A, transforms=True)
-    return SmithDecomposition(Mat(A.rows, A.rows, u), Mat(A.rows, A.cols, a),
-                              Mat(A.cols, A.cols, v))
+    return SmithDecomposition(*_smith(A, transforms=True))
 
 
 def smith_diagonal(A: Mat) -> list[int]:
     """Diagonal of the Smith form only (no transforms)."""
-    _, a, _ = _smith(A, transforms=False)
-    return [a[t][t] for t in range(min(A.rows, A.cols))]
+    _, D, _ = _smith(A, transforms=False)
+    return [D.a[t][t] for t in range(min(A.rows, A.cols))]
 
 
 def cokernel_invariants(A: Mat, ambient_rank: int) -> AbelianInvariants:

@@ -7,6 +7,7 @@ import pytest
 from retractrat.cli import build_parser, run
 from retractrat.groups import catalog_group
 from retractrat.lattices import lattice_document, regular_lattice
+from retractrat.zlinalg import Mat
 
 
 def invoke(capsys, *argv):
@@ -137,6 +138,16 @@ class TestStrictLatticeDocuments:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("rank", [513, 10 ** 6])
+    def test_lattice_rank_bound_exit_2(self, capsys, tmp_path, rank):
+        # rejected before the identity shorthand builds a rank x rank matrix
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"group": "C2", "rank": rank, "action": {"1": []}}))
+        code, out, err = invoke(capsys, "cohomology", "--lattice", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"resource bound exceeded: lattice rank {rank} exceeds bound 512\n"
+
     def test_malformed_monomial_lattice_exit_1(self, capsys, tmp_path):
         doc = {"group": "C2", "rank": 1, "action": {"1": [[True]]},
                "d": 4, "coeff": {"1": [1]}}
@@ -237,6 +248,28 @@ class TestInternalCheckExit:
         assert code == 3
         assert out == ""
         assert err == "internal check failed: cover kernel is not action-stable\n"
+
+    def test_failed_map_check_exit_3(self, capsys, tmp_path, monkeypatch):
+        # a library-built map that fails its equivariance re-check is a bug
+        import retractrat.resolutions as resolutions
+        from retractrat.lattices import GLattice, augmentation_kernel, dual
+
+        real = resolutions.invariant_sublattice
+
+        def negated(M, K):
+            C = real(M, K)
+            action = {s: Mat.from_rows([[-x for x in row] for row in A.a], C.rank)
+                      for s, A in C.action.items()}
+            return GLattice(C.group, C.rank, action, check=False)
+
+        monkeypatch.setattr(resolutions, "invariant_sublattice", negated)
+        S3 = catalog_group("S3")
+        path = write_lattice(tmp_path, dual(augmentation_kernel(S3, S3.trivial_subgroup())))
+        code, out, err = invoke(capsys, "resolve", "--lattice", path)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal check failed: map is not equivariant at generator")
+        assert err.count("\n") == 1
 
 
 class TestVerdictVerbs:

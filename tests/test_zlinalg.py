@@ -88,6 +88,25 @@ class TestSmith:
         second = smith_normal_form(A)
         assert first.U == second.U and first.D == second.D and first.V == second.V
 
+    @pytest.mark.parametrize("diag, expected", [
+        ([2, 3], [1, 6]),
+        ([4, 6, 0], [2, 12, 0]),
+        ([0, 3], [3, 0]),
+        ([6, 10, 15], [1, 30, 30]),
+        ([-4, 2], [2, 4]),
+    ])
+    def test_divisibility_fix(self, diag, expected):
+        # diagonal inputs that are not divisor chains reach the column fix
+        A = Mat.from_rows([[d if i == j else 0 for j in range(len(diag))]
+                           for i, d in enumerate(diag)])
+        before = A.to_lists()
+        U, D, V = smith_normal_form(A)
+        assert [D.a[i][i] for i in range(len(diag))] == expected
+        assert U.mul(A).mul(V) == D
+        assert det(U) in (1, -1) and det(V) in (1, -1)
+        assert smith_diagonal(A) == expected
+        assert A.to_lists() == before
+
 
 class TestSolve:
     def test_simple(self):
