@@ -26,7 +26,6 @@ from .zlinalg import (
     LinearSolver,
     Mat,
     hermite_basis,
-    is_unimodular,
     kernel_basis,
 )
 
@@ -56,10 +55,10 @@ class GLattice:
         for g, m in self.action.items():
             if m.rows != rank or m.cols != rank:
                 raise UserInputError(f"matrix for generator {g} has wrong shape")
-            if check and rank and not is_unimodular(m):
-                raise UserInputError(f"matrix for generator {g} is not unimodular")
         if check:
-            self.expand()  # verifies the homomorphism property
+            # verifies the homomorphism property; A(s)^ord(s) = I then makes
+            # every A(s) invertible over Z
+            self.expand()
 
     def expand(self) -> dict[int, Mat]:
         """A(g) for every g, from A(g * s) = A(g) A(s) over the generators s;
@@ -228,12 +227,11 @@ def action_kernel(M: GLattice) -> Subgroup:
 
 
 def conjugated(M: GLattice, T: Mat) -> GLattice:
-    """Basis change by a unimodular T: action g -> T A(g) T^-1."""
-    if not is_unimodular(T):
-        raise UserInputError("basis change must be unimodular")
+    """Basis change by a unimodular T: action g -> T A(g) T^-1.  T is
+    unimodular exactly when it is square with an integral inverse."""
     Tinv = LinearSolver(T).solve_matrix(Mat.identity(T.rows))
-    if Tinv is None:
-        raise InternalCheckError("unimodular matrix failed to invert")
+    if T.rows != T.cols or Tinv is None:
+        raise UserInputError("basis change must be unimodular")
     action = {s: T.mul(M.act(s)).mul(Tinv) for s in M.group.generators}
     return GLattice(M.group, M.rank, action, check=False)
 

@@ -195,9 +195,8 @@ class _CoverBuilder:
     def fixed_image_lattice(self, S: Subgroup) -> LatticeAccumulator:
         """Image of P^S -> M^S for the current summand list."""
         acc = LatticeAccumulator(self.M.rank)
-        for i in range(len(self.summands)):
-            for col in self.summand_fixed_image_columns(S, i):
-                acc.add(col)
+        acc.add(*(col for i in range(len(self.summands))
+                  for col in self.summand_fixed_image_columns(S, i)))
         return acc
 
 
@@ -230,9 +229,8 @@ def fixed_point_cover(M: GLattice, frugal: bool = True) -> FixedPointCover:
             if not frugal or not image.contains(f):
                 builder.adjoin(H, f)
                 if frugal:
-                    for col in builder.summand_fixed_image_columns(
-                            H, len(builder.summands) - 1):
-                        image.add(col)
+                    image.add(*builder.summand_fixed_image_columns(
+                        H, len(builder.summands) - 1))
 
     P = permutation_lattice(G, builder.summands)
     proj_mat = Mat.from_cols(builder.columns, rows=M.rank)

@@ -5,8 +5,9 @@ except refute_mod, which decides a system modulo N.  Matrices are dense and
 small (desk scale).  There is one integer elimination, row_hermite: its
 pivot in each column is the nonzero entry of minimal absolute value, ties
 broken by the smallest row, which keeps coefficient growth tame and makes
-every output deterministic.  The Smith form alternates row_hermite passes
-on a matrix and on its transpose.
+every output deterministic.  LinearSolver and LatticeAccumulator reduce
+vectors against its output, and the Smith form alternates row_hermite
+passes on a matrix and on its transpose.
 """
 
 from __future__ import annotations
@@ -30,30 +31,25 @@ class Mat:
 
     @classmethod
     def from_rows(cls, a: Sequence[Sequence[int]], cols: Optional[int] = None) -> "Mat":
+        """Matrix with the given rows; every entry must be an int (not a bool)."""
         rows = len(a)
         if rows == 0:
             if cols is None:
                 raise ValueError("cols required for a 0-row matrix")
             return cls(0, cols, [])
         width = len(a[0])
-        data = []
-        for row in a:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            data.append([int(x) for x in row])
         if cols is not None and cols != width:
             raise ValueError("cols mismatch")
-        return cls(rows, width, data)
+        if any(len(row) != width for row in a):
+            raise ValueError("ragged rows")
+        if not {type(x) for row in a for x in row} <= {int}:
+            raise ValueError("matrix entries must be integers")
+        return cls(rows, width, [list(row) for row in a])
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> "Mat":
-        if len(cols) == 0:
-            if rows is None:
-                raise ValueError("rows required for a 0-column matrix")
-            return cls(rows, 0, [[] for _ in range(rows)])
-        height = len(cols[0])
-        data = [[int(col[i]) for col in cols] for i in range(height)]
-        return cls(height, len(cols), data)
+        """Matrix with the given columns: from_rows(cols, rows).transpose()."""
+        return cls.from_rows(cols, rows).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -70,8 +66,8 @@ class Mat:
         return [self.col(j) for j in range(self.cols)]
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   [[self.a[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        a = [list(col) for col in zip(*self.a)] if self.rows else [[] for _ in range(self.cols)]
+        return Mat(self.cols, self.rows, a)
 
     def mul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -262,12 +258,8 @@ def hermite_basis(columns: Iterable[Sequence[int]], dim: int) -> Mat:
     back, with zero rows dropped: unique per lattice, pivots in ascending
     coordinate order.
     """
-    rows = [list(c) for c in columns]
-    if not rows:
-        return Mat(dim, 0, [[] for _ in range(dim)])
-    H, _, pivots = row_hermite(Mat.from_rows(rows, dim))
-    basis_rows = [H.a[r] for r, _ in pivots]
-    return Mat.from_rows(basis_rows, dim).transpose() if basis_rows else Mat(dim, 0, [[] for _ in range(dim)])
+    H, _, pivots = row_hermite(Mat.from_rows(list(columns), dim))
+    return Mat.from_cols(H.a[:len(pivots)], dim)
 
 
 def kernel_basis(A: Mat) -> Mat:
@@ -283,6 +275,25 @@ def kernel_basis(A: Mat) -> Mat:
     return hermite_basis(kernel_rows, A.cols)
 
 
+def _reduce(H: list[list[int]], pivots: Sequence[tuple[int, int]],
+            b: Sequence[int]) -> Optional[list[tuple[int, int]]]:
+    """Pairs (r, y) with b = sum of y * H[r], or None if b is not in the span
+    of the pivot rows of the row_hermite form H; exact divisions only."""
+    residual = list(b)
+    coeffs: list[tuple[int, int]] = []
+    for r, c in pivots:
+        val = residual[c]
+        piv = H[r][c]
+        if val % piv:
+            return None
+        y = val // piv
+        if y:
+            row = H[r]
+            residual = [x - y * z for x, z in zip(residual, row)]
+            coeffs.append((r, y))
+    return None if any(residual) else coeffs
+
+
 class LinearSolver:
     """Prepared solver for repeated A*x = b queries against a fixed A."""
 
@@ -293,28 +304,14 @@ class LinearSolver:
     def solve(self, b: Sequence[int]) -> Optional[list[int]]:
         if len(b) != self.A.rows:
             raise ValueError("dimension mismatch")
-        residual = list(b)
-        coeffs: list[tuple[int, int]] = []
-        for r, c in self._pivots:
-            val = residual[c]
-            piv = self._H.a[r][c]
-            if val % piv:
-                return None
-            y = val // piv
-            if y:
-                row = self._H.a[r]
-                residual = [x - y * z for x, z in zip(residual, row)]
-                coeffs.append((r, y))
-        if any(residual):
+        coeffs = _reduce(self._H.a, self._pivots, b)
+        if coeffs is None:
             return None
         x = [0] * self.A.cols
         for r, y in coeffs:
             urow = self._U.a[r]
             x = [xi + y * ui for xi, ui in zip(x, urow)]
         return x
-
-    def contains(self, b: Sequence[int]) -> bool:
-        return self.solve(b) is not None
 
     def solve_matrix(self, B: Mat) -> Optional[Mat]:
         """Solve A*X = B columnwise; None if any column fails."""
@@ -428,58 +425,25 @@ def _refute_prime_power(A: Mat, b: Sequence[int], p: int, a: int) -> Optional[li
 class LatticeAccumulator:
     """Growing sublattice of Z^dim with exact membership tests.
 
-    Keeps an echelon basis (one row per pivot column) updated incrementally;
-    add() is an HNF insertion, contains() reduces with exact divisions.
-    Suited to cover construction where images grow a few vectors at a time
-    and membership is queried often.
+    Holds the row_hermite form of the vectors added so far, one row per
+    pivot: add() re-forms it together with the new vectors in one
+    row_hermite call, and contains() reduces against it as LinearSolver.solve
+    does.  Suited to cover construction, where an image grows a summand's
+    worth of vectors at a time and membership is queried often.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._rows: dict[int, list[int]] = {}  # pivot column -> row
+        self._rows: list[list[int]] = []
+        self._pivots: list[tuple[int, int]] = []
 
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def add(self, vec: Sequence[int]) -> bool:
-        """Insert a vector; True if the lattice grew."""
-        v = [int(x) for x in vec]
-        grew = False
-        while True:
-            lead = next((c for c in range(self.dim) if v[c]), None)
-            if lead is None:
-                return grew
-            row = self._rows.get(lead)
-            if row is None:
-                if v[lead] < 0:
-                    v = [-x for x in v]
-                self._rows[lead] = v
-                return True
-            while v[lead]:
-                q = v[lead] // row[lead]
-                if q:
-                    v = [x - q * y for x, y in zip(v, row)]
-                if v[lead]:
-                    # Euclid step shrank the candidate below the pivot: swap
-                    self._rows[lead], v = v, row
-                    row = self._rows[lead]
-                    grew = True
-            if row[lead] < 0:
-                self._rows[lead] = [-x for x in row]
+    def add(self, *vecs: Sequence[int]):
+        rows = self._rows + [list(v) for v in vecs]
+        H, _, self._pivots = row_hermite(Mat(len(rows), self.dim, rows))
+        self._rows = H.a[:len(self._pivots)]
 
     def contains(self, vec: Sequence[int]) -> bool:
-        v = [int(x) for x in vec]
-        for c in range(self.dim):
-            x = v[c]
-            if x == 0:
-                continue
-            row = self._rows.get(c)
-            if row is None or x % row[c]:
-                return False
-            q = x // row[c]
-            v = [a - q * b for a, b in zip(v, row)]
-        return True
+        return _reduce(self._rows, self._pivots, vec) is not None
 
 
 def _smith(A: Mat, transforms: bool):
@@ -556,37 +520,6 @@ def quotient_invariants(basis: Mat, subgens: Mat) -> AbelianInvariants:
     if coords is None:
         raise ValueError("generators do not lie in the span of the basis")
     return cokernel_invariants(coords, basis.cols)
-
-
-def det(A: Mat) -> int:
-    """Determinant via fraction-free (Bareiss) elimination."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    a = [row[:] for row in A.a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(A: Mat) -> bool:
-    return A.rows == A.cols and det(A) in (1, -1)
 
 
 def lattice_rank(A: Mat) -> int:

@@ -9,6 +9,33 @@ from retractrat.lattices import GLattice, permutation_lattice
 from retractrat.zlinalg import Mat
 
 
+def det(A: Mat) -> int:
+    """Determinant by fraction-free (Bareiss) elimination: an oracle for the
+    unimodularity of transforms, independent of row_hermite."""
+    n = A.rows
+    assert A.cols == n, "determinant of a non-square matrix"
+    if n == 0:
+        return 1
+    a = [row[:] for row in A.a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def random_permutation_lattice(G, rng: random.Random, max_rank: int = 14) -> GLattice:
     """Random direct sum of coset lattices Z[G/H] with total rank capped."""
     subs = G.subgroups()

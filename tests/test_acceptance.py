@@ -32,8 +32,9 @@ from retractrat.verdict import (
     replay_trace,
     torus_verdict,
 )
+from conftest import det
 from retractrat.lattices import GLattice
-from retractrat.zlinalg import Mat, det, smith_normal_form, solve_integer
+from retractrat.zlinalg import Mat, smith_normal_form, solve_integer
 
 
 def report(n, label):

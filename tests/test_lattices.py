@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 import weakref
 
 import pytest
@@ -49,6 +50,13 @@ class TestConstruction:
         C2 = catalog_group("C2")
         with pytest.raises(UserInputError):
             GLattice(C2, 1, {1: Mat.from_rows([[2]])})
+
+    def test_rank_512_document_parses_fast(self):
+        # unimodularity comes from the expansion, not from a determinant
+        start = time.process_time()
+        M = parse_lattice({"group": "C2", "rank": 512, "action": {"1": []}})
+        assert time.process_time() - start < 2.0
+        assert M.rank == 512 and M.act(1).is_identity()
 
     def test_inconsistent_action_rejected(self):
         C3 = catalog_group("C3")
@@ -348,6 +356,16 @@ class TestConjugationAndRandom:
         p1, p2 = profile(M), profile(N)
         assert {k: v for k, v in p1.entries.items()} == \
             {k: v for k, v in p2.entries.items()}
+
+    @pytest.mark.parametrize("T", [
+        [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # det 2
+        [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # singular
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],  # 3 x 4, has a right inverse
+    ])
+    def test_conjugated_rejects_non_unimodular(self, T):
+        M = regular_lattice(catalog_group("C4"))
+        with pytest.raises(UserInputError, match="basis change must be unimodular"):
+            conjugated(M, Mat.from_rows(T))
 
     def test_random_lattice_rank_bound(self):
         rng = random.Random(0)

@@ -5,14 +5,14 @@ import random
 
 import pytest
 
+from conftest import det
 from retractrat.zlinalg import (
     AbelianInvariants,
+    LatticeAccumulator,
     LinearSolver,
     Mat,
     cokernel_invariants,
-    det,
     hermite_basis,
-    is_unimodular,
     kernel_basis,
     quotient_invariants,
     refute_mod,
@@ -283,13 +283,75 @@ class TestMat:
         assert Mat.from_rows([[0, 1], [1, 0]]).is_permutation()
         assert not Mat.from_rows([[0, -1], [1, 0]]).is_permutation()
 
-    def test_unimodular(self):
-        assert is_unimodular(Mat.from_rows([[1, 5], [0, -1]]))
-        assert not is_unimodular(Mat.from_rows([[2, 0], [0, 1]]))
-
     def test_solver_reuse(self):
         A = Mat.from_rows([[2, 0], [0, 3]])
         solver = LinearSolver(A)
         assert solver.solve([4, 3]) == [2, 1]
         assert solver.solve([1, 1]) is None
-        assert solver.contains([2, 0])
+        assert solver.solve([2, 0]) is not None
+
+    @pytest.mark.parametrize("rows", [
+        [[1.5, 2]], [[True, 2]], [["3", 2]], [[1, None]], [[1, 2], [3, 4.0]],
+    ])
+    def test_from_rows_rejects_non_integers(self, rows):
+        with pytest.raises(ValueError):
+            Mat.from_rows(rows)
+
+    def test_from_rows_keeps_ints(self):
+        rows = [[1, -2], [3, 10 ** 30]]
+        M = Mat.from_rows(rows)
+        assert M.a == rows and M.a[0] is not rows[0]
+
+    def test_from_cols_is_transposed_from_rows(self):
+        cols = [[1, 2, 3], [4, 5, 6]]
+        assert Mat.from_cols(cols) == Mat.from_rows(cols).transpose()
+        assert Mat.from_cols(cols).a == [[1, 4], [2, 5], [3, 6]]
+        assert Mat.from_cols([], rows=2) == Mat(2, 0, [[], []])
+        for bad, rows in [([[1, 2], [3, 4, 5]], None), ([[1, 2, 3], [4]], None),
+                          ([[1, 2]], 3), ([[1, True]], None)]:
+            with pytest.raises(ValueError):
+                Mat.from_cols(bad, rows=rows)
+
+
+class TestLatticeAccumulator:
+    def test_contains_agrees_with_solver(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            dim = rng.randint(1, 6)
+            vecs = [[rng.randint(-4, 4) * rng.randint(0, 1) for _ in range(dim)]
+                    for _ in range(rng.randint(1, 6))]
+            acc = LatticeAccumulator(dim)
+            acc.add(*vecs)
+            solver = LinearSolver(Mat.from_cols(vecs))
+            for _ in range(10):
+                # half the probes are combinations of the added vectors
+                if rng.random() < 0.5:
+                    coeffs = [rng.randint(-3, 3) for _ in vecs]
+                    v = [sum(c * w[i] for c, w in zip(coeffs, vecs)) for i in range(dim)]
+                else:
+                    v = [rng.randint(-6, 6) for _ in range(dim)]
+                member = acc.contains(v)
+                assert member == (solver.solve(v) is not None)
+                # independent of the shared reduction: v is a member iff
+                # adjoining it leaves the cokernel unchanged
+                assert member == (cokernel_invariants(Mat.from_cols(vecs + [v]), dim)
+                                  == cokernel_invariants(Mat.from_cols(vecs), dim))
+            assert acc.contains([0] * dim)
+
+    def test_basis_independent_of_order_and_batching(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            dim = rng.randint(1, 5)
+            vecs = [[rng.randint(-5, 5) for _ in range(dim)]
+                    for _ in range(rng.randint(1, 7))]
+            whole = LatticeAccumulator(dim)
+            whole.add(*vecs)
+            shuffled = vecs[:]
+            rng.shuffle(shuffled)
+            batched = LatticeAccumulator(dim)
+            while shuffled:
+                k = rng.randint(0, len(shuffled))
+                batched.add(*shuffled[:k])
+                shuffled = shuffled[k:]
+            assert batched._rows == whole._rows
+            assert Mat.from_cols(whole._rows, dim) == hermite_basis(vecs, dim)
