@@ -227,11 +227,12 @@ def action_kernel(M: GLattice) -> Subgroup:
 
 
 def conjugated(M: GLattice, T: Mat) -> GLattice:
-    """Basis change by a unimodular T: action g -> T A(g) T^-1.  T is
-    unimodular exactly when it is square with an integral inverse."""
-    Tinv = LinearSolver(T).solve_matrix(Mat.identity(T.rows))
-    if T.rows != T.cols or Tinv is None:
-        raise UserInputError("basis change must be unimodular")
+    """Basis change by a unimodular T of M's size: action g -> T A(g) T^-1.
+    T is unimodular exactly when it is square with an integral inverse."""
+    square = (T.rows, T.cols) == (M.rank, M.rank)
+    Tinv = LinearSolver(T).solve_matrix(Mat.identity(M.rank)) if square else None
+    if Tinv is None:
+        raise UserInputError(f"basis change must be unimodular of size {M.rank}")
     action = {s: T.mul(M.act(s)).mul(Tinv) for s in M.group.generators}
     return GLattice(M.group, M.rank, action, check=False)
 

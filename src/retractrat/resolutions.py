@@ -51,6 +51,16 @@ the D_j, so L lies in E.
   trace Lam != 0 mod N (<Lam, D> = sum_ik Lam_ik D_ik); it shows that no
   integral section exists.
 
+The identity is imposed on a few columns only.  Every D_j and I lie in E,
+so X = sum_j x_j D_j - I is equivariant.  Let T be basis indices whose
+G-orbits {A(g) e_s : s in T} span Z^m (_orbit_spanning_indices picks them
+greedily).  If X e_s = 0 mod N for every s in T, then
+X A(g) e_s = A(g) X e_s = 0 mod N for every g, so X vanishes mod N on a
+spanning set, hence X = 0 mod N entrywise; the same argument works over Z.
+So the system has one equation per entry (i, s), s in T: m |T| equations
+instead of m^2 (|T| = 1 for a regular lattice), with the same solutions
+mod N and over Z.  A refutation of it is a Lam supported on those entries.
+
 So No answers carry such a Lam, checked against every composite by
 verify_refutation; Yes answers carry the integral section that the exact
 solve writes out, checked as before.
@@ -308,6 +318,20 @@ def _section_blocks(M: GLattice, P: GLattice) -> list[tuple[int, list[Mat]]]:
     return out
 
 
+def _orbit_spanning_indices(M: GLattice) -> list[int]:
+    """Basis indices T whose G-orbits {A(g) e_s : s in T} span Z^m, chosen
+    greedily in index order: e_s joins T when it is not in the span of the
+    orbits of the indices taken before it."""
+    mats = M.expand().values()
+    span = LatticeAccumulator(M.rank)
+    T = []
+    for s in range(M.rank):
+        if not span.contains([int(i == s) for i in range(M.rank)]):
+            T.append(s)
+            span.add(*dict.fromkeys(tuple(row[s] for row in A.a) for A in mats))
+    return T
+
+
 def verify_refutation(decision: InvertibilityDecision) -> bool:
     """True iff decision.refutation proves that the cover projection has no
     equivariant section: an m x m matrix Lam with <Lam, proj S> = 0 mod |G|
@@ -353,26 +377,28 @@ def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
     blocks = _section_blocks(M, cov.P)
     proj = cov.projection.matrix
     m = M.rank
-    # the composites D_k = proj S_k of a summand in one product: with flat(Y)
-    # the n x mc matrix whose row r is Y[r] read row by row, entry (i, lc + k)
-    # of proj[:, base:base + n] flat(Y) is D_k[i][l]
+    T = _orbit_spanning_indices(M)
+    # the composites D_k = proj S_k of a summand, columns s in T only, in one
+    # product: with flat(Y) the n x tc matrix whose row r is rows T of Y[r]
+    # read row by row, entry (i, tc + k) of proj[:, base:base + n] flat(Y) is
+    # D_k[i][T[t]]
     products = []
     for base, Y in blocks:
         n, c = len(Y), Y[0].cols
         if c:
             cols = Mat(m, n, [row[base:base + n] for row in proj.a])
-            flat = Mat(n, m * c, [[x for row in y.a for x in row] for y in Y])
+            flat = Mat(n, len(T) * c, [[x for s in T for x in y.a[s]] for y in Y])
             products.append((c, cols.mul(flat).a))
-    # one equation per matrix entry of (sum x_j D_j) = identity, keyed by
-    # (coefficients, target) and kept at its first entry; zero equations with
-    # target 0 are dropped
+    # one equation per entry (i, s), s in T, of (sum x_j D_j) e_s = e_s, keyed
+    # by (coefficients, target) and kept at its first entry; zero equations
+    # with target 0 are dropped
     entries: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
     for i in range(m):
-        for j in range(m):
-            key = (tuple(chain.from_iterable(C[i][j * c:(j + 1) * c] for c, C in products)),
-                   int(i == j))
-            if key not in entries and (i == j or any(key[0])):
-                entries[key] = (i, j)
+        for t, s in enumerate(T):
+            key = (tuple(chain.from_iterable(C[i][t * c:(t + 1) * c] for c, C in products)),
+                   int(i == s))
+            if key not in entries and (i == s or any(key[0])):
+                entries[key] = (i, s)
     A = Mat(len(entries), sum(c for c, _ in products), [list(row) for row, _ in entries])
     rhs = [target for _, target in entries]
     lam = refute_mod(A, rhs, N)

@@ -361,6 +361,7 @@ class TestConjugationAndRandom:
         [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # det 2
         [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # singular
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],  # 3 x 4, has a right inverse
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],  # unimodular, but 3 x 3 on a rank-4 lattice
     ])
     def test_conjugated_rejects_non_unimodular(self, T):
         M = regular_lattice(catalog_group("C4"))

@@ -34,6 +34,7 @@ from retractrat.resolutions import (
 from retractrat.zlinalg import (
     LinearSolver,
     Mat,
+    hermite_basis,
     kernel_basis,
     lattice_rank,
     refute_mod,
@@ -336,6 +337,23 @@ def dense_candidates(M, P):
     return out
 
 
+def dense_section_system(composites, m, columns):
+    """The section system written from the dense composites proj S_j: one
+    equation per entry (i, s) of sum_j x_j proj S_j = I with s in columns, in
+    row-major order, the first of each (coefficients, target), zero
+    equations with target 0 dropped."""
+    rows, rhs, seen = [], [], set()
+    for i in range(m):
+        for s in columns:
+            key = (tuple(D[i][s] for D in composites), int(i == s))
+            if key in seen or not (key[1] or any(key[0])):
+                continue
+            seen.add(key)
+            rows.append(list(key[0]))
+            rhs.append(key[1])
+    return Mat.from_rows(rows, len(composites)), rhs
+
+
 @pytest.fixture(scope="class")
 def cross_checked():
     """Each case decided by is_invertible; for every section system it
@@ -354,6 +372,16 @@ def cross_checked():
         mp.setattr(resolutions, "refute_mod", recording)
         decisions = [(label, is_invertible(M)) for label, M in cross_check_cases()]
     return decisions, systems, equations
+
+
+@pytest.fixture(scope="class")
+def dense_composites(cross_checked):
+    """(label, cover, composites proj S_j) for each case of nonzero rank, in
+    the order of the recorded systems."""
+    decisions, _, _ = cross_checked
+    return [(label, dec.cover, [dec.cover.projection.matrix.mul(S).a
+                                for S in dense_candidates(dec.cover.M, dec.cover.P)])
+            for label, dec in decisions if dec.cover.M.rank]
 
 
 class TestModularDecision:
@@ -410,29 +438,48 @@ class TestModularDecision:
                 break
         assert tried
 
-    def test_section_system_matches_dense_composites(self, cross_checked):
-        # the system is rebuilt from the dense composites proj S_j: one
-        # equation per entry (i, j) in row-major order, the first of each
-        # (coefficients, target), zero equations with target 0 dropped
-        decisions, _, equations = cross_checked
-        cases = [(label, dec) for label, dec in decisions if dec.cover.M.rank]
-        assert len(cases) == len(equations)
-        for (label, dec), (A, b) in zip(cases, equations):
-            cov = dec.cover
-            m = cov.M.rank
-            composites = [cov.projection.matrix.mul(S).a
-                          for S in dense_candidates(cov.M, cov.P)]
-            rows, rhs, seen = [], [], set()
-            for i in range(m):
-                for j in range(m):
-                    key = (tuple(D[i][j] for D in composites), int(i == j))
-                    if key in seen or not (key[1] or any(key[0])):
-                        continue
-                    seen.add(key)
-                    rows.append(list(key[0]))
-                    rhs.append(key[1])
-            assert A.cols == len(composites), label
-            assert (A.a, b) == (rows, rhs), label
+    def test_section_system_matches_dense_composites(self, cross_checked, dense_composites):
+        # the system is rebuilt from the dense composites proj S_j for the
+        # columns s in T only
+        _, _, equations = cross_checked
+        assert len(dense_composites) == len(equations)
+        for (label, cov, composites), system in zip(dense_composites, equations):
+            T = resolutions._orbit_spanning_indices(cov.M)
+            A, b = dense_section_system(composites, cov.M.rank, T)
+            assert (A.cols, A.a, b) == (system[0].cols, system[0].a, system[1]), label
+
+    def test_full_system_gives_the_same_answers(self, cross_checked, dense_composites):
+        # oracle: the m^2 system, one equation per entry of the section
+        # identity, is solvable mod |G| and over Z exactly when the system on
+        # the columns s in T is
+        _, systems, _ = cross_checked
+        assert len(dense_composites) == len(systems)
+        for (label, cov, composites), answers in zip(dense_composites, systems):
+            A, b = dense_section_system(composites, cov.M.rank, range(cov.M.rank))
+            modular = refute_mod(A, b, cov.M.group.order) is None
+            exact = solve_integer(A, b) is not None
+            assert (modular, exact) == answers, label
+
+    def test_orbits_of_the_chosen_columns_span(self, cross_checked):
+        # each s in T is outside the span of the orbits of the earlier ones,
+        # and all their orbits together span Z^m; checked by Hermite bases
+        decisions, _, _ = cross_checked
+        for label, dec in decisions:
+            M = dec.cover.M
+            orbits: list[list[int]] = []
+            for s in resolutions._orbit_spanning_indices(M):
+                e = [int(i == s) for i in range(M.rank)]
+                if orbits:
+                    assert (hermite_basis(orbits + [e], M.rank).a
+                            != hermite_basis(orbits, M.rank).a), (label, s)
+                orbits += [A.col(s) for A in M.expand().values()]
+            assert hermite_basis(orbits, M.rank).is_identity(), label
+
+    def test_chosen_columns_of_regular_and_trivial_lattices(self):
+        for name in ("C2", "S3", "Q8", "A4"):
+            G = catalog_group(name)
+            assert len(resolutions._orbit_spanning_indices(regular_lattice(G))) == 1, name
+            assert resolutions._orbit_spanning_indices(trivial_lattice(G, 4)) == [0, 1, 2, 3]
 
     def test_wrong_refutation_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(resolutions, "refute_mod", lambda A, b, N: [1] * A.rows)
