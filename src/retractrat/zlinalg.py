@@ -1,20 +1,26 @@
 """Exact integer matrix algebra: Hermite/Smith normal forms, kernels, solving.
 
 Everything here works over Z with Python's arbitrary-precision integers,
-except refute_mod, which decides a system modulo N.  Matrices are dense and
-small (desk scale).  There is one integer elimination, row_hermite: its
+except refute_mod, which decides a system modulo N.  A Mat is dense, a list
+of rows of Python ints.  There is one integer elimination, row_hermite: its
 pivot in each column is the nonzero entry of minimal absolute value, ties
 broken by the smallest row, which keeps coefficient growth tame and makes
 every output deterministic.  LinearSolver and LatticeAccumulator reduce
 vectors against its output, and the Smith form alternates row_hermite
 passes on a matrix and on its transpose.
+
+refute_mod has the one elimination modulo a prime power p^a.  It packs each
+row of the system into a single Python int, one fixed-width lane of bits
+per unknown plus one for the right-hand side, so that subtracting a multiple
+of the pivot row is one big-int multiply-add and a lane-wise reduction, run
+in C rather than entry by entry (_refute_prime_power gives the layout).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 
 class Mat:
@@ -366,59 +372,102 @@ def refute_mod(A: Mat, b: Sequence[int], N: int) -> Optional[list[int]]:
     return lam if refuted else None
 
 
+def _lane_reduction(m: int, k: int, L: int, ones: int) -> Callable[[int], int]:
+    """The map reducing every L-bit lane of a nonnegative packed int mod m,
+    for lanes below 2^k; ones has a 1 at the bottom of every lane.
+
+    A power of two m is an AND.  Otherwise Barrett: with mu = 2^k // m the
+    estimate e = (x * mu) >> k is floor(x/m) or one less, so y = x - e*m
+    lies in [0, 2m) and one conditional subtraction of m finishes; y >= m
+    exactly when y + 2^b - m (b = bitlen(m)) has bit b set.  x*mu stays
+    below 2^(2k), so L = 2k keeps every lane's product in its own lane, and
+    the estimate is read from the low k bits of each lane after the shift.
+    """
+    if m & (m - 1) == 0:
+        mask = (m - 1) * ones
+        return lambda x: x & mask
+    mu = (1 << k) // m
+    low = ((1 << k) - 1) * ones
+    b = m.bit_length()
+    lift = ((1 << b) - m) * ones
+
+    def reduce(x: int) -> int:
+        y = x - (((x * mu) >> k) & low) * m
+        return y - (((y + lift) >> b) & ones) * m
+    return reduce
+
+
 def _refute_prime_power(A: Mat, b: Sequence[int], p: int, a: int) -> Optional[list[int]]:
-    """refute_mod for N = p^a.
+    """refute_mod for N = q = p^a.
 
     Gaussian elimination with unit pivots: a pivot row solves for its pivot
     unknown, is eliminated from every other row and is set aside.  A row
-    left without a unit entry stays so for the rest of the round.  When no
-    row has a unit entry, every remaining row is p times a row mod
-    p^(a-1): a remaining rhs prime to p refutes the system, otherwise the
-    rows are divided by p and the modulus drops to p^(a-1).  Rows are
-    sparse ({column: entry}) and each carries its combination of the input
-    rows ({input row: coefficient mod p^a}), so a refuting row gives lam.
+    left without a unit entry stays so for the rest of the round: the
+    multiple of a pivot row subtracted from it is its entry at the pivot
+    times a unit, hence divisible by p.  When no row has a unit entry, every
+    remaining row is p times a row mod p^(a-1): a remaining rhs prime to p
+    refutes the system, otherwise the rows are divided by p and the modulus
+    drops to p^(a-1).
+
+    Rows are packed, one Python int per row, in lanes of L bits: lane j < n
+    holds the coefficient of unknown j and lane n the rhs, reduced mod the
+    current modulus.  Each row carries its combination of the input rows as
+    a second int, lane i holding the coefficient of input row i mod q, so a
+    refuting row gives lam.  A pivot step adds c times the pivot row and its
+    combination to a row and its combination (c below the modulus) and
+    reduces lane-wise.  Before reduction every lane is at most
+    (q-1) + (q-1)^2 < q^2 <= 2^k with k = bitlen(q^2 - 1), so no carry
+    crosses a lane when L >= k: L = k for p = 2, where reducing mod 2^j is
+    an AND, and L = 2k for odd p, where the Barrett product needs 2k bits
+    (_lane_reduction).  The unit entries of a row are the unknown lanes
+    nonzero mod p; the pivot is the lowest.  Dropping the modulus divides
+    the whole int by p, which divides every lane exactly since every lane
+    is divisible by p.  A row is packed by parsing the concatenated L-bit
+    binary strings of its residues, read from a table of all q of them.
     """
     q = p ** a
-    rows = []  # [entries, rhs, combination]
+    n = A.cols
+    k = (q * q - 1).bit_length()
+    L = k if p == 2 else 2 * k
+    lane = (1 << L) - 1
+    ones = ((1 << L * max(n + 1, A.rows)) - 1) // lane
+    unknowns = ((1 << L * n) - 1) // lane * lane
+    top = 1 << L
+    digits = [bin(x | top)[3:] for x in range(q)]  # x in L binary digits
+    rows = []  # [row, combination]
     for i, (row, bi) in enumerate(zip(A.a, b)):
-        rows.append([{c: x % q for c, x in enumerate(row) if x % q}, bi % q, {i: 1}])
+        r = int(digits[bi % q] + "".join([digits[x % q] for x in reversed(row)]), 2)
+        if r:
+            rows.append([r, 1 << L * i])
+    reduce_lam = _lane_reduction(q, k, L, ones)
+    residue = _lane_reduction(p, k, L, ones)
     mod = q
-    while mod > 1:
-        queue = [r for r in rows if r[0] or r[1]]
+    while rows and mod > 1:
+        reduce = _lane_reduction(mod, k, L, ones)
+        queue = [r for r in rows if r[0]]
         rows = []  # rows without a unit entry this round
-        for k, (prow, prhs, plam) in enumerate(queue):
-            c = next((c for c, x in prow.items() if x % p), None)
-            if c is None:
-                rows.append(queue[k])
+        for t, pr in enumerate(queue):
+            prow, plam = pr
+            units = residue(prow) & unknowns
+            if not units:
+                rows.append(pr)
                 continue
-            inv = pow(prow[c], -1, mod)
-            for r in itertools.chain(queue[k + 1:], rows):
-                entries = r[0]
-                f = entries.get(c)
-                if f is None:
-                    continue
-                f = f * inv % mod
-                for j, y in prow.items():
-                    x = (entries.get(j, 0) - f * y) % mod
-                    if x:
-                        entries[j] = x
-                    else:
-                        entries.pop(j, None)
-                r[1] = (r[1] - f * prhs) % mod
-                lam = r[2]
-                for i, y in plam.items():
-                    lam[i] = (lam.get(i, 0) - f * y) % q
-        for entries, rhs, lam in rows:
-            if rhs % p:
+            at = ((units & -units).bit_length() - 1) // L * L
+            inv = pow((prow >> at) & lane, -1, mod)
+            pick = lane << at
+            for r in chain(queue[t + 1:], rows):
+                f = r[0] & pick
+                if f:
+                    c = (mod - (f >> at)) * inv % mod
+                    r[0] = reduce(r[0] + c * prow)
+                    r[1] = reduce_lam(r[1] + c * plam)
+        for r, lam in rows:
+            if (r >> L * n) % p:
                 # every entry is divisible by p: (mod/p)*lam kills A but not b
-                out = [0] * A.rows
-                for i, y in lam.items():
-                    out[i] = mod // p * y % q
-                return out
+                return [mod // p * ((lam >> L * i) & lane) % q for i in range(A.rows)]
         mod //= p
         for r in rows:
-            r[0] = {j: x // p for j, x in r[0].items()}
-            r[1] //= p
+            r[0] //= p
     return None
 
 

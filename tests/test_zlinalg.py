@@ -136,12 +136,27 @@ class TestSolve:
 
 
 class TestRefuteMod:
-    """Solvability mod N against brute force over (Z/N)^k."""
+    """Solvability mod N against brute force over (Z/N)^k and against the
+    exact solve of [A | N I] y = b."""
 
     @staticmethod
     def solvable_by_brute_force(A, b, N):
         return any(all((x - y) % N == 0 for x, y in zip(A.mulvec(v), b))
                    for v in itertools.product(range(N), repeat=A.cols))
+
+    @staticmethod
+    def solvable_over_z(A, b, N):
+        # A x = b (mod N) exactly when A x + N y = b has an integral solution
+        wide = Mat(A.rows, A.cols + A.rows,
+                   [row + [N * (i == j) for j in range(A.rows)] for i, row in enumerate(A.a)])
+        return solve_integer(wide, b) is not None
+
+    @staticmethod
+    def assert_refutes(lam, A, b, N):
+        assert len(lam) == A.rows and all(0 <= y < N for y in lam)
+        assert all(sum(y * A.a[i][j] for i, y in enumerate(lam)) % N == 0
+                   for j in range(A.cols))
+        assert sum(y * x for y, x in zip(lam, b)) % N != 0
 
     @pytest.mark.parametrize("N", [2, 4, 6, 8, 9, 12])
     def test_agrees_with_brute_force(self, N):
@@ -156,10 +171,41 @@ class TestRefuteMod:
             assert (lam is None) == self.solvable_by_brute_force(A, b, N)
             answers.add(lam is None)
             if lam is not None:
-                assert len(lam) == rows and all(0 <= y < N for y in lam)
-                assert all(sum(y * A.a[i][j] for i, y in enumerate(lam)) % N == 0
-                           for j in range(cols))
-                assert sum(y * x for y, x in zip(lam, b)) % N != 0
+                self.assert_refutes(lam, A, b, N)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("N", [16, 27, 32, 243, 343, 360, 864, 1024])
+    def test_agrees_with_exact_oracle(self, N):
+        # Rows of N - 1 are -1 modulo every prime power q of N, so every
+        # entry is q - 1 and elimination meets the largest lane values,
+        # (q - 1) + (q - 1)^2; with q = p^a, a >= 2, the rows left over are
+        # then divided by p.  Half the systems are solvable by construction.
+        rng = random.Random(N)
+        answers = set()
+        for t in range(50):
+            rows, cols = rng.randint(1, 14), rng.randint(1, 12)
+            a = []
+            for _ in range(rows):
+                kind = rng.random()
+                if kind < 0.2:
+                    a.append([N - 1] * cols)
+                elif kind < 0.4:
+                    a.append([rng.choice([0, -1, N - 1, rng.randrange(N)]) for _ in range(cols)])
+                else:
+                    a.append([rng.randint(-3 * N, 3 * N) if rng.random() < 0.6 else 0
+                              for _ in range(cols)])
+            A = Mat.from_rows(a, cols)
+            if t % 2:
+                x = [rng.randrange(N) for _ in range(cols)]
+                b = [y + N * rng.randint(-2, 2) for y in A.mulvec(x)]
+            else:
+                b = [rng.choice([-1, N - 1, rng.randrange(N)]) for _ in range(rows)]
+            lam = refute_mod(A, b, N)
+            assert (lam is None) == self.solvable_over_z(A, b, N)
+            assert lam is None or t % 2 == 0
+            answers.add(lam is None)
+            if lam is not None:
+                self.assert_refutes(lam, A, b, N)
         assert answers == {True, False}
 
     def test_prime_powers_combined(self):
