@@ -24,12 +24,14 @@ functionals on M (the coset-gH coordinate of the image of v is that
 functional evaluated at g^-1 v), so candidates live in the small lattice
 direct sum of (M*)^H over the summands, and the section condition becomes
 one integer linear system there: sum_j x_j D_j = I for the composites
-D_j = proj S_j.  The candidates of one summand are one block of matrices
-A*(rep) FB, one per coset, and their composites are read off one product
-of that block with the summand's projection columns (_section_blocks).
-Soundness: a solution exhibits M as a direct summand of a permutation
-lattice.  Completeness: if M is invertible, the cover sequence splits
-because its kernel is coflabby, so the system is solvable.
+D_j = proj S_j.  The candidates of one summand are the columns of one
+block of matrices A*(rep) FB, one per coset, and no candidate or composite
+is ever formed as a matrix: _section_rows writes the equations straight
+into packed rows mod N, one Python int per equation (Kronecker
+substitution, see there).  Soundness: a solution exhibits M as a direct
+summand of a permutation lattice.  Completeness: if M is invertible, the
+cover sequence splits because its kernel is coflabby, so the system is
+solvable.
 
 The system is decided modulo N = |G|.  Let E = End_G(M) and L the span of
 the D_j, so L lies in E.
@@ -61,16 +63,18 @@ So the system has one equation per entry (i, s), s in T: m |T| equations
 instead of m^2 (|T| = 1 for a regular lattice), with the same solutions
 mod N and over Z.  A refutation of it is a Lam supported on those entries.
 
-So No answers carry such a Lam, checked against every composite by
-verify_refutation; Yes answers carry the integral section that the exact
-solve writes out, checked as before.
+So No answers carry such a Lam, checked mod N against every composite by
+verify_refutation, which reads Lam wherever it is nonzero and does not
+assume that it lives on T.  Yes answers carry the integral section that
+the exact solve writes out, checked as before; only they build the system
+over Z, with the same packed builder at a power-of-two modulus that holds
+every coefficient in a signed lane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Optional
+from typing import Optional, Sequence
 
 from .cohomology import h1, is_flabby, tate_minus1, tate_zero
 from .errors import InternalCheckError, ResourceBoundError
@@ -91,9 +95,13 @@ from .zlinalg import (
     LinearSolver,
     Mat,
     kernel_basis,
+    lane_reduction,
+    lane_width,
     lattice_rank,
-    refute_mod,
+    pack_lanes,
+    refute_packed,
     solve_integer,
+    unpack_signed,
 )
 
 
@@ -299,25 +307,6 @@ def flabby_resolution(M: GLattice, frugal: bool = True) -> FlabbyResolution:
     return FlabbyResolution(M, P, F, inj, surj)
 
 
-def _section_blocks(M: GLattice, P: GLattice) -> list[tuple[int, list[Mat]]]:
-    """Z-basis of the equivariant maps M -> P, one (base, Y) block per coset
-    summand Z[G/H] of P, which starts at row base.
-
-    Equivariant maps M -> Z[G/H] are in bijection with H-fixed dual vectors
-    u: the row of the coset rep_r H is u^T A(rep_r^-1) = (A*(rep_r) u)^T.  So
-    with FB the basis of (M*)^H, Y[r] = A*(rep_r) FB, and column j of Y[r] is
-    row base + r of the summand's candidate j."""
-    Mdual = dual(M)
-    out: list[tuple[int, list[Mat]]] = []
-    base = 0
-    for H in P.summands or []:
-        reps, _ = H.cosets()
-        FB = fixed_basis(Mdual, H)
-        out.append((base, [Mdual.act(rep).mul(FB) for rep in reps]))
-        base += len(reps)
-    return out
-
-
 def _orbit_spanning_indices(M: GLattice) -> list[int]:
     """Basis indices T whose G-orbits {A(g) e_s : s in T} span Z^m, chosen
     greedily in index order: e_s joins T when it is not in the span of the
@@ -332,31 +321,161 @@ def _orbit_spanning_indices(M: GLattice) -> list[int]:
     return T
 
 
+def _section_rows(cov: FixedPointCover, T: Sequence[int],
+                  N: int) -> tuple[int, dict[int, tuple[int, int]]]:
+    """The section system on the columns T, reduced mod N and packed: (n,
+    rows) with n unknowns, the candidates summand by summand, and rows
+    mapping each distinct nonzero equation (i, s), s in T, of
+    (sum_j x_j D_j) e_s = e_s mod N to its first entry (i, s) in row-major
+    order.  An equation is one int in the lanes of zlinalg.pack_lanes: lane
+    j holds the coefficient of x_j and lane n the target.
+
+    Equivariant maps M -> Z[G/H] are in bijection with H-fixed dual vectors
+    u: the row of the coset rep_r H is u^T A(rep_r^-1) = (A*(rep_r) u)^T.  So
+    with FB the basis of (M*)^H, the candidates of the summand Z[G/H] at
+    row base are the columns of the blocks Y[r] = A*(rep_r) FB, and
+    D_j[i][s] = sum_r proj[i][base + r] Y[r][s][j].  Kronecker substitution
+    forms all of it with one multiply-add and one lane reduction per
+    nonzero term: row t of FB is one int in the summand's c lanes, row s of
+    Y[r] is sum_t A*(rep_r)[s][t] FB[t], and the rows s in T of Y[r] side by
+    side are one int Z[base + r] of |T| blocks of c lanes.  Then
+    sum_r proj[i][base + r] Z[base + r] holds the summand's coefficients of
+    equation (i, T[t]) in block t, and each equation puts together its
+    blocks, summand after summand.
+    """
+    Mdual = dual(cov.M)
+    L = lane_width(N)
+    nT = len(T)
+    blocks: list[tuple[int, int]] = []  # (bits of a block, first bit) per summand with candidates
+    coset_rows: list[Optional[tuple[int, int]]] = [None] * cov.P.rank  # (summand, Z)
+    act: dict[int, list[list[tuple[int, int]]]] = {}  # g -> rows T of A*(g) mod N, sparse
+    base = start = 0
+    for H in cov.P.summands or []:
+        reps, _ = H.cosets()
+        FB = fixed_basis(Mdual, H)
+        if FB.cols:
+            w = FB.cols * L
+            reduce = lane_reduction(N, N, FB.cols)
+            packed = [pack_lanes(row, N) for row in FB.a]
+            for r, rep in enumerate(reps):
+                if rep not in act:
+                    A = Mdual.act(rep).a
+                    act[rep] = [[(t, a % N) for t, a in enumerate(A[s]) if a % N]
+                                for s in reversed(T)]
+                Z = 0
+                for terms in act[rep]:
+                    y = 0
+                    for t, a in terms:
+                        y = reduce(y + a * packed[t])
+                    Z = Z << w | y
+                coset_rows[base + r] = (len(blocks), Z)
+            blocks.append((w, start))
+            start += w
+        base += len(reps)
+    reducers = [lane_reduction(N, N, nT * w // L) for w, _ in blocks]
+    n = start // L
+    target = (1 % N) << start
+    rows: dict[int, tuple[int, int]] = {}
+    for i, prow in enumerate(cov.projection.matrix.a):
+        acc = [0] * len(blocks)
+        for x, kZ in zip(prow, coset_rows):
+            x %= N
+            if x and kZ:
+                k, Z = kZ
+                acc[k] = reducers[k](acc[k] + x * Z)
+        parts = [(a, w, (1 << w) - 1, at) for a, (w, at) in zip(acc, blocks) if a]
+        for t, s in enumerate(T):
+            e = target if i == s else 0
+            for a, w, mask, at in parts:
+                e |= (a >> t * w & mask) << at
+            if e and e not in rows:
+                rows[e] = (i, s)
+    return n, rows
+
+
+def _exact_section_system(cov: FixedPointCover, T: Sequence[int]) -> tuple[Mat, list[int]]:
+    """The section system on the columns T over Z, as (A, b) with the
+    equations of _section_rows: built by it mod 2^B, B in 8, 16, 32, ...
+    with every coefficient below 2^(B-1) in absolute value, and read in
+    signed lanes.  |D_j[i][s]| is at most the 1-norm of row i of proj times
+    that of row s of some A*(g) times max |FB|."""
+    Mdual = dual(cov.M)
+    proj = max(sum(map(abs, row)) for row in cov.projection.matrix.a)
+    act = max(sum(map(abs, A.a[s])) for A in Mdual.expand().values() for s in T)
+    fb = max((abs(x) for H in cov.P.summands or [] for row in fixed_basis(Mdual, H).a
+              for x in row), default=0)
+    B = 8
+    while B <= (proj * act * fb).bit_length():
+        B *= 2
+    n, rows = _section_rows(cov, T, 1 << B)
+    A = Mat(len(rows), n, [])
+    b = []
+    for e in rows:
+        *coefficients, target = unpack_signed(e, n + 1, B)
+        A.a.append(coefficients)
+        b.append(target)
+    return A, b
+
+
+def _combine_candidates(cov: FixedPointCover, x: Sequence[int]) -> Mat:
+    """sum_j x_j S_j over the section candidates, in the order of the
+    unknowns of _section_rows: the rows of the summand Z[G/H] at row base
+    are A*(rep_r) FB x_k, x_k its share of x."""
+    Mdual = dual(cov.M)
+    S = Mat.zero(cov.P.rank, cov.M.rank)
+    start = base = 0
+    for H in cov.P.summands or []:
+        reps, _ = H.cosets()
+        FB = fixed_basis(Mdual, H)
+        xk = x[start:start + FB.cols]
+        start += FB.cols
+        if any(xk):
+            u = FB.mulvec(xk)
+            for r, rep in enumerate(reps):
+                S.a[base + r] = Mdual.act(rep).mulvec(u)
+        base += len(reps)
+    return S
+
+
 def verify_refutation(decision: InvertibilityDecision) -> bool:
     """True iff decision.refutation proves that the cover projection has no
     equivariant section: an m x m matrix Lam with <Lam, proj S> = 0 mod |G|
     for every section candidate S and trace Lam != 0 mod |G|.
 
-    The pairings are recomputed from decision.cover alone, not from the
-    pruned equations: with W = proj^T Lam, the candidate S_u of the summand
-    Z[G/H] at row base pairs to sum_r W[base + r] . A*(rep_r) u
-    = (sum_r A(rep_r^-1) W[base + r]) . u, one vector per summand."""
+    The pairings are recomputed mod |G| from decision.cover alone, not from
+    the pruned equations, and Lam may be supported anywhere: with
+    W = proj^T Lam, the candidate S_u of the summand Z[G/H] at row base
+    pairs to sum_r W[base + r] . A*(rep_r) u = v . u with
+    v = sum_r sum_s W[base + r][s] A*(rep_r)[s], one vector per summand.
+    Only the nonzero columns s of Lam mod |G| enter W."""
     cov, Lam = decision.cover, decision.refutation
-    M, G = cov.M, cov.M.group
-    N, m = G.order, M.rank
+    M = cov.M
+    N, m = M.group.order, M.rank
     if decision.answer or Lam is None or (Lam.rows, Lam.cols) != (m, m):
         return False
     if sum(Lam.a[i][i] for i in range(m)) % N == 0:
         return False
-    W = cov.projection.matrix.transpose().mul(Lam).a
+    W: dict[int, dict[int, int]] = {}  # cover row c -> {s: W[c][s] mod N}
+    for prow, row in zip(cov.projection.matrix.a, Lam.a):
+        entries = [(s, y % N) for s, y in enumerate(row) if y % N]
+        if entries:
+            for c, x in enumerate(prow):
+                if x % N:
+                    w = W.setdefault(c, {})
+                    for s, y in entries:
+                        w[s] = (w.get(s, 0) + x * y) % N
+    Mdual = dual(M)
     base = 0
     for H in cov.P.summands or []:
         reps, _ = H.cosets()
         v = [0] * m
         for r, rep in enumerate(reps):
-            v = [x + y for x, y in zip(v, M.act(G.inv(rep)).mulvec(W[base + r]))]
+            A = Mdual.act(rep).a
+            for s, y in W.get(base + r, {}).items():
+                if y:
+                    v = [x + y * z for x, z in zip(v, A[s])]
         base += len(reps)
-        FB = fixed_basis(dual(M), H)
+        FB = fixed_basis(Mdual, H)
         if any(sum(x * y for x, y in zip(v, FB.col(j))) % N for j in range(FB.cols)):
             return False
     return True
@@ -365,64 +484,35 @@ def verify_refutation(decision: InvertibilityDecision) -> bool:
 def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
     """Decide whether M is a direct summand of a permutation lattice.
 
-    The section system is decided mod |G| (module docstring).  No answers
-    carry a refutation and Yes answers an explicit equivariant section of
-    the cover projection, both re-verified before returning.
+    The section system is decided mod |G| (module docstring), built and
+    eliminated as packed rows.  No answers carry a refutation and Yes
+    answers an explicit equivariant section of the cover projection, both
+    re-verified before returning.  The section is the exact solution of the
+    system over Z, which the same builder packs mod a power of two large
+    enough to hold every coefficient.
     """
     cov = fixed_point_cover(M, frugal=frugal)
     if M.rank == 0:
         ident = internal_map(M, cov.P, Mat.zero(cov.P.rank, 0))
         return InvertibilityDecision(True, ident, cov)
-    N = M.group.order
-    blocks = _section_blocks(M, cov.P)
-    proj = cov.projection.matrix
-    m = M.rank
+    N, m = M.group.order, M.rank
     T = _orbit_spanning_indices(M)
-    # the composites D_k = proj S_k of a summand, columns s in T only, in one
-    # product: with flat(Y) the n x tc matrix whose row r is rows T of Y[r]
-    # read row by row, entry (i, tc + k) of proj[:, base:base + n] flat(Y) is
-    # D_k[i][T[t]]
-    products = []
-    for base, Y in blocks:
-        n, c = len(Y), Y[0].cols
-        if c:
-            cols = Mat(m, n, [row[base:base + n] for row in proj.a])
-            flat = Mat(n, len(T) * c, [[x for s in T for x in y.a[s]] for y in Y])
-            products.append((c, cols.mul(flat).a))
-    # one equation per entry (i, s), s in T, of (sum x_j D_j) e_s = e_s, keyed
-    # by (coefficients, target) and kept at its first entry; zero equations
-    # with target 0 are dropped
-    entries: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
-    for i in range(m):
-        for t, s in enumerate(T):
-            key = (tuple(chain.from_iterable(C[i][t * c:(t + 1) * c] for c, C in products)),
-                   int(i == s))
-            if key not in entries and (i == s or any(key[0])):
-                entries[key] = (i, s)
-    A = Mat(len(entries), sum(c for c, _ in products), [list(row) for row, _ in entries])
-    rhs = [target for _, target in entries]
-    lam = refute_mod(A, rhs, N)
+    n, rows = _section_rows(cov, T, N)
+    lam = refute_packed(list(rows), n, N)
     if lam is not None:
         Lam = Mat.zero(m, m)
-        for (i, j), y in zip(entries.values(), lam):
-            Lam.a[i][j] = y
+        for (i, s), y in zip(rows.values(), lam):
+            Lam.a[i][s] = y
         decision = InvertibilityDecision(False, None, cov, Lam)
         if not verify_refutation(decision):
             raise InternalCheckError("refutation failed its check against the composites")
         return decision
-    x = solve_integer(A, rhs)
+    x = solve_integer(*_exact_section_system(cov, T))
     if x is None:
         raise InternalCheckError("section system solvable mod |G| but not over Z")
-    S = Mat.zero(cov.P.rank, m)
-    start = 0
-    for base, Y in blocks:
-        xk = x[start:start + Y[0].cols]
-        start += len(xk)
-        if any(xk):
-            for r, y in enumerate(Y):
-                S.a[base + r] = y.mulvec(xk)
+    S = _combine_candidates(cov, x)
     # re-verify the witness: section identity and equivariance, exactly
-    if not proj.mul(S).is_identity():
+    if not cov.projection.matrix.mul(S).is_identity():
         raise InternalCheckError("section candidate failed the identity check")
     witness = internal_map(M, cov.P, S)  # re-checks equivariance
     return InvertibilityDecision(True, witness, cov)

@@ -1,24 +1,31 @@
 """Exact integer matrix algebra: Hermite/Smith normal forms, kernels, solving.
 
 Everything here works over Z with Python's arbitrary-precision integers,
-except refute_mod, which decides a system modulo N.  A Mat is dense, a list
-of rows of Python ints.  There is one integer elimination, row_hermite: its
-pivot in each column is the nonzero entry of minimal absolute value, ties
-broken by the smallest row, which keeps coefficient growth tame and makes
-every output deterministic.  LinearSolver and LatticeAccumulator reduce
-vectors against its output, and the Smith form alternates row_hermite
-passes on a matrix and on its transpose.
+except the elimination modulo N.  A Mat is dense, a list of rows of Python
+ints.  There is one integer elimination, row_hermite: its pivot in each
+column is the nonzero entry of minimal absolute value, ties broken by the
+smallest row, which keeps coefficient growth tame and makes every output
+deterministic.  LinearSolver and LatticeAccumulator reduce vectors against
+its output, and the Smith form alternates row_hermite passes on a matrix
+and on its transpose.
 
-refute_mod has the one elimination modulo a prime power p^a.  It packs each
-row of the system into a single Python int, one fixed-width lane of bits
-per unknown plus one for the right-hand side, so that subtracting a multiple
-of the pivot row is one big-int multiply-add and a lane-wise reduction, run
-in C rather than entry by entry (_refute_prime_power gives the layout).
+refute_packed has the one elimination modulo N, one prime power p^a of N at
+a time.  Its rows are packed rows mod N: each row of the system is a single
+Python int, one fixed-width lane of bits per unknown plus one for the
+right-hand side (pack_lanes), with the lane width taken from N
+(lane_width), so that every p^a reduces the same rows.  Subtracting a
+multiple of the pivot row is then one big-int multiply-add and a lane-wise
+reduction (lane_reduction), run in C rather than entry by entry.  Callers
+that build their system mod N can build it in this layout directly, with
+the same multiply-add and reduction; refute_mod packs a dense Mat.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -348,41 +355,80 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
-def refute_mod(A: Mat, b: Sequence[int], N: int) -> Optional[list[int]]:
-    """None if A*x = b (mod N) is solvable; otherwise a row vector lam with
-    lam*A = 0 and lam*b != 0 (mod N), entries in [0, N).
-
-    Each prime power p^a exactly dividing N is decided on its own and the
-    refutations are glued by the Chinese remainder theorem: a system is
-    solvable mod N exactly when it is solvable mod every p^a.
-    """
-    if len(b) != A.rows:
-        raise ValueError("dimension mismatch")
-    if N < 1:
-        raise ValueError("modulus must be positive")
-    lam = [0] * A.rows
-    refuted = False
-    for p, a in _factorint(N).items():
-        q = p ** a
-        lam_q = _refute_prime_power(A, b, p, a)
-        if lam_q is not None:
-            refuted = True
-            e = N // q * pow(N // q, -1, q)  # 1 mod q, 0 mod N/q
-            lam = [(x + e * y) % N for x, y in zip(lam, lam_q)]
-    return lam if refuted else None
+def lane_width(N: int) -> int:
+    """Bits per lane of a row packed mod N: k = bitlen(N^2 - 1) when N is a
+    power of two, 2k otherwise (lane_reduction gives the reason)."""
+    return _lane_bits(N)[1]
 
 
-def _lane_reduction(m: int, k: int, L: int, ones: int) -> Callable[[int], int]:
-    """The map reducing every L-bit lane of a nonnegative packed int mod m,
-    for lanes below 2^k; ones has a 1 at the bottom of every lane.
+@lru_cache(maxsize=256)
+def _lane_bits(N: int) -> tuple[int, int]:
+    """(k, lane_width(N))."""
+    k = max(1, (N * N - 1).bit_length())
+    return k, k if N & (N - 1) == 0 else 2 * k
+
+
+def pack_lanes(values: Sequence[int], N: int) -> int:
+    """One int holding each value reduced mod N, value j in lane j of
+    lane_width(N) bits: the joined binary digits of the lanes, parsed once."""
+    if N <= 1 << 12:
+        digits = _lane_digits(N)
+        text = "".join([digits[x % N] for x in reversed(values)])
+    else:
+        spec = f"0{lane_width(N)}b"
+        text = "".join([format(x % N, spec) for x in reversed(values)])
+    return int(text or "0", 2)
+
+
+@lru_cache(maxsize=64)
+def _lane_digits(N: int) -> tuple[str, ...]:
+    """Each residue mod N in lane_width(N) binary digits."""
+    spec = f"0{lane_width(N)}b"
+    return tuple(format(x, spec) for x in range(N))
+
+
+def unpack_lanes(x: int, lanes: int, N: int) -> list[int]:
+    """The values in lanes 0..lanes-1 of an int packed as by pack_lanes."""
+    L = lane_width(N)
+    lane = (1 << L) - 1
+    return [x >> L * j & lane for j in range(lanes)]
+
+
+_SIGNED_ARRAY = {8 * array(c).itemsize: c for c in "bhilq"}  # bits -> signed typecode
+
+
+def unpack_signed(x: int, lanes: int, B: int) -> list[int]:
+    """The values in lanes 0..lanes-1 of an int packed mod 2^B, each read as
+    a signed B-bit number.  A lane of 2^B has 2B bits (lane_width) and the
+    value sits in its low half, so for B = 8, 16, 32 or 64 the lanes are
+    whole bytes and array reads every low half in one call."""
+    code = _SIGNED_ARRAY.get(B)
+    if code is None:
+        half = 1 << B - 1
+        return [v - 2 * (v & half) for v in unpack_lanes(x, lanes, 1 << B)]
+    values = array(code, x.to_bytes(lanes * B // 4, "little"))
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values[::2].tolist()
+
+
+@lru_cache(maxsize=256)
+def lane_reduction(m: int, N: int, lanes: int) -> Callable[[int], int]:
+    """The map reducing lanes 0..lanes-1 of a nonnegative int packed mod N
+    (pack_lanes) mod m, for lanes below 2^k, k = bitlen(N^2 - 1); built once
+    per (m, N, lanes) and shared.
 
     A power of two m is an AND.  Otherwise Barrett: with mu = 2^k // m the
     estimate e = (x * mu) >> k is floor(x/m) or one less, so y = x - e*m
     lies in [0, 2m) and one conditional subtraction of m finishes; y >= m
     exactly when y + 2^b - m (b = bitlen(m)) has bit b set.  x*mu stays
-    below 2^(2k), so L = 2k keeps every lane's product in its own lane, and
-    the estimate is read from the low k bits of each lane after the shift.
+    below 2^(2k), so lanes of L = 2k bits keep every lane's product in its
+    own lane, and the estimate is read from the low k bits of each lane
+    after the shift.  Every lane value below N^2 is below 2^k, so a lane
+    may hold the sum of a residue mod N and a product of two.
     """
+    k, L = _lane_bits(N)
+    ones = ((1 << L * lanes) - 1) // ((1 << L) - 1)
     if m & (m - 1) == 0:
         mask = (m - 1) * ones
         return lambda x: x & mask
@@ -397,8 +443,48 @@ def _lane_reduction(m: int, k: int, L: int, ones: int) -> Callable[[int], int]:
     return reduce
 
 
-def _refute_prime_power(A: Mat, b: Sequence[int], p: int, a: int) -> Optional[list[int]]:
-    """refute_mod for N = q = p^a.
+@lru_cache(maxsize=256)
+def _prime_powers(N: int) -> tuple[tuple[int, int], ...]:
+    return tuple(_factorint(N).items())
+
+
+def refute_packed(rows: Sequence[int], n: int, N: int) -> Optional[list[int]]:
+    """Decide A*x = b (mod N) for the system given as rows packed mod N: row
+    i holds A[i][0..n-1] in lanes 0..n-1 and b[i] in lane n, each in [0, N)
+    (pack_lanes).  None if it is solvable; otherwise a row vector lam with
+    lam*A = 0 and lam*b != 0 (mod N), one entry in [0, N) per row.
+
+    Each prime power q = p^a exactly dividing N is decided on its own, on
+    the same rows reduced mod q, and the refutations are glued by the
+    Chinese remainder theorem: a system is solvable mod N exactly when it
+    is solvable mod every p^a.
+    """
+    lam = [0] * len(rows)
+    refuted = False
+    for p, a in _prime_powers(N):
+        q = p ** a
+        lam_q = _refute_prime_power(rows, n, N, p, a)
+        if lam_q is not None:
+            refuted = True
+            e = N // q * pow(N // q, -1, q)  # 1 mod q, 0 mod N/q
+            lam = [(x + e * y) % N for x, y in zip(lam, lam_q)]
+    return lam if refuted else None
+
+
+def refute_mod(A: Mat, b: Sequence[int], N: int) -> Optional[list[int]]:
+    """None if A*x = b (mod N) is solvable; otherwise a row vector lam with
+    lam*A = 0 and lam*b != 0 (mod N), entries in [0, N).  Packs each row
+    with its right-hand side and calls refute_packed."""
+    if len(b) != A.rows:
+        raise ValueError("dimension mismatch")
+    if N < 1:
+        raise ValueError("modulus must be positive")
+    return refute_packed([pack_lanes(row + [bi], N) for row, bi in zip(A.a, b)], A.cols, N)
+
+
+def _refute_prime_power(rows: Sequence[int], n: int, N: int, p: int,
+                        a: int) -> Optional[list[int]]:
+    """refute_packed for the prime power q = p^a dividing N.
 
     Gaussian elimination with unit pivots: a pivot row solves for its pivot
     unknown, is eliminated from every other row and is set aside.  A row
@@ -409,64 +495,58 @@ def _refute_prime_power(A: Mat, b: Sequence[int], p: int, a: int) -> Optional[li
     refutes the system, otherwise the rows are divided by p and the modulus
     drops to p^(a-1).
 
-    Rows are packed, one Python int per row, in lanes of L bits: lane j < n
-    holds the coefficient of unknown j and lane n the rhs, reduced mod the
-    current modulus.  Each row carries its combination of the input rows as
-    a second int, lane i holding the coefficient of input row i mod q, so a
-    refuting row gives lam.  A pivot step adds c times the pivot row and its
-    combination to a row and its combination (c below the modulus) and
-    reduces lane-wise.  Before reduction every lane is at most
-    (q-1) + (q-1)^2 < q^2 <= 2^k with k = bitlen(q^2 - 1), so no carry
-    crosses a lane when L >= k: L = k for p = 2, where reducing mod 2^j is
-    an AND, and L = 2k for odd p, where the Barrett product needs 2k bits
-    (_lane_reduction).  The unit entries of a row are the unknown lanes
-    nonzero mod p; the pivot is the lowest.  Dropping the modulus divides
-    the whole int by p, which divides every lane exactly since every lane
-    is divisible by p.  A row is packed by parsing the concatenated L-bit
-    binary strings of its residues, read from a table of all q of them.
+    The rows keep the layout of N: lanes of L = lane_width(N) bits, lane j
+    < n the coefficient of unknown j and lane n the rhs, first reduced mod
+    q and then mod the current modulus.  Each row carries its combination
+    of the input rows as a second int, lane i holding the coefficient of
+    input row i mod q, so a refuting row gives lam.  A pivot step adds c
+    times the pivot row and its combination to a row and its combination
+    (c below the modulus) and reduces lane-wise (lane_reduction).  Before
+    reduction every lane is at most (q-1) + (q-1)^2 < q^2 <= N^2 <= 2^k,
+    k = bitlen(N^2 - 1), so no carry crosses a lane.  The unit entries of
+    a row are the unknown lanes nonzero mod p; the pivot is the lowest.
+    Dropping the modulus divides the whole int by p, which divides every
+    lane exactly since every lane is divisible by p.
     """
     q = p ** a
-    n = A.cols
-    k = (q * q - 1).bit_length()
-    L = k if p == 2 else 2 * k
+    L = _lane_bits(N)[1]
     lane = (1 << L) - 1
-    ones = ((1 << L * max(n + 1, A.rows)) - 1) // lane
+    lanes = max(n + 1, len(rows))
     unknowns = ((1 << L * n) - 1) // lane * lane
-    top = 1 << L
-    digits = [bin(x | top)[3:] for x in range(q)]  # x in L binary digits
-    rows = []  # [row, combination]
-    for i, (row, bi) in enumerate(zip(A.a, b)):
-        r = int(digits[bi % q] + "".join([digits[x % q] for x in reversed(row)]), 2)
+    reduce_lam = lane_reduction(q, N, lanes)
+    residue = lane_reduction(p, N, lanes)
+    work = []  # [row, combination]
+    for i, r in enumerate(rows):
+        if q < N:
+            r = reduce_lam(r)
         if r:
-            rows.append([r, 1 << L * i])
-    reduce_lam = _lane_reduction(q, k, L, ones)
-    residue = _lane_reduction(p, k, L, ones)
+            work.append([r, 1 << L * i])
     mod = q
-    while rows and mod > 1:
-        reduce = _lane_reduction(mod, k, L, ones)
-        queue = [r for r in rows if r[0]]
-        rows = []  # rows without a unit entry this round
+    while work and mod > 1:
+        reduce = lane_reduction(mod, N, lanes)
+        queue = [r for r in work if r[0]]
+        work = []  # rows without a unit entry this round
         for t, pr in enumerate(queue):
             prow, plam = pr
             units = residue(prow) & unknowns
             if not units:
-                rows.append(pr)
+                work.append(pr)
                 continue
             at = ((units & -units).bit_length() - 1) // L * L
             inv = pow((prow >> at) & lane, -1, mod)
             pick = lane << at
-            for r in chain(queue[t + 1:], rows):
+            for r in chain(queue[t + 1:], work):
                 f = r[0] & pick
                 if f:
                     c = (mod - (f >> at)) * inv % mod
                     r[0] = reduce(r[0] + c * prow)
                     r[1] = reduce_lam(r[1] + c * plam)
-        for r, lam in rows:
+        for r, lam in work:
             if (r >> L * n) % p:
                 # every entry is divisible by p: (mod/p)*lam kills A but not b
-                return [mod // p * ((lam >> L * i) & lane) % q for i in range(A.rows)]
+                return [mod // p * y % q for y in unpack_lanes(lam, len(rows), N)]
         mod //= p
-        for r in rows:
+        for r in work:
             r[0] //= p
     return None
 

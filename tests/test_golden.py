@@ -91,6 +91,7 @@ def commands() -> list[list[str]]:
             out.append(["verdict-noether", "--group", doc, "--field", field])
     out.append(["reproduce", "endo-miyata", "--max-order", "6", "--trials", "2",
                 "--seed", "5"])
+    out.append(["reproduce", "voskresenskii", "--n", "4"])
     return out
 
 

@@ -39,6 +39,7 @@ from retractrat.zlinalg import (
     lattice_rank,
     refute_mod,
     solve_integer,
+    unpack_lanes,
 )
 
 
@@ -259,8 +260,8 @@ class TestIsInvertible:
         assert dec.cover.projection.matrix.mul(S).is_identity()
 
     def test_section_candidates_are_equivariant(self):
+        # each candidate S_j is the combination of the unit vector e_j
         from retractrat.lattices import augmentation_kernel
-        from retractrat.resolutions import _section_blocks
         rng = random.Random(23)
         lattices = []
         for name in ["C4", "S3", "V4", "D8", "Q8", "A4"]:
@@ -274,12 +275,11 @@ class TestIsInvertible:
                 if H.is_normal and G.order // H.order == 2:
                     lattices.append(sign_lattice(G, H))
         for M in lattices:
-            P = fixed_point_cover(M).P
-            for base, Y in _section_blocks(M, P):
-                for j in range(Y[0].cols):
-                    S = Mat.zero(P.rank, M.rank)
-                    S.a[base:base + len(Y)] = [y.col(j) for y in Y]
-                    LatticeMap(M, P, S)  # raises unless equivariant
+            cov = fixed_point_cover(M)
+            n = sum(fixed_basis(dual(M), H).cols for H in cov.P.summands)
+            for j in range(n):
+                S = resolutions._combine_candidates(cov, [int(k == j) for k in range(n)])
+                LatticeMap(M, cov.P, S)  # raises unless equivariant
 
     def test_lenstra_class_not_invertible(self):
         data = lenstra_lattice(3)
@@ -354,34 +354,67 @@ def dense_section_system(composites, m, columns):
     return Mat.from_rows(rows, len(composites)), rhs
 
 
+def composites_on(cov, columns):
+    """The composites proj S_j of the dense candidates, with only the entries
+    in the given columns computed (the others are left 0)."""
+    proj, m = cov.projection.matrix.a, cov.M.rank
+    out = []
+    for S in dense_candidates(cov.M, cov.P):
+        rows = [(c, row) for c, row in enumerate(S.a) if any(row)]
+        D = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for s in columns:
+                D[i][s] = sum(proj[i][c] * row[s] for c, row in rows)
+        out.append(D)
+    return out
+
+
+def merged_mod(A, b, N):
+    """The rows [coefficients..., target] of the system (A, b) reduced mod
+    N, the first of each kept, zero rows dropped."""
+    out = {}
+    for row, target in zip(A.a, b):
+        key = tuple(x % N for x in row) + (target % N,)
+        if any(key):
+            out.setdefault(key)
+    return [list(key) for key in out]
+
+
+def library_rows(cov, T, N):
+    """The library's packed section system mod N, unpacked."""
+    n, rows = resolutions._section_rows(cov, T, N)
+    return [unpack_lanes(e, n + 1, N) for e in rows]
+
+
 @pytest.fixture(scope="class")
-def cross_checked():
-    """Each case decided by is_invertible; for every section system it
-    decided mod |G| the pair (solvable mod |G|, solvable over Z), the exact
-    answer taken by solve_integer on the same system; and the systems
-    themselves, as (A, b) in the order of the cases of nonzero rank."""
-    systems, equations = [], []
-
-    def recording(A, b, N):
-        lam = refute_mod(A, b, N)
-        systems.append((lam is None, solve_integer(A, b) is not None))
-        equations.append((A, list(b)))
-        return lam
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(resolutions, "refute_mod", recording)
-        decisions = [(label, is_invertible(M)) for label, M in cross_check_cases()]
-    return decisions, systems, equations
+def decided():
+    """Each case of cross_check_cases decided by is_invertible, as (label,
+    decision)."""
+    return [(label, is_invertible(M)) for label, M in cross_check_cases()]
 
 
 @pytest.fixture(scope="class")
-def dense_composites(cross_checked):
-    """(label, cover, composites proj S_j) for each case of nonzero rank, in
-    the order of the recorded systems."""
-    decisions, _, _ = cross_checked
+def dense_composites(decided):
+    """(label, cover, composites proj S_j) for each case of nonzero rank."""
     return [(label, dec.cover, [dec.cover.projection.matrix.mul(S).a
                                 for S in dense_candidates(dec.cover.M, dec.cover.P)])
-            for label, dec in decisions if dec.cover.M.rank]
+            for label, dec in decided if dec.cover.M.rank]
+
+
+@pytest.fixture(scope="class")
+def cross_checked(decided, dense_composites):
+    """The decisions; for each case of nonzero rank the pair (the answer
+    decided mod |G|, solvable over Z), the exact answer taken by
+    solve_integer on the tests' own dense section system on the columns T;
+    and those dense systems, as (A, b) in the same order."""
+    answers = dict(decided)
+    systems, equations = [], []
+    for label, cov, composites in dense_composites:
+        A, b = dense_section_system(composites, cov.M.rank,
+                                    resolutions._orbit_spanning_indices(cov.M))
+        systems.append((answers[label].answer, solve_integer(A, b) is not None))
+        equations.append((A, b))
+    return decided, systems, equations
 
 
 class TestModularDecision:
@@ -439,14 +472,31 @@ class TestModularDecision:
         assert tried
 
     def test_section_system_matches_dense_composites(self, cross_checked, dense_composites):
-        # the system is rebuilt from the dense composites proj S_j for the
-        # columns s in T only
+        # the library's rows mod N, unpacked, are the dense system on the
+        # columns s in T reduced mod N and merged mod N, in first-occurrence
+        # order, and its exact system is that dense system itself; the
+        # cases have odd, even and composite |G|
         _, _, equations = cross_checked
         assert len(dense_composites) == len(equations)
-        for (label, cov, composites), system in zip(dense_composites, equations):
+        orders = set()
+        for (label, cov, _), (A, b) in zip(dense_composites, equations):
+            N = cov.M.group.order
+            orders.add(N)
             T = resolutions._orbit_spanning_indices(cov.M)
-            A, b = dense_section_system(composites, cov.M.rank, T)
-            assert (A.cols, A.a, b) == (system[0].cols, system[0].a, system[1]), label
+            assert library_rows(cov, T, N) == merged_mod(A, b, N), label
+            exact, rhs = resolutions._exact_section_system(cov, T)
+            assert (exact.cols, exact.a, rhs) == (A.cols, A.a, b), label
+        assert {3, 6, 8, 9, 12, 15, 16} <= orders
+
+    def test_q16_section_system_matches_dense_composites(self):
+        F = flabby_resolution(lenstra_lattice(4).M).F
+        cov = fixed_point_cover(F)
+        T = resolutions._orbit_spanning_indices(F)
+        A, b = dense_section_system(composites_on(cov, T), F.rank, T)
+        assert (A.rows, A.cols) == (547, 658)
+        rows = library_rows(cov, T, 8)
+        assert len(rows) == 542
+        assert rows == merged_mod(A, b, 8)
 
     def test_full_system_gives_the_same_answers(self, cross_checked, dense_composites):
         # oracle: the m^2 system, one equation per entry of the section
@@ -459,6 +509,36 @@ class TestModularDecision:
             modular = refute_mod(A, b, cov.M.group.order) is None
             exact = solve_integer(A, b) is not None
             assert (modular, exact) == answers, label
+
+    def test_refutation_off_the_chosen_columns(self):
+        # verify_refutation must not assume Lam lives on the columns T: Lam
+        # from the full m^2 system passes as it is (for J_C15 it has entries
+        # off T), and changing one of its entries off T and off the diagonal
+        # by 1 breaks it
+        C15 = catalog_group("C15")
+        supported_off_T = []
+        cases = [flabby_resolution(lenstra_lattice(3).M).F,
+                 dual(augmentation_kernel(C15, C15.trivial_subgroup()))]
+        for M in cases:
+            cov = fixed_point_cover(M)
+            m, N = M.rank, M.group.order
+            composites = [cov.projection.matrix.mul(S).a for S in dense_candidates(M, cov.P)]
+            A = Mat.from_rows([[D[i][j] for D in composites]
+                               for i in range(m) for j in range(m)], len(composites))
+            lam = refute_mod(A, [int(i == j) for i in range(m) for j in range(m)], N)
+            assert lam is not None
+            Lam = Mat.from_rows([lam[i * m:(i + 1) * m] for i in range(m)], m)
+            T = resolutions._orbit_spanning_indices(M)
+            off_T = [(i, s) for i in range(m) for s in range(m) if s not in T]
+            supported_off_T.append(any(Lam.a[i][s] for i, s in off_T))
+            no = resolutions.InvertibilityDecision(False, None, cov, Lam)
+            assert verify_refutation(no), N
+            i, s = next((i, s) for i, s in off_T
+                        if i != s and any(D[i][s] % N for D in composites))
+            changed = Mat.from_rows(Lam.a, m)
+            changed.a[i][s] += 1
+            assert not verify_refutation(dataclasses.replace(no, refutation=changed)), N
+        assert supported_off_T == [False, True]
 
     def test_orbits_of_the_chosen_columns_span(self, cross_checked):
         # each s in T is outside the span of the orbits of the earlier ones,
@@ -482,7 +562,7 @@ class TestModularDecision:
             assert resolutions._orbit_spanning_indices(trivial_lattice(G, 4)) == [0, 1, 2, 3]
 
     def test_wrong_refutation_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(resolutions, "refute_mod", lambda A, b, N: [1] * A.rows)
+        monkeypatch.setattr(resolutions, "refute_packed", lambda rows, n, N: [1] * len(rows))
         with pytest.raises(InternalCheckError):
             is_invertible(flabby_resolution(lenstra_lattice(3).M).F)
 
