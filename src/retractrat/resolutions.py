@@ -95,8 +95,8 @@ from .zlinalg import (
     LinearSolver,
     Mat,
     kernel_basis,
+    lane_layout,
     lane_reduction,
-    lane_width,
     lattice_rank,
     pack_lanes,
     refute_packed,
@@ -344,7 +344,7 @@ def _section_rows(cov: FixedPointCover, T: Sequence[int],
     blocks, summand after summand.
     """
     Mdual = dual(cov.M)
-    L = lane_width(N)
+    L = lane_layout(N)[1]
     nT = len(T)
     blocks: list[tuple[int, int]] = []  # (bits of a block, first bit) per summand with candidates
     coset_rows: list[Optional[tuple[int, int]]] = [None] * cov.P.rank  # (summand, Z)

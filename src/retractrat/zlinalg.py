@@ -13,7 +13,7 @@ refute_packed has the one elimination modulo N, one prime power p^a of N at
 a time.  Its rows are packed rows mod N: each row of the system is a single
 Python int, one fixed-width lane of bits per unknown plus one for the
 right-hand side (pack_lanes), with the lane width taken from N
-(lane_width), so that every p^a reduces the same rows.  Subtracting a
+(lane_layout), so that every p^a reduces the same rows.  Subtracting a
 multiple of the pivot row is then one big-int multiply-add and a lane-wise
 reduction (lane_reduction), run in C rather than entry by entry.  Callers
 that build their system mod N can build it in this layout directly, with
@@ -22,8 +22,6 @@ the same multiply-add and reduction; refute_mod packs a dense Mat.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -355,61 +353,37 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
-def lane_width(N: int) -> int:
-    """Bits per lane of a row packed mod N: k = bitlen(N^2 - 1) when N is a
-    power of two, 2k otherwise (lane_reduction gives the reason)."""
-    return _lane_bits(N)[1]
-
-
 @lru_cache(maxsize=256)
-def _lane_bits(N: int) -> tuple[int, int]:
-    """(k, lane_width(N))."""
+def lane_layout(N: int) -> tuple[int, int]:
+    """(k, L) for rows packed mod N: lanes of L bits whose values stay below
+    2^k, k = bitlen(N^2 - 1); L = k when N is a power of two, 2k otherwise
+    (lane_reduction gives the reason)."""
     k = max(1, (N * N - 1).bit_length())
     return k, k if N & (N - 1) == 0 else 2 * k
 
 
 def pack_lanes(values: Sequence[int], N: int) -> int:
-    """One int holding each value reduced mod N, value j in lane j of
-    lane_width(N) bits: the joined binary digits of the lanes, parsed once."""
-    if N <= 1 << 12:
-        digits = _lane_digits(N)
-        text = "".join([digits[x % N] for x in reversed(values)])
-    else:
-        spec = f"0{lane_width(N)}b"
-        text = "".join([format(x % N, spec) for x in reversed(values)])
-    return int(text or "0", 2)
-
-
-@lru_cache(maxsize=64)
-def _lane_digits(N: int) -> tuple[str, ...]:
-    """Each residue mod N in lane_width(N) binary digits."""
-    spec = f"0{lane_width(N)}b"
-    return tuple(format(x, spec) for x in range(N))
+    """One int holding each value reduced mod N, value j in lane j of L bits
+    (lane_layout), shifted in from the highest lane down."""
+    L = lane_layout(N)[1]
+    x = 0
+    for v in reversed(values):
+        x = x << L | v % N
+    return x
 
 
 def unpack_lanes(x: int, lanes: int, N: int) -> list[int]:
     """The values in lanes 0..lanes-1 of an int packed as by pack_lanes."""
-    L = lane_width(N)
+    L = lane_layout(N)[1]
     lane = (1 << L) - 1
     return [x >> L * j & lane for j in range(lanes)]
 
 
-_SIGNED_ARRAY = {8 * array(c).itemsize: c for c in "bhilq"}  # bits -> signed typecode
-
-
 def unpack_signed(x: int, lanes: int, B: int) -> list[int]:
     """The values in lanes 0..lanes-1 of an int packed mod 2^B, each read as
-    a signed B-bit number.  A lane of 2^B has 2B bits (lane_width) and the
-    value sits in its low half, so for B = 8, 16, 32 or 64 the lanes are
-    whole bytes and array reads every low half in one call."""
-    code = _SIGNED_ARRAY.get(B)
-    if code is None:
-        half = 1 << B - 1
-        return [v - 2 * (v & half) for v in unpack_lanes(x, lanes, 1 << B)]
-    values = array(code, x.to_bytes(lanes * B // 4, "little"))
-    if sys.byteorder == "big":
-        values.byteswap()
-    return values[::2].tolist()
+    a signed B-bit number."""
+    half = 1 << B - 1
+    return [v - 2 * (v & half) for v in unpack_lanes(x, lanes, 1 << B)]
 
 
 @lru_cache(maxsize=256)
@@ -427,7 +401,7 @@ def lane_reduction(m: int, N: int, lanes: int) -> Callable[[int], int]:
     after the shift.  Every lane value below N^2 is below 2^k, so a lane
     may hold the sum of a residue mod N and a product of two.
     """
-    k, L = _lane_bits(N)
+    k, L = lane_layout(N)
     ones = ((1 << L * lanes) - 1) // ((1 << L) - 1)
     if m & (m - 1) == 0:
         mask = (m - 1) * ones
@@ -495,7 +469,7 @@ def _refute_prime_power(rows: Sequence[int], n: int, N: int, p: int,
     refutes the system, otherwise the rows are divided by p and the modulus
     drops to p^(a-1).
 
-    The rows keep the layout of N: lanes of L = lane_width(N) bits, lane j
+    The rows keep the layout of N: lanes of L = lane_layout(N)[1] bits, lane j
     < n the coefficient of unknown j and lane n the rhs, first reduced mod
     q and then mod the current modulus.  Each row carries its combination
     of the input rows as a second int, lane i holding the coefficient of
@@ -509,7 +483,7 @@ def _refute_prime_power(rows: Sequence[int], n: int, N: int, p: int,
     lane exactly since every lane is divisible by p.
     """
     q = p ** a
-    L = _lane_bits(N)[1]
+    L = lane_layout(N)[1]
     lane = (1 << L) - 1
     lanes = max(n + 1, len(rows))
     unknowns = ((1 << L * n) - 1) // lane * lane

@@ -14,7 +14,7 @@ from retractrat.zlinalg import (
     cokernel_invariants,
     hermite_basis,
     kernel_basis,
-    lane_width,
+    lane_layout,
     pack_lanes,
     quotient_invariants,
     refute_mod,
@@ -236,17 +236,16 @@ class TestPackedLanes:
         for lanes in (1, 2, 7, 40):
             values = [rng.randint(-3 * N, 3 * N) for _ in range(lanes)]
             x = pack_lanes(values, N)
-            assert x < 1 << lanes * lane_width(N)
+            assert x < 1 << lanes * lane_layout(N)[1]
             assert unpack_lanes(x, lanes, N) == [v % N for v in values]
 
     @pytest.mark.parametrize("B", [8, 16, 32, 64, 128])
     def test_signed_lanes(self, B):
-        # values mod 2^B read back as signed B-bit numbers, in the byte
-        # layout read by array and, for B = 128, lane by lane
+        # values mod 2^B read back as signed B-bit numbers
         rng = random.Random(B)
         half = 1 << B - 1
         values = [-half, half - 1, 0, -1, 1] + [rng.randrange(-half, half) for _ in range(20)]
-        assert lane_width(1 << B) == 2 * B
+        assert lane_layout(1 << B) == (2 * B, 2 * B)
         assert unpack_signed(pack_lanes(values, 1 << B), len(values), B) == values
 
 
