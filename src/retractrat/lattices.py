@@ -271,6 +271,16 @@ def fixed_basis(M: GLattice, H: Subgroup) -> Mat:
     return FB
 
 
+def fixed_rank(M: GLattice, H: Subgroup) -> int:
+    """rank M^H without a basis: the multiplicity of the trivial character,
+    (1/|H|) sum over h in H of tr A(h), read from the expanded matrices.  An
+    average that is not an integer in [0, rank] is an internal error."""
+    r, rem = divmod(sum(M.act(h).a[i][i] for h in H.members for i in range(M.rank)), H.order)
+    if rem or not 0 <= r <= M.rank:
+        raise InternalCheckError(f"trace average of a lattice over {H.members} is not a rank")
+    return r
+
+
 # -- the Lenstra lattice -----------------------------------------------------------
 
 

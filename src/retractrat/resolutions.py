@@ -15,6 +15,17 @@ Neither changes the contract (surjectivity of P^H -> M^H for every subgroup
 H, which is machine-verified on every call, hence coflabbiness of the
 kernel); they only pick a smaller P among the valid covers.
 
+The verification (check_cover_surjective) works over Z only for H = 1,
+where it asks that the projection's columns span Z^m.  For H != 1 it uses
+transfer: once P -> M is onto, any x in M^H lifts to some y in P, and
+sum_{h in H} h y lies in P^H and maps to |H| x, so the image of P^H
+contains |H| M^H.  M^H is saturated in Z^m, so M^H / p M^H embeds in
+F_p^m.  Hence P^H -> M^H is onto exactly when, for each prime p dividing
+|H|, the images of the H-orbit sums of P's basis have F_p-rank equal to
+rank M^H, which is a trace average (lattices.fixed_rank) and needs no
+basis of M^H.  The construction itself stays over Z: its partial cover is
+not yet onto, so transfer says nothing there.
+
 A cover is P and its projection only: flabby_resolution builds the kernel
 C with cover_kernel, while the invertibility decision never builds it.
 
@@ -85,6 +96,7 @@ from .lattices import (
     LatticeMap,
     dual,
     fixed_basis,
+    fixed_rank,
     internal_map,
     invariant_sublattice,
     permutation_lattice,
@@ -94,11 +106,14 @@ from .zlinalg import (
     LatticeAccumulator,
     LinearSolver,
     Mat,
+    _factorint,
+    hermite_basis,
     kernel_basis,
     lane_layout,
     lane_reduction,
     lattice_rank,
     pack_lanes,
+    rank_packed,
     refute_packed,
     solve_integer,
     unpack_signed,
@@ -186,27 +201,12 @@ class _CoverBuilder:
 
     def summand_fixed_image_columns(self, S: Subgroup, index: int) -> list[list[int]]:
         """Images in M of a basis of (one summand)^S: a column per S-orbit."""
-        mul = self.G.mul_table
         reps, coset_of = self.cosets[index]
-        start = self.summand_starts[index]
         out = []
-        unvisited = set(range(len(reps)))
-        while unvisited:
-            j = min(unvisited)
-            orbit = set()
-            stack = [j]
-            while stack:
-                cur = stack.pop()
-                if cur in orbit:
-                    continue
-                orbit.add(cur)
-                for s in S.generators:
-                    stack.append(coset_of[mul[s][reps[cur]]])
-            unvisited -= orbit
+        for orbit in _coset_orbits(S, reps, coset_of, self.summand_starts[index]):
             col = [0] * self.M.rank
             for idx in orbit:
-                c = self.columns[start + idx]
-                col = [x + y for x, y in zip(col, c)]
+                col = [x + y for x, y in zip(col, self.columns[idx])]
             out.append(col)
         return out
 
@@ -218,6 +218,91 @@ class _CoverBuilder:
         return acc
 
 
+def _coset_orbits(S: Subgroup, reps: Sequence[int], coset_of: Sequence[int],
+                  start: int) -> list[list[int]]:
+    """The S-orbits on the cosets of one summand Z[G/H] (H.cosets() gives
+    reps and coset_of), as the indices of their columns, the summand's
+    columns starting at start.  The orbit sums of the cosets are a basis of
+    the summand's S-fixed part."""
+    mul = S.parent.mul_table
+    out = []
+    unvisited = set(range(len(reps)))
+    while unvisited:
+        orbit = {min(unvisited)}
+        stack = list(orbit)
+        while stack:
+            cur = reps[stack.pop()]
+            for s in S.generators:
+                nxt = coset_of[mul[s][cur]]
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    stack.append(nxt)
+        unvisited -= orbit
+        out.append([start + idx for idx in orbit])
+    return out
+
+
+def check_cover_surjective(M: GLattice, summands: Sequence[Subgroup],
+                           columns: Sequence[Sequence[int]]):
+    """Raise InternalCheckError unless P^S -> M^S is onto for every subgroup
+    S of G, where P is the direct sum of the Z[G/H] over summands (bases in
+    the order of H.cosets()) and columns are the images in M of P's basis.
+
+    S = 1 is checked over Z: the columns span Z^m, which one Hermite form
+    decides on the coordinates that no column +-e_j covers.  Every other S is
+    checked mod p, by transfer.  Once P -> M is onto, each x in M^S lifts
+    to some y in P, and sum_{s in S} s y lies in P^S and maps to |S| x; so
+    the image I of P^S has finite index in M^S, with |S| M^S inside I.  M^S
+    is saturated in Z^m, so M^S / p M^S embeds in F_p^m and has dimension
+    rank M^S.  Hence I = M^S exactly when, for each prime p dividing |S|,
+    the images of the S-orbit sums (_coset_orbits), a spanning set of I,
+    have F_p-rank equal to rank M^S (lattices.fixed_rank, a trace average).
+    Each projection column is packed mod p once (zlinalg.pack_lanes) and
+    the orbit sums are added in packed form."""
+    G, m = M.group, M.rank
+    # A column +-e_j puts e_j in the span, so the columns span Z^m exactly
+    # when the others span the coordinates outside those j.
+    units, others = set(), []
+    for col in columns:
+        if sum(map(abs, col)) == 1:
+            units.add(col.index(1) if 1 in col else col.index(-1))
+        else:
+            others.append(col)
+    rest = [i for i in range(m) if i not in units]
+    span = hermite_basis(([col[i] for i in rest] for col in others), len(rest))
+    if span != Mat.identity(len(rest)):
+        raise InternalCheckError("cover does not map onto the base lattice")
+    layout = []  # (reps, coset_of, first column) per summand
+    start = 0
+    for H in summands:
+        reps, coset_of = H.cosets()
+        layout.append((reps, coset_of, start))
+        start += len(reps)
+    packed: dict[int, list[int]] = {}  # p -> the columns packed mod p
+    for S in G.subgroups():
+        if S.order == 1:
+            continue
+        rank = fixed_rank(M, S)
+        if not rank:
+            continue
+        orbits = [orbit for reps, coset_of, first in layout
+                  for orbit in _coset_orbits(S, reps, coset_of, first)]
+        for p in _factorint(S.order):
+            if p not in packed:
+                packed[p] = [pack_lanes(col, p) for col in columns]
+            cols = packed[p]
+            reduce = lane_reduction(p, p, m)
+            sums = []
+            for orbit in orbits:
+                x = 0
+                for j in orbit:
+                    x = reduce(x + cols[j])
+                sums.append(x)
+            if rank_packed(sums, m, p) != rank:
+                raise InternalCheckError(
+                    f"cover misses the {S.members}-fixed part of the base lattice mod {p}")
+
+
 def fixed_point_cover(M: GLattice, frugal: bool = True) -> FixedPointCover:
     """Permutation cover P ->> M with per-subgroup surjectivity.
 
@@ -226,9 +311,13 @@ def fixed_point_cover(M: GLattice, frugal: bool = True) -> FixedPointCover:
     frugal=False every fixed-basis generator of every conjugacy-class
     representative gets its own summand (the plain textbook cover, useful as
     a cross-check because anything downstream must not depend on the choice).
-    The per-subgroup surjectivity P^H ->> M^H is verified for EVERY subgroup
-    before returning; failure raises InternalCheckError.  The kernel is not
-    built here; cover_kernel builds it for the callers that read it.
+    The construction works over Z, since its partial cover is not yet onto.
+    The per-subgroup surjectivity P^S ->> M^S is verified for EVERY
+    subgroup S before returning (check_cover_surjective): over Z for S = 1,
+    and for S != 1 by one F_p-rank per prime p dividing |S|, which suffices
+    by transfer once P -> M is onto.  Failure raises InternalCheckError.
+    The kernel is not built here; cover_kernel builds it for the callers
+    that read it.
     """
     G = M.group
     builder = _CoverBuilder(M)
@@ -250,20 +339,10 @@ def fixed_point_cover(M: GLattice, frugal: bool = True) -> FixedPointCover:
                     image.add(*builder.summand_fixed_image_columns(
                         H, len(builder.summands) - 1))
 
+    check_cover_surjective(M, builder.summands, builder.columns)
     P = permutation_lattice(G, builder.summands)
     proj_mat = Mat.from_cols(builder.columns, rows=M.rank)
     projection = internal_map(P, M, proj_mat)
-
-    # hard postcondition: P^H ->> M^H for every subgroup (not only class reps)
-    for S in G.subgroups():
-        FB = fixed_basis(M, S)
-        if FB.cols:
-            image = builder.fixed_image_lattice(S)
-            for j in range(FB.cols):
-                if not image.contains(FB.col(j)):
-                    raise InternalCheckError(
-                        f"cover misses the {S.members}-fixed part of the base lattice")
-
     return FixedPointCover(M, P, projection)
 
 

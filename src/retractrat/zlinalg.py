@@ -9,15 +9,18 @@ deterministic.  LinearSolver and LatticeAccumulator reduce vectors against
 its output, and the Smith form alternates row_hermite passes on a matrix
 and on its transpose.
 
-refute_packed has the one elimination modulo N, one prime power p^a of N at
-a time.  Its rows are packed rows mod N: each row of the system is a single
-Python int, one fixed-width lane of bits per unknown plus one for the
-right-hand side (pack_lanes), with the lane width taken from N
+There is one elimination modulo a prime power, _unit_pivot_sweep, in two
+modes.  refute_packed decides a system modulo N, one prime power p^a of N
+at a time.  Its rows are packed rows mod N: each row of the system is a
+single Python int, one fixed-width lane of bits per unknown plus one for
+the right-hand side (pack_lanes), with the lane width taken from N
 (lane_layout), so that every p^a reduces the same rows.  Subtracting a
 multiple of the pivot row is then one big-int multiply-add and a lane-wise
 reduction (lane_reduction), run in C rather than entry by entry.  Callers
 that build their system mod N can build it in this layout directly, with
 the same multiply-add and reduction; refute_mod packs a dense Mat.
+rank_packed counts the pivots of one sweep mod a prime p, which is the
+rank over F_p of vectors packed mod p.
 """
 
 from __future__ import annotations
@@ -460,33 +463,25 @@ def _refute_prime_power(rows: Sequence[int], n: int, N: int, p: int,
                         a: int) -> Optional[list[int]]:
     """refute_packed for the prime power q = p^a dividing N.
 
-    Gaussian elimination with unit pivots: a pivot row solves for its pivot
-    unknown, is eliminated from every other row and is set aside.  A row
-    left without a unit entry stays so for the rest of the round: the
-    multiple of a pivot row subtracted from it is its entry at the pivot
-    times a unit, hence divisible by p.  When no row has a unit entry, every
-    remaining row is p times a row mod p^(a-1): a remaining rhs prime to p
-    refutes the system, otherwise the rows are divided by p and the modulus
-    drops to p^(a-1).
+    Rounds of _unit_pivot_sweep, the first mod q.  A row left without a
+    unit entry stays so for the rest of the round: the multiple of a pivot
+    row subtracted from it is its entry at the pivot times a unit, hence
+    divisible by p.  When no row has a unit entry, every remaining row is p
+    times a row mod p^(a-1): a remaining rhs prime to p refutes the system,
+    otherwise the rows are divided by p and the modulus drops to p^(a-1).
 
     The rows keep the layout of N: lanes of L = lane_layout(N)[1] bits, lane j
     < n the coefficient of unknown j and lane n the rhs, first reduced mod
     q and then mod the current modulus.  Each row carries its combination
     of the input rows as a second int, lane i holding the coefficient of
-    input row i mod q, so a refuting row gives lam.  A pivot step adds c
-    times the pivot row and its combination to a row and its combination
-    (c below the modulus) and reduces lane-wise (lane_reduction).  Before
-    reduction every lane is at most (q-1) + (q-1)^2 < q^2 <= N^2 <= 2^k,
-    k = bitlen(N^2 - 1), so no carry crosses a lane.  The unit entries of
-    a row are the unknown lanes nonzero mod p; the pivot is the lowest.
-    Dropping the modulus divides the whole int by p, which divides every
-    lane exactly since every lane is divisible by p.
+    input row i mod q, so a refuting row gives lam.  Dropping the modulus
+    divides the whole int by p, which divides every lane exactly since
+    every lane is divisible by p.
     """
     q = p ** a
     L = lane_layout(N)[1]
-    lane = (1 << L) - 1
     lanes = max(n + 1, len(rows))
-    unknowns = ((1 << L * n) - 1) // lane * lane
+    unknowns = (1 << L * n) - 1
     reduce_lam = lane_reduction(q, N, lanes)
     residue = lane_reduction(p, N, lanes)
     work = []  # [row, combination]
@@ -497,24 +492,9 @@ def _refute_prime_power(rows: Sequence[int], n: int, N: int, p: int,
             work.append([r, 1 << L * i])
     mod = q
     while work and mod > 1:
-        reduce = lane_reduction(mod, N, lanes)
-        queue = [r for r in work if r[0]]
-        work = []  # rows without a unit entry this round
-        for t, pr in enumerate(queue):
-            prow, plam = pr
-            units = residue(prow) & unknowns
-            if not units:
-                work.append(pr)
-                continue
-            at = ((units & -units).bit_length() - 1) // L * L
-            inv = pow((prow >> at) & lane, -1, mod)
-            pick = lane << at
-            for r in chain(queue[t + 1:], work):
-                f = r[0] & pick
-                if f:
-                    c = (mod - (f >> at)) * inv % mod
-                    r[0] = reduce(r[0] + c * prow)
-                    r[1] = reduce_lam(r[1] + c * plam)
+        # the rows without a unit entry this round
+        work, _ = _unit_pivot_sweep([r for r in work if r[0]], unknowns, L, mod,
+                                    residue, lane_reduction(mod, N, lanes), reduce_lam)
         for r, lam in work:
             if (r >> L * n) % p:
                 # every entry is divisible by p: (mod/p)*lam kills A but not b
@@ -523,6 +503,61 @@ def _refute_prime_power(rows: Sequence[int], n: int, N: int, p: int,
         for r in work:
             r[0] //= p
     return None
+
+
+def _unit_pivot_sweep(queue: list[list[int]], unknowns: int, L: int, mod: int,
+                      residue: Callable[[int], int], reduce: Callable[[int], int],
+                      reduce_lam: Optional[Callable[[int], int]] = None,
+                      ) -> tuple[list[list[int]], int]:
+    """One round of Gaussian elimination with unit pivots mod a power `mod`
+    of a prime p, on rows [row, ...] packed in lanes of L bits: returns the
+    rows left without a unit entry, in order, and the number of pivot rows.
+
+    A row's unit entries are its lanes in `unknowns` (a mask of whole
+    lanes) that are nonzero mod p (residue reduces every lane mod p); the
+    lowest is its pivot.  A pivot row solves for its pivot unknown, is
+    eliminated from every later row and every row left so far, and is set
+    aside.  Subtracting a multiple of it is one multiply-add, r + c*prow
+    with c below mod, and a lane-wise reduction mod `mod` (reduce): before
+    it every lane is at most (mod-1) + (mod-1)^2 < mod^2, which the lanes
+    of lane_layout hold for any mod dividing their N.  With reduce_lam the
+    rows are [row, combination] and the combination takes the same
+    multiple of the pivot row's, reduced by reduce_lam.
+
+    Mod a prime the rows left over are zero and the pivot rows, in
+    echelon order of their pivots, are a basis of the span: the number of
+    pivots is the rank over F_p (rank_packed).
+    """
+    lane = (1 << L) - 1
+    rest = []
+    pivots = 0
+    for t, pr in enumerate(queue):
+        prow = pr[0]
+        units = residue(prow) & unknowns
+        if not units:
+            rest.append(pr)
+            continue
+        pivots += 1
+        at = ((units & -units).bit_length() - 1) // L * L
+        inv = pow((prow >> at) & lane, -1, mod)
+        pick = lane << at
+        for r in chain(queue[t + 1:], rest):
+            f = r[0] & pick
+            if f:
+                c = (mod - (f >> at)) * inv % mod
+                r[0] = reduce(r[0] + c * prow)
+                if reduce_lam:
+                    r[1] = reduce_lam(r[1] + c * pr[1])
+    return rest, pivots
+
+
+def rank_packed(rows: Iterable[int], n: int, p: int) -> int:
+    """Rank over F_p, p prime, of the vectors given as rows packed mod p
+    with n lanes (pack_lanes): one round of _unit_pivot_sweep mod p."""
+    L = lane_layout(p)[1]
+    reduce = lane_reduction(p, p, n)
+    return _unit_pivot_sweep([[r] for r in rows if r], (1 << L * n) - 1, L, p,
+                             reduce, reduce)[1]
 
 
 class LatticeAccumulator:

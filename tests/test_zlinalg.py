@@ -17,6 +17,7 @@ from retractrat.zlinalg import (
     lane_layout,
     pack_lanes,
     quotient_invariants,
+    rank_packed,
     refute_mod,
     row_hermite,
     smith_diagonal,
@@ -227,6 +228,58 @@ class TestRefuteMod:
         with pytest.raises(ValueError):
             refute_mod(Mat.from_rows([[2]]), [1], 0)
         assert refute_mod(Mat.from_rows([[2]]), [1], 1) is None
+
+
+def rank_mod_p(A, p):
+    return rank_packed([pack_lanes(row, p) for row in A.a], A.cols, p)
+
+
+class TestRankModP:
+    """The F_p-rank mode of the packed elimination against the Smith form:
+    the rank of A over F_p is the number of Smith invariants prime to p."""
+
+    @staticmethod
+    def random_rows(rng, rows, cols, p):
+        out = []
+        for _ in range(rows):
+            kind = rng.random()
+            if kind < 0.15 or not cols:
+                out.append([0] * cols)
+            elif kind < 0.35 and len(out) >= 2:
+                # a combination of two earlier rows, so ranks drop over Z too
+                a, b = rng.sample(out, 2)
+                x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+                out.append([x * u + y * v for u, v in zip(a, b)])
+            elif kind < 0.5:
+                # entries >= p and negative ones, mostly divisible by p
+                out.append([p * rng.randint(-4, 4) + rng.choice([0, 0, 1, -1])
+                            for _ in range(cols)])
+            else:
+                out.append([rng.choice([0, rng.randint(-3 * p, 3 * p)]) for _ in range(cols)])
+        return out
+
+    def test_agrees_with_smith_oracle(self):
+        rng = random.Random(5)
+        ranks = {p: set() for p in (2, 3, 5, 7)}
+        for t in range(2000):
+            p = (2, 3, 5, 7)[t % 4]
+            rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+            A = Mat.from_rows(self.random_rows(rng, rows, cols, p), cols)
+            expected = sum(1 for d in smith_diagonal(A) if d % p)
+            assert rank_mod_p(A, p) == expected, (A, p)
+            ranks[p].add(expected)
+        assert all(len(r) >= 6 for r in ranks.values()), ranks
+
+    def test_packed_rows_and_shapes(self):
+        assert rank_mod_p(Mat.from_rows([], 5), 3) == 0
+        assert rank_mod_p(Mat.from_rows([[], []]), 2) == 0
+        assert rank_mod_p(Mat.from_rows([[2, 4], [6, 18]]), 2) == 0
+        assert rank_mod_p(Mat.from_rows([[2, 4], [6, 18]]), 3) == 1
+        assert rank_mod_p(Mat.from_rows([[2, 4], [6, 18]]), 5) == 2
+        # rows packed mod p in the lanes of pack_lanes, read as they are
+        vectors = [[1, 2, 3], [2, 4, 13], [-1, -2, -3]]
+        assert rank_packed([pack_lanes(v, 7) for v in vectors], 3, 7) == 1
+        assert rank_packed([pack_lanes(v, 5) for v in vectors], 3, 5) == 2
 
 
 class TestPackedLanes:
