@@ -76,10 +76,10 @@ mod N and over Z.  A refutation of it is a Lam supported on those entries.
 
 So No answers carry such a Lam, checked mod N against every composite by
 verify_refutation, which reads Lam wherever it is nonzero and does not
-assume that it lives on T.  Yes answers carry the integral section that
-the exact solve writes out, checked as before; only they build the system
-over Z, with the same packed builder at a power-of-two modulus that holds
-every coefficient in a signed lane.
+assume that it lives on T.  Yes answers lift the solution x mod N of the
+same elimination as in the first point: S0 = sum_j x_j S_j has
+proj S0 = I + N Y with Y in E, the average psi of a lift of Y through proj
+has proj psi = N Y, and S0 - psi is the section, checked exactly.
 """
 
 from __future__ import annotations
@@ -114,9 +114,7 @@ from .zlinalg import (
     lattice_rank,
     pack_lanes,
     rank_packed,
-    refute_packed,
-    solve_integer,
-    unpack_signed,
+    solve_packed,
 )
 
 
@@ -142,8 +140,9 @@ class FlabbyResolution:
 
 @dataclass
 class InvertibilityDecision:
-    """Yes carries witness, an equivariant section of the cover projection;
-    No carries refutation, a matrix Lam mod |G| (see verify_refutation)."""
+    """Yes carries witness, an equivariant section of the cover projection
+    lifted from a solution mod |G|; No carries refutation, a matrix Lam mod
+    |G| (see verify_refutation)."""
 
     answer: bool
     witness: Optional[LatticeMap]
@@ -472,44 +471,27 @@ def _section_rows(cov: FixedPointCover, T: Sequence[int],
     return n, rows
 
 
-def _exact_section_system(cov: FixedPointCover, T: Sequence[int]) -> tuple[Mat, list[int]]:
-    """The section system on the columns T over Z, as (A, b) with the
-    equations of _section_rows: built by it mod 2^B, B in 8, 16, 32, ...
-    with every coefficient below 2^(B-1) in absolute value, and read in
-    signed lanes.  |D_j[i][s]| is at most the 1-norm of row i of proj times
-    that of row s of some A*(g) times max |FB|."""
-    Mdual = dual(cov.M)
-    proj = max(sum(map(abs, row)) for row in cov.projection.matrix.a)
-    act = max(sum(map(abs, A.a[s])) for A in Mdual.expand().values() for s in T)
-    fb = max((abs(x) for H in cov.P.summands or [] for row in fixed_basis(Mdual, H).a
-              for x in row), default=0)
-    B = 8
-    while B <= (proj * act * fb).bit_length():
-        B *= 2
-    n, rows = _section_rows(cov, T, 1 << B)
-    A = Mat(len(rows), n, [])
-    b = []
-    for e in rows:
-        *coefficients, target = unpack_signed(e, n + 1, B)
-        A.a.append(coefficients)
-        b.append(target)
-    return A, b
-
-
-def _combine_candidates(cov: FixedPointCover, x: Sequence[int]) -> Mat:
+def _combine_candidates(cov: FixedPointCover, x: Sequence[int],
+                        lift: Optional[Mat] = None) -> Mat:
     """sum_j x_j S_j over the section candidates, in the order of the
-    unknowns of _section_rows: the rows of the summand Z[G/H] at row base
-    are A*(rep_r) FB x_k, x_k its share of x."""
+    unknowns of _section_rows, less psi = sum_g g lift g^-1 for a Z-linear
+    lift: M -> P if given.  The rows of the summand Z[G/H] at row base are
+    A*(rep_r) u, u = FB x_k with x_k its share of x; psi is equivariant, so
+    it only takes its identity-coset row sum_h lift[coset hH] A(h) off u."""
     Mdual = dual(cov.M)
+    mats = cov.M.expand() if lift is not None else {}
     S = Mat.zero(cov.P.rank, cov.M.rank)
     start = base = 0
     for H in cov.P.summands or []:
-        reps, _ = H.cosets()
+        reps, coset_of = H.cosets()
         FB = fixed_basis(Mdual, H)
-        xk = x[start:start + FB.cols]
+        u = FB.mulvec(x[start:start + FB.cols])
         start += FB.cols
-        if any(xk):
-            u = FB.mulvec(xk)
+        for h, A in mats.items():
+            for v, row in zip(lift.a[base + coset_of[h]], A.a):
+                if v:
+                    u = [a - v * b for a, b in zip(u, row)]
+        if any(u):
             for r, rep in enumerate(reps):
                 S.a[base + r] = Mdual.act(rep).mulvec(u)
         base += len(reps)
@@ -563,21 +545,18 @@ def verify_refutation(decision: InvertibilityDecision) -> bool:
 def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
     """Decide whether M is a direct summand of a permutation lattice.
 
-    The section system is decided mod |G| (module docstring), built and
-    eliminated as packed rows.  No answers carry a refutation and Yes
+    The section system is solved mod |G| (module docstring), built and
+    eliminated once as packed rows.  No answers carry a refutation and Yes
     answers an explicit equivariant section of the cover projection, both
-    re-verified before returning.  The section is the exact solution of the
-    system over Z, which the same builder packs mod a power of two large
-    enough to hold every coefficient.
+    re-verified before returning.  The section is the solution mod |G|
+    combined over the candidates, less the average over G of a lift of its
+    error through the projection; the lift is skipped when the error is 0.
     """
     cov = fixed_point_cover(M, frugal=frugal)
-    if M.rank == 0:
-        ident = internal_map(M, cov.P, Mat.zero(cov.P.rank, 0))
-        return InvertibilityDecision(True, ident, cov)
     N, m = M.group.order, M.rank
     T = _orbit_spanning_indices(M)
     n, rows = _section_rows(cov, T, N)
-    lam = refute_packed(list(rows), n, N)
+    x, lam = solve_packed(list(rows), n, N)
     if lam is not None:
         Lam = Mat.zero(m, m)
         for (i, s), y in zip(rows.values(), lam):
@@ -586,12 +565,19 @@ def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
         if not verify_refutation(decision):
             raise InternalCheckError("refutation failed its check against the composites")
         return decision
-    x = solve_integer(*_exact_section_system(cov, T))
-    if x is None:
-        raise InternalCheckError("section system solvable mod |G| but not over Z")
+    # proj S = I + N Y with Y equivariant (module docstring); lift N Y away
+    proj = cov.projection.matrix
     S = _combine_candidates(cov, x)
+    R = proj.mul(S)
+    if not R.is_identity():
+        NY = [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(R.a)]
+        if any(v % N for row in NY for v in row):
+            raise InternalCheckError("section system solution fails mod |G|")
+        Y = Mat(m, m, [[v // N for v in row] for row in NY])
+        S = _combine_candidates(cov, x, LinearSolver(proj).solve_matrix(Y))
+        R = proj.mul(S)
     # re-verify the witness: section identity and equivariance, exactly
-    if not cov.projection.matrix.mul(S).is_identity():
+    if not R.is_identity():
         raise InternalCheckError("section candidate failed the identity check")
     witness = internal_map(M, cov.P, S)  # re-checks equivariance
     return InvertibilityDecision(True, witness, cov)

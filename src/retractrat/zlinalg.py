@@ -10,17 +10,18 @@ its output, and the Smith form alternates row_hermite passes on a matrix
 and on its transpose.
 
 There is one elimination modulo a prime power, _unit_pivot_sweep, in two
-modes.  refute_packed decides a system modulo N, one prime power p^a of N
-at a time.  Its rows are packed rows mod N: each row of the system is a
-single Python int, one fixed-width lane of bits per unknown plus one for
-the right-hand side (pack_lanes), with the lane width taken from N
-(lane_layout), so that every p^a reduces the same rows.  Subtracting a
-multiple of the pivot row is then one big-int multiply-add and a lane-wise
-reduction (lane_reduction), run in C rather than entry by entry.  Callers
-that build their system mod N can build it in this layout directly, with
-the same multiply-add and reduction; refute_mod packs a dense Mat.
-rank_packed counts the pivots of one sweep mod a prime p, which is the
-rank over F_p of vectors packed mod p.
+modes.  solve_packed solves or refutes a system modulo N, one prime power
+p^a of N at a time, back-substituting through the sweeps' pivot rows.  Its
+rows are packed rows mod N: each row of the system is a single Python int,
+one fixed-width lane of bits per unknown plus one for the right-hand side
+(pack_lanes), with the lane width taken from N (lane_layout), so that
+every p^a reduces the same rows.  Subtracting a multiple of the pivot row
+is then one big-int multiply-add and a lane-wise reduction
+(lane_reduction), run in C rather than entry by entry.  Callers that build
+their system mod N can build it in this layout directly, with the same
+multiply-add and reduction; refute_mod packs a dense Mat and returns only
+a refutation.  rank_packed counts the pivots of one sweep mod a prime p,
+which is the rank over F_p of vectors packed mod p.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from operator import mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 
@@ -382,13 +384,6 @@ def unpack_lanes(x: int, lanes: int, N: int) -> list[int]:
     return [x >> L * j & lane for j in range(lanes)]
 
 
-def unpack_signed(x: int, lanes: int, B: int) -> list[int]:
-    """The values in lanes 0..lanes-1 of an int packed mod 2^B, each read as
-    a signed B-bit number."""
-    half = 1 << B - 1
-    return [v - 2 * (v & half) for v in unpack_lanes(x, lanes, 1 << B)]
-
-
 @lru_cache(maxsize=256)
 def lane_reduction(m: int, N: int, lanes: int) -> Callable[[int], int]:
     """The map reducing lanes 0..lanes-1 of a nonnegative int packed mod N
@@ -425,43 +420,59 @@ def _prime_powers(N: int) -> tuple[tuple[int, int], ...]:
     return tuple(_factorint(N).items())
 
 
-def refute_packed(rows: Sequence[int], n: int, N: int) -> Optional[list[int]]:
-    """Decide A*x = b (mod N) for the system given as rows packed mod N: row
+def solve_packed(rows: Sequence[int], n: int,
+                 N: int) -> tuple[Optional[list[int]], Optional[list[int]]]:
+    """Solve A*x = b (mod N) for the system given as rows packed mod N: row
     i holds A[i][0..n-1] in lanes 0..n-1 and b[i] in lane n, each in [0, N)
-    (pack_lanes).  None if it is solvable; otherwise a row vector lam with
-    lam*A = 0 and lam*b != 0 (mod N), one entry in [0, N) per row.
+    (pack_lanes).  (x, None) with a solution x, entries in [0, N), if it is
+    solvable; otherwise (None, lam) with a row vector lam, one entry in
+    [0, N) per row, with lam*A = 0 and lam*b != 0 (mod N).
 
-    Each prime power q = p^a exactly dividing N is decided on its own, on
-    the same rows reduced mod q, and the refutations are glued by the
-    Chinese remainder theorem: a system is solvable mod N exactly when it
-    is solvable mod every p^a.
+    Each prime power q = p^a exactly dividing N is eliminated on its own,
+    on the same rows reduced mod q; the system is solvable mod N exactly
+    when it is solvable mod every p^a.  Refutations, or else solutions, are
+    glued by the Chinese remainder theorem.  A solution mod q is
+    back-substituted through the pivot rows, last to first; unknowns that
+    never pivot are 0.  The rows left after a round are zero at its pivots,
+    so a solution mod p^(a-1) of them divided by p solves them mod p^a.
     """
-    lam = [0] * len(rows)
-    refuted = False
+    lam, solved = [0] * len(rows), []
     for p, a in _prime_powers(N):
         q = p ** a
-        lam_q = _refute_prime_power(rows, n, N, p, a)
-        if lam_q is not None:
-            refuted = True
-            e = N // q * pow(N // q, -1, q)  # 1 mod q, 0 mod N/q
-            lam = [(x + e * y) % N for x, y in zip(lam, lam_q)]
-    return lam if refuted else None
+        e = N // q * pow(N // q, -1, q)  # 1 mod q, 0 mod N/q
+        steps, lam_q = _eliminate_prime_power(rows, n, N, p, a)
+        if lam_q is None:
+            solved.append((e, steps))
+        else:
+            lam = [(u + e * v) % N for u, v in zip(lam, lam_q)]
+    if len(solved) < len(_prime_powers(N)):
+        return None, lam
+    L = lane_layout(N)[1]
+    x = [0] * n
+    for e, steps in solved:
+        x_q = [0] * n
+        for mod, (at, inv, prow) in reversed(steps):
+            *coefficients, b = unpack_lanes(prow, n + 1, N)
+            x_q[at // L] = (b - sum(map(mul, coefficients, x_q))) * inv % mod
+        x = [(u + e * v) % N for u, v in zip(x, x_q)]
+    return x, None
 
 
 def refute_mod(A: Mat, b: Sequence[int], N: int) -> Optional[list[int]]:
     """None if A*x = b (mod N) is solvable; otherwise a row vector lam with
     lam*A = 0 and lam*b != 0 (mod N), entries in [0, N).  Packs each row
-    with its right-hand side and calls refute_packed."""
+    with its right-hand side and calls solve_packed."""
     if len(b) != A.rows:
         raise ValueError("dimension mismatch")
     if N < 1:
         raise ValueError("modulus must be positive")
-    return refute_packed([pack_lanes(row + [bi], N) for row, bi in zip(A.a, b)], A.cols, N)
+    return solve_packed([pack_lanes(row + [bi], N) for row, bi in zip(A.a, b)], A.cols, N)[1]
 
 
-def _refute_prime_power(rows: Sequence[int], n: int, N: int, p: int,
-                        a: int) -> Optional[list[int]]:
-    """refute_packed for the prime power q = p^a dividing N.
+def _eliminate_prime_power(rows: Sequence[int], n: int, N: int, p: int, a: int,
+                           ) -> tuple[Optional[list[tuple]], Optional[list[int]]]:
+    """solve_packed's elimination mod q = p^a: (steps, None), the pivot rows
+    of every round as (modulus, pivot of _unit_pivot_sweep), or (None, lam).
 
     Rounds of _unit_pivot_sweep, the first mod q.  A row left without a
     unit entry stays so for the rest of the round: the multiple of a pivot
@@ -491,27 +502,30 @@ def _refute_prime_power(rows: Sequence[int], n: int, N: int, p: int,
         if r:
             work.append([r, 1 << L * i])
     mod = q
+    steps = []
     while work and mod > 1:
         # the rows without a unit entry this round
-        work, _ = _unit_pivot_sweep([r for r in work if r[0]], unknowns, L, mod,
-                                    residue, lane_reduction(mod, N, lanes), reduce_lam)
+        work, pivots = _unit_pivot_sweep([r for r in work if r[0]], unknowns, L, mod,
+                                         residue, lane_reduction(mod, N, lanes), reduce_lam)
+        steps += [(mod, pivot) for pivot in pivots]
         for r, lam in work:
             if (r >> L * n) % p:
                 # every entry is divisible by p: (mod/p)*lam kills A but not b
-                return [mod // p * y % q for y in unpack_lanes(lam, len(rows), N)]
+                return None, [mod // p * y % q for y in unpack_lanes(lam, len(rows), N)]
         mod //= p
         for r in work:
             r[0] //= p
-    return None
+    return steps, None
 
 
 def _unit_pivot_sweep(queue: list[list[int]], unknowns: int, L: int, mod: int,
                       residue: Callable[[int], int], reduce: Callable[[int], int],
                       reduce_lam: Optional[Callable[[int], int]] = None,
-                      ) -> tuple[list[list[int]], int]:
+                      ) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
     """One round of Gaussian elimination with unit pivots mod a power `mod`
     of a prime p, on rows [row, ...] packed in lanes of L bits: returns the
-    rows left without a unit entry, in order, and the number of pivot rows.
+    rows left without a unit entry and the pivot rows, both in order, each
+    pivot row as (first bit of its pivot lane, pivot inverse mod `mod`, row).
 
     A row's unit entries are its lanes in `unknowns` (a mask of whole
     lanes) that are nonzero mod p (residue reduces every lane mod p); the
@@ -530,16 +544,16 @@ def _unit_pivot_sweep(queue: list[list[int]], unknowns: int, L: int, mod: int,
     """
     lane = (1 << L) - 1
     rest = []
-    pivots = 0
+    pivots = []
     for t, pr in enumerate(queue):
         prow = pr[0]
         units = residue(prow) & unknowns
         if not units:
             rest.append(pr)
             continue
-        pivots += 1
         at = ((units & -units).bit_length() - 1) // L * L
         inv = pow((prow >> at) & lane, -1, mod)
+        pivots.append((at, inv, prow))
         pick = lane << at
         for r in chain(queue[t + 1:], rest):
             f = r[0] & pick
@@ -556,8 +570,8 @@ def rank_packed(rows: Iterable[int], n: int, p: int) -> int:
     with n lanes (pack_lanes): one round of _unit_pivot_sweep mod p."""
     L = lane_layout(p)[1]
     reduce = lane_reduction(p, p, n)
-    return _unit_pivot_sweep([[r] for r in rows if r], (1 << L * n) - 1, L, p,
-                             reduce, reduce)[1]
+    return len(_unit_pivot_sweep([[r] for r in rows if r], (1 << L * n) - 1, L, p,
+                                 reduce, reduce)[1])
 
 
 class LatticeAccumulator:

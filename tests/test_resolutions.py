@@ -9,11 +9,12 @@ from conftest import random_permutation_lattice, sign_lattice
 from retractrat import resolutions
 from retractrat.cohomology import is_coflabby, profile
 from retractrat.errors import InternalCheckError
-from retractrat.groups import catalog_group, catalog_groups_upto
+from retractrat.groups import catalog_group, catalog_groups_upto, dihedral_group, direct_product
 from retractrat.lattices import (
     GLattice,
     LatticeMap,
     augmentation_kernel,
+    conjugated,
     direct_sum,
     dual,
     fixed_basis,
@@ -39,6 +40,7 @@ from retractrat.zlinalg import (
     lattice_rank,
     refute_mod,
     solve_integer,
+    solve_packed,
     unpack_lanes,
 )
 
@@ -474,8 +476,7 @@ class TestModularDecision:
     def test_section_system_matches_dense_composites(self, cross_checked, dense_composites):
         # the library's rows mod N, unpacked, are the dense system on the
         # columns s in T reduced mod N and merged mod N, in first-occurrence
-        # order, and its exact system is that dense system itself; the
-        # cases have odd, even and composite |G|
+        # order; the cases have odd, even and composite |G|
         _, _, equations = cross_checked
         assert len(dense_composites) == len(equations)
         orders = set()
@@ -484,8 +485,6 @@ class TestModularDecision:
             orders.add(N)
             T = resolutions._orbit_spanning_indices(cov.M)
             assert library_rows(cov, T, N) == merged_mod(A, b, N), label
-            exact, rhs = resolutions._exact_section_system(cov, T)
-            assert (exact.cols, exact.a, rhs) == (A.cols, A.a, b), label
         assert {3, 6, 8, 9, 12, 15, 16} <= orders
 
     def test_q16_section_system_matches_dense_composites(self):
@@ -561,25 +560,71 @@ class TestModularDecision:
             assert len(resolutions._orbit_spanning_indices(regular_lattice(G))) == 1, name
             assert resolutions._orbit_spanning_indices(trivial_lattice(G, 4)) == [0, 1, 2, 3]
 
+    def test_some_yes_sections_need_the_lift(self, cross_checked):
+        # x mod |G| gives S0 with proj S0 = I + N Y; on some Yes cases Y is
+        # not 0, so the averaged lift of Y is what makes the witness a
+        # section there; every witness is a section
+        decisions, _, _ = cross_checked
+        lifted = 0
+        for label, dec in decisions:
+            cov = dec.cover
+            if not dec.answer or not cov.M.rank:
+                continue
+            N, m = cov.M.group.order, cov.M.rank
+            proj = cov.projection.matrix
+            n, rows = resolutions._section_rows(cov, resolutions._orbit_spanning_indices(cov.M), N)
+            x, _ = solve_packed(list(rows), n, N)
+            R = proj.mul(resolutions._combine_candidates(cov, x))
+            assert all((R.a[i][j] - (i == j)) % N == 0 for i in range(m) for j in range(m)), label
+            lifted += not R.is_identity()
+            assert proj.mul(dec.witness.matrix).is_identity(), label
+        assert lifted >= 30
+
+    def test_lift_at_order_64(self, monkeypatch):
+        # Z[G/H] for G = D8 x D8 and the first class of subgroups H of order
+        # 4, in a basis that G no longer permutes, needs the lift: one
+        # LinearSolver on the projection, and the witness is a section
+        calls = []
+
+        class Counted(LinearSolver):
+            def __init__(self, A):
+                calls.append(A.rows)
+                super().__init__(A)
+
+        G = direct_product(dihedral_group(8), dihedral_group(8))
+        H = next(H for H in G.subgroup_conjugacy_representatives() if H.order == 4)
+        T = Mat.identity(16)
+        T.a[0][1] = 1
+        T.a[15][0] = -1
+        monkeypatch.setattr(resolutions, "LinearSolver", Counted)
+        dec = is_invertible(conjugated(permutation_lattice(G, [H]), T))
+        assert dec.answer
+        assert calls == [dec.cover.M.rank]
+        assert dec.cover.projection.matrix.mul(dec.witness.matrix).is_identity()
+
     def test_wrong_refutation_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(resolutions, "refute_packed", lambda rows, n, N: [1] * len(rows))
+        monkeypatch.setattr(resolutions, "solve_packed", lambda rows, n, N: (None, [1] * len(rows)))
         with pytest.raises(InternalCheckError):
             is_invertible(flabby_resolution(lenstra_lattice(3).M).F)
 
     def test_modular_yes_without_integral_section_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(resolutions, "solve_integer", lambda A, b: None)
+        # x = 0 is no solution mod |G|: proj S0 = 0 is not I mod 6
+        monkeypatch.setattr(resolutions, "solve_packed", lambda rows, n, N: ([0] * n, None))
         with pytest.raises(InternalCheckError):
             is_invertible(regular_lattice(catalog_group("S3")))
 
     def test_q16_tail_decided_without_exact_solve(self, monkeypatch):
+        # a No lifts nothing: no LinearSolver inside is_invertible
         calls = []
 
-        def counted(A, b):
-            calls.append(A.rows)
-            return solve_integer(A, b)
+        class Counted(LinearSolver):
+            def __init__(self, A):
+                calls.append(A.rows)
+                super().__init__(A)
 
-        monkeypatch.setattr(resolutions, "solve_integer", counted)
-        dec = is_invertible(flabby_resolution(lenstra_lattice(4).M).F)
+        F = flabby_resolution(lenstra_lattice(4).M).F
+        monkeypatch.setattr(resolutions, "LinearSolver", Counted)
+        dec = is_invertible(F)
         assert not dec.answer
         assert dec.refutation is not None and verify_refutation(dec)
         assert calls == []

@@ -11,6 +11,7 @@ from retractrat.zlinalg import (
     LatticeAccumulator,
     LinearSolver,
     Mat,
+    _factorint,
     cokernel_invariants,
     hermite_basis,
     kernel_basis,
@@ -23,8 +24,8 @@ from retractrat.zlinalg import (
     smith_diagonal,
     smith_normal_form,
     solve_integer,
+    solve_packed,
     unpack_lanes,
-    unpack_signed,
 )
 
 
@@ -142,7 +143,8 @@ class TestSolve:
 
 class TestRefuteMod:
     """Solvability mod N against brute force over (Z/N)^k and against the
-    exact solve of [A | N I] y = b."""
+    exact solve of [A | N I] y = b; the solutions of solve_packed checked
+    by substitution."""
 
     @staticmethod
     def solvable_by_brute_force(A, b, N):
@@ -162,6 +164,31 @@ class TestRefuteMod:
         assert all(sum(y * A.a[i][j] for i, y in enumerate(lam)) % N == 0
                    for j in range(A.cols))
         assert sum(y * x for y, x in zip(lam, b)) % N != 0
+
+    @staticmethod
+    def assert_solves(x, A, b, N):
+        assert len(x) == A.cols and all(0 <= y < N for y in x)
+        assert all((u - v) % N == 0 for u, v in zip(A.mulvec(x), b))
+
+    @staticmethod
+    def layered(rng, N, rows, cols):
+        """L D R with L (rows x k) lower and R (k x cols) upper unitriangular,
+        k = min(rows, cols), and D diagonal with entries prod p^e, p | N and
+        e below the exponent of p in N, the first e = 0 and one e = 1 when
+        that exponent is at least 2: eliminating it mod p^a takes a round
+        per power of p on D's diagonal, and the pivot rows of each round
+        involve the unknowns that pivot in later rounds."""
+        k = min(rows, cols)
+        d = [1] * k
+        for p, a in _factorint(N).items():
+            e = [0, min(1, a - 1)] + [rng.randrange(a) for _ in range(k)]
+            d = [x * p ** y for x, y in zip(d, e)]
+        L = [[1 if i == j else rng.randint(-3, 3) if i > j else 0 for j in range(k)]
+             for i in range(rows)]
+        R = [[1 if i == j else rng.randint(-3, 3) if j > i else 0 for j in range(cols)]
+             for i in range(k)]
+        return Mat.from_rows([[sum(L[i][t] * d[t] * R[t][j] for t in range(k))
+                               for j in range(cols)] for i in range(rows)], cols)
 
     @pytest.mark.parametrize("N", [2, 4, 6, 8, 9, 12])
     def test_agrees_with_brute_force(self, N):
@@ -184,10 +211,14 @@ class TestRefuteMod:
         # Rows of N - 1 are -1 modulo every prime power q of N, so every
         # entry is q - 1 and elimination meets the largest lane values,
         # (q - 1) + (q - 1)^2; with q = p^a, a >= 2, the rows left over are
-        # then divided by p.  Half the systems are solvable by construction.
+        # then divided by p.  Half the systems are solvable by construction,
+        # and the layered ones after them (self.layered) need two or more
+        # rounds per prime of N, so back-substitution crosses rounds and
+        # a composite N glues the solutions by CRT.
         rng = random.Random(N)
         answers = set()
-        for t in range(50):
+        solved = 0
+        for t in range(70):
             rows, cols = rng.randint(1, 14), rng.randint(1, 12)
             a = []
             for _ in range(rows):
@@ -199,19 +230,28 @@ class TestRefuteMod:
                 else:
                     a.append([rng.randint(-3 * N, 3 * N) if rng.random() < 0.6 else 0
                               for _ in range(cols)])
-            A = Mat.from_rows(a, cols)
-            if t % 2:
+            A = Mat.from_rows(a, cols) if t < 50 else self.layered(rng, N, rows, cols)
+            if t % 2 or t >= 50:
                 x = [rng.randrange(N) for _ in range(cols)]
                 b = [y + N * rng.randint(-2, 2) for y in A.mulvec(x)]
             else:
                 b = [rng.choice([-1, N - 1, rng.randrange(N)]) for _ in range(rows)]
             lam = refute_mod(A, b, N)
             assert (lam is None) == self.solvable_over_z(A, b, N)
-            assert lam is None or t % 2 == 0
+            assert lam is None or t % 2 == 0 and t < 50
             answers.add(lam is None)
             if lam is not None:
                 self.assert_refutes(lam, A, b, N)
+            x, lam_packed = solve_packed([pack_lanes(row + [bi], N) for row, bi in zip(A.a, b)],
+                                         cols, N)
+            assert lam_packed == lam
+            if lam is None:
+                self.assert_solves(x, A, b, N)
+                solved += 1
+            else:
+                assert x is None
         assert answers == {True, False}
+        assert solved >= 45
 
     def test_prime_powers_combined(self):
         # 2x = 1 fails mod 2 only, 3x = 1 mod 3 only: the lambda refutes both
@@ -285,21 +325,16 @@ class TestRankModP:
 class TestPackedLanes:
     @pytest.mark.parametrize("N", [1, 2, 6, 8, 15, 4096, 4097, 1 << 20])
     def test_pack_and_unpack(self, N):
+        if N > 1 and N & (N - 1) == 0:
+            # lanes mod 2^B are 2B bits wide, with no room for Barrett
+            B = N.bit_length() - 1
+            assert lane_layout(N) == (2 * B, 2 * B)
         rng = random.Random(N)
         for lanes in (1, 2, 7, 40):
             values = [rng.randint(-3 * N, 3 * N) for _ in range(lanes)]
             x = pack_lanes(values, N)
             assert x < 1 << lanes * lane_layout(N)[1]
             assert unpack_lanes(x, lanes, N) == [v % N for v in values]
-
-    @pytest.mark.parametrize("B", [8, 16, 32, 64, 128])
-    def test_signed_lanes(self, B):
-        # values mod 2^B read back as signed B-bit numbers
-        rng = random.Random(B)
-        half = 1 << B - 1
-        values = [-half, half - 1, 0, -1, 1] + [rng.randrange(-half, half) for _ in range(20)]
-        assert lane_layout(1 << B) == (2 * B, 2 * B)
-        assert unpack_signed(pack_lanes(values, 1 << B), len(values), B) == values
 
 
 class TestKernel:
