@@ -312,7 +312,8 @@ class FiniteGroup:
         """One subgroup per conjugacy class (the class member with the smallest
         member tuple), sorted by order then members.  A class is the orbit
         of a subgroup under conjugation by the generators of G."""
-        conj = [[self.conjugate(g, x) for x in range(self.order)] for g in self.generators]
+        t, inv = self.mul_table, self.inv_table
+        conj = [[t[gx][inv[g]] for gx in t[g]] for g in self.generators]
         seen: set[tuple[int, ...]] = set()
         reps: list[Subgroup] = []
         for s in self.subgroups():
@@ -480,7 +481,8 @@ class FiniteGroup:
             raise UserInputError("subgroup is not normal")
         if H._quotient is None:
             reps, proj = H.cosets()
-            table = [[proj[self.mul(a, b)] for b in reps] for a in reps]
+            t = self.mul_table
+            table = [[proj[row[b]] for b in reps] for row in (t[a] for a in reps)]
             gens = sorted({proj[g] for g in self.generators} - {0})
             H._quotient = (FiniteGroup(table, gens, name=None, check=False), tuple(proj))
         return H._quotient
@@ -529,8 +531,8 @@ class Subgroup:
         self.members = members
         self.spanned_by = spanned_by
         # H is normal iff g h g^-1 is in H for the generators g of G and h of H
-        mem = set(members)
-        self.is_normal = all(parent.conjugate(g, h) in mem
+        t, inv, mem = parent.mul_table, parent.inv_table, set(members)
+        self.is_normal = all(t[t[g][h]][inv[g]] in mem
                              for g in parent.generators for h in spanned_by)
         self._gens: Optional[tuple[int, ...]] = None
         self._group: Optional[FiniteGroup] = None
@@ -589,8 +591,9 @@ class Subgroup:
         built once; it holds no reference to the parent."""
         if self._group is None:
             index = {g: i for i, g in enumerate(self.members)}
-            mul = self.parent.mul
-            table = [[index[mul(a, b)] for b in self.members] for a in self.members]
+            t = self.parent.mul_table
+            table = [[index[row[b]] for b in self.members]
+                     for row in (t[a] for a in self.members)]
             gens = [index[g] for g in self.generators]
             self._group = FiniteGroup(table, gens, name=None, check=False)
         return self._group
@@ -690,29 +693,38 @@ def parse_group(spec: dict) -> FiniteGroup:
 
 def _group_from_permutations(perms: list[tuple[int, ...]], degree: int,
                              name: Optional[str]) -> FiniteGroup:
+    """Close perms under composition (p∘q)(i) = p(q(i)), breadth first, and
+    index the elements in discovery order, the identity first.
+
+    The closure forms p∘s once for every element p and generator s; it keeps
+    right[k][x], the index of elements[x]∘perms[k], and the step (x, k) that
+    first reached each element.  For b = elements[x]∘s with s = perms[k],
+    a∘b = (a∘elements[x])∘s, so row a of the table is filled left to right by
+    row[b] = right[k][row[x]]: |G|·|gens| compositions and |G|² lookups."""
     identity = tuple(range(degree))
-
-    def compose(p, q):  # (p∘q)(i) = p(q(i))
-        return tuple(map(p.__getitem__, q))
-
     elements = [identity]
     index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for s in perms:
-                r = compose(p, s)
-                if r not in index:
-                    if len(elements) >= PARSE_ORDER_BOUND:
-                        raise ResourceBoundError(
-                            f"generated order exceeds bound {PARSE_ORDER_BOUND}")
-                    index[r] = len(elements)
-                    elements.append(r)
-                    nxt.append(r)
-        frontier = nxt
+    right: list[list[int]] = [[] for _ in perms]
+    steps: list[tuple[int, list[int]]] = []  # (x, right[k]) for elements 1, 2, ...
+    for x, p in enumerate(elements):  # elements grows while it is walked
+        for rk, s in zip(right, perms):
+            r = tuple(map(p.__getitem__, s))
+            i = index.get(r)
+            if i is None:
+                if len(elements) >= PARSE_ORDER_BOUND:
+                    raise ResourceBoundError(
+                        f"generated order exceeds bound {PARSE_ORDER_BOUND}")
+                i = index[r] = len(elements)
+                elements.append(r)
+                steps.append((x, rk))
+            rk.append(i)
     n = len(elements)
-    table = [[index[compose(a, b)] for b in elements] for a in elements]
+    table = []
+    for a in range(n):
+        row = [a]
+        for x, rk in steps:
+            row.append(rk[row[x]])
+        table.append(row)
     gen_ids = sorted({index[p] for p in perms if p != identity})
     return FiniteGroup(table, gen_ids if gen_ids or n == 1 else [], name=name, check=False)
 

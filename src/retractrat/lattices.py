@@ -452,17 +452,25 @@ def parse_lattice(doc: dict) -> GLattice:
 
 
 def lattice_document(M: GLattice) -> dict:
+    """The document parse_lattice reads back as M.  The action is written for
+    the generators the reader will use: a catalog group's own when the group
+    is written by name, else minimal_generators() of the table, which
+    parse_group picks for a table document."""
     G = M.group
     doc_group: object = {"table": [list(r) for r in G.mul_table]}
+    gens = None
     if G.name:
         doc_group["name"] = G.name
         try:
-            if catalog_group(G.name).mul_table == G.mul_table:
-                doc_group = G.name  # catalog names round-trip without tables
+            named = catalog_group(G.name)
+            if named.mul_table == G.mul_table:
+                doc_group, gens = G.name, named.generators  # no table needed
         except UserInputError:
             pass
+    if gens is None:
+        gens = G.minimal_generators()
     return {
         "group": doc_group,
         "rank": M.rank,
-        "action": {str(s): M.act(s).to_lists() for s in G.generators},
+        "action": {str(s): M.act(s).to_lists() for s in gens},
     }

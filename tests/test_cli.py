@@ -113,6 +113,14 @@ class TestLatticeVerbs:
         payload = json.loads(out)
         assert payload["invertible"] is True and payload["witness"] is not None
 
+    def test_invertible_regular_lattice_of_library_built_group(self, capsys, tmp_path):
+        from retractrat.groups import dihedral_group, direct_product
+        G = direct_product(dihedral_group(8), dihedral_group(8))
+        path = write_lattice(tmp_path, regular_lattice(G))
+        code, out, _ = invoke(capsys, "invertible", "--lattice", path)
+        assert code == 0
+        assert json.loads(out)["invertible"] is True
+
 
 class TestStrictLatticeDocuments:
     @pytest.mark.parametrize("rank, action", [

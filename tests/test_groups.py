@@ -102,8 +102,15 @@ SCAN_GROUPS = {
 @functools.cache
 def small_permutation_groups(count, seed, max_order=64):
     """count seeded random permutation groups of degree 3..8 and order at
-    most max_order.  Half of the even-degree draws preserve the pairs
-    {1,2}, {3,4}, ..., which yields 2-groups and wreath-like groups."""
+    most max_order, parsed from small_permutation_documents."""
+    return [parse_group(doc) for doc in small_permutation_documents(count, seed, max_order)]
+
+
+def small_permutation_documents(count, seed, max_order=64):
+    """count seeded permutation group documents of degree 3..8 whose groups
+    have order at most max_order.  Half of the even-degree draws preserve
+    the pairs {1,2}, {3,4}, ..., which yields 2-groups and wreath-like
+    groups."""
     rng = random.Random(seed)
 
     def block_perm(degree):
@@ -133,9 +140,82 @@ def small_permutation_groups(count, seed, max_order=64):
                         nxt.append(r)
             frontier = nxt
         if len(seen) <= max_order:
-            out.append(parse_group({"perm_generators": [[x + 1 for x in p] for p in perms],
-                                    "degree": degree}))
+            out.append({"perm_generators": [[x + 1 for x in p] for p in perms],
+                        "degree": degree})
     return out
+
+
+def _cycle(start, n):
+    return {start + i: start + (i + 1) % n for i in range(n)}
+
+
+def _dihedral(start, n):
+    return [_cycle(start, n), {start + i: start + (-i) % n for i in range(n)}]
+
+
+def _cyclics(*orders):
+    return [_cycle(sum(orders[:k]), n) for k, n in enumerate(orders)]
+
+
+def _shift(gens, by):
+    return [{a + by: b + by for a, b in g.items()} for g in gens]
+
+
+# the subgroup-scan benchmark's permutation generators (0-based points), by
+# the names of SCAN_GROUPS, in the benchmark's order
+SCAN_PERMUTATIONS = {
+    "S4": (4, [_cycle(0, 4), _cycle(0, 2)]),
+    "S4xC2": (6, [_cycle(0, 4), _cycle(0, 2), _cycle(4, 2)]),
+    "C2^5": (10, _cyclics(2, 2, 2, 2, 2)),
+    "D8xC2xC2": (8, _dihedral(0, 4) + _shift(_cyclics(2, 2), 4)),
+    "C4xC2^3": (10, _cyclics(4, 2, 2, 2)),
+    "C4xC4xC2": (10, _cyclics(4, 4, 2)),
+    "D16xC2": (10, _dihedral(0, 8) + [_cycle(8, 2)]),
+    "D64": (32, _dihedral(0, 32)),
+    "C8xC8": (16, _cyclics(8, 8)),
+    "C16xC4": (20, _cyclics(16, 4)),
+    "D32xC2": (18, _dihedral(0, 16) + [_cycle(16, 2)]),
+    "C4^3": (12, _cyclics(4, 4, 4)),
+    "D8xD8": (8, _dihedral(0, 4) + _dihedral(4, 4)),
+}
+
+
+def scan_permutation_documents(seed):
+    """The subgroup-scan documents of a seed: the points relabelled by a
+    seeded permutation and the generators shuffled, group after group."""
+    rng = random.Random(seed)
+    docs = []
+    for name, (degree, gens) in SCAN_PERMUTATIONS.items():
+        relabel = list(range(degree))
+        rng.shuffle(relabel)
+        images = []
+        for g in gens:
+            img = [0] * degree
+            for i in range(degree):
+                img[relabel[i]] = relabel[g.get(i, i)] + 1
+            images.append(img)
+        rng.shuffle(images)
+        docs.append({"name": name, "degree": degree, "perm_generators": images})
+    return docs
+
+
+def composition_oracle(doc):
+    """The table and generators a permutation document must parse to, by
+    direct composition: the elements indexed in breadth-first discovery order
+    (p∘s for p in order, s in the document's order), table[a][b] the index
+    of elements[a]∘elements[b], generators the sorted non-identity indices
+    of the document's permutations."""
+    perms = [tuple(x - 1 for x in images) for images in doc["perm_generators"]]
+    identity = tuple(range(doc["degree"]))
+    elements, index = [identity], {identity: 0}
+    for p in elements:
+        for s in perms:
+            r = tuple(p[i] for i in s)
+            if r not in index:
+                index[r] = len(elements)
+                elements.append(r)
+    table = tuple(tuple(index[tuple(a[i] for i in b)] for b in elements) for a in elements)
+    return table, tuple(sorted({index[p] for p in perms if p != identity}))
 
 
 # catalog names, scan-group names and the seeded random permutation groups
@@ -177,6 +257,41 @@ class TestParse:
         G = parse_group(doc)
         assert time.process_time() - start < 2.0
         assert G.order == n and G.is_cyclic()
+
+    def test_c2_power_10_permutations_parse_fast(self):
+        # order 1024, the parse bound: ten disjoint transpositions on 20 points
+        doc = {"degree": 20, "perm_generators": [
+            [2 * i + 2 if x == 2 * i + 1 else 2 * i + 1 if x == 2 * i + 2 else x
+             for x in range(1, 21)] for i in range(10)]}
+        start = time.process_time()
+        G = parse_group(doc)
+        assert time.process_time() - start < 1.0
+        assert G.order == 1024
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_scan_permutation_tables_match_composition(self, seed):
+        for doc in scan_permutation_documents(seed):
+            G = parse_group(doc)
+            assert (G.mul_table, G.generators) == composition_oracle(doc), doc["name"]
+            assert len(G.subgroups()) == SCAN_GROUPS[doc["name"]][1], doc["name"]
+
+    def test_random_permutation_tables_match_composition(self):
+        for doc in small_permutation_documents(200, seed=10):
+            G = parse_group(doc)
+            assert (G.mul_table, G.generators) == composition_oracle(doc), doc
+
+    @pytest.mark.parametrize("doc", [
+        {"degree": 3, "perm_generators": [[1, 2, 3], [2, 3, 1]]},  # identity generator
+        {"degree": 4, "perm_generators": [[2, 1, 4, 3], [2, 3, 4, 1], [2, 1, 4, 3]]},
+        {"degree": 3, "perm_generators": [[1, 2, 3]]},  # trivial group
+        {"degree": 5, "perm_generators": []},
+        {"degree": 1, "perm_generators": [[1]]},
+        {"degree": 1, "perm_generators": []},
+    ], ids=["identity-generator", "repeated-generator", "trivial", "no-generators",
+            "degree-1", "degree-1-no-generators"])
+    def test_edge_permutation_tables_match_composition(self, doc):
+        G = parse_group(doc)
+        assert (G.mul_table, G.generators) == composition_oracle(doc)
 
     @pytest.mark.parametrize("name", ["C1", "C2", "V4", "C12", "D8", "U(16)"])
     def test_table_document_builds_one_group(self, monkeypatch, name):

@@ -9,7 +9,15 @@ import pytest
 
 from conftest import sign_lattice
 from retractrat.errors import UserInputError
-from retractrat.groups import FiniteGroup, catalog_group, catalog_groups_upto
+from retractrat.groups import (
+    FiniteGroup,
+    catalog_group,
+    catalog_groups_upto,
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+    parse_group,
+)
 from retractrat.lattices import (
     GLattice,
     LatticeMap,
@@ -413,6 +421,37 @@ class TestDocuments:
         doc = lattice_document(M)
         M2 = parse_lattice(doc)
         assert lattices_equal(M, M2)
+
+    # library-built groups whose generators are not the ones a table
+    # document is parsed with
+    @pytest.mark.parametrize("build", [
+        lambda: direct_product(dihedral_group(8), dihedral_group(8)),
+        lambda: direct_product(dihedral_group(8), cyclic_group(2)),
+        lambda: direct_product(cyclic_group(2), cyclic_group(4)),
+        lambda: direct_product(cyclic_group(6), cyclic_group(2)),
+    ], ids=["D8xD8", "D8xC2", "C2xC4", "C6xC2"])
+    def test_round_trip_library_built_group(self, build):
+        G = build()
+        assert G.generators != G.minimal_generators()
+        M = regular_lattice(G)
+        M2 = parse_lattice(lattice_document(M))
+        assert M2.group.generators == G.minimal_generators()
+        assert lattices_equal(M, M2)
+
+    def test_round_trip_permutation_group(self):
+        G = parse_group({"perm_generators": [[2, 3, 4, 1], [2, 1, 3, 4], [1, 2, 4, 3]],
+                         "degree": 4})
+        assert G.generators != G.minimal_generators()
+        M = random_lattice(G, 4, random.Random(3))
+        assert lattices_equal(M, parse_lattice(lattice_document(M)))
+
+    def test_round_trip_catalog_name_with_other_generators(self):
+        C4 = catalog_group("C4")
+        G = FiniteGroup(C4.mul_table, [3], name="C4")
+        M = GLattice(G, 2, {3: Mat.from_rows([[0, 1], [-1, 0]])})
+        doc = lattice_document(M)
+        assert doc["group"] == "C4" and list(doc["action"]) == ["1"]
+        assert lattices_equal(M, parse_lattice(doc))
 
     def test_validation_on_load(self):
         with pytest.raises(UserInputError):
