@@ -16,7 +16,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InternalCheckError, ResourceBoundError, UserInputError
-from .zlinalg import Mat, _factorint, smith_diagonal
+from .zlinalg import _factorint
 
 PARSE_ORDER_BOUND = 1024
 SUBGROUP_ORDER_BOUND = 64
@@ -342,20 +342,12 @@ class FiniteGroup:
 
     # -- structure recognizers -------------------------------------------------
 
-    def sylow_subgroup(self, p: int) -> "Subgroup":
-        f = _factorint(self.order)
-        size = p ** f.get(p, 0)
-        for s in self.subgroups():
-            if s.order == size:
-                return s
-        raise InternalCheckError("Sylow subgroup missing from enumeration")
-
     def all_sylow_cyclic(self) -> bool:
-        """True iff every Sylow subgroup is cyclic (a "Z-group")."""
-        for p in _factorint(self.order):
-            if not self.sylow_subgroup(p).is_cyclic():
-                return False
-        return True
+        """True iff every Sylow subgroup is cyclic (a "Z-group"): for each
+        p^a exactly dividing |G| some element has order p^a.  Such an element
+        generates a Sylow p-subgroup, and all Sylow p-subgroups are conjugate."""
+        orders = set(map(self.element_order, range(self.order)))
+        return all(p ** a in orders for p, a in _factorint(self.order).items())
 
     def zgroup_presentation(self) -> Optional["ZGroupPresentation"]:
         """Metacyclic presentation sigma^m = tau^n = 1, tau sigma tau^-1 = sigma^r
@@ -441,32 +433,21 @@ class FiniteGroup:
 
     def abelian_decomposition(self) -> list[int]:
         """Prime-power cyclic orders q with G isomorphic to the product of C_q,
-        from the Smith form of a relation lattice for a generating set."""
+        largest first.  If the p-part of G is the product of the C_(p^e_i),
+        the elements of order dividing p^k number p^(s_k) with
+        s_k = sum_i min(k, e_i), so s_k - s_(k-1) of the e_i are >= k."""
         if not self.is_abelian():
             raise UserInputError("group is not abelian")
-        if self.order == 1:
-            return []
-        gens = list(self.minimal_generators())
-        k = len(gens)
-        ords = [self.element_order(g) for g in gens]
-        relations: list[list[int]] = []
-        for i, g in enumerate(gens):
-            row = [0] * k
-            row[i] = ords[i]
-            relations.append(row)
-        # exhaustive relation search below the diagonal ones
-        for expts in itertools.product(*(range(o) for o in ords)):
-            x = 0
-            for g, e in zip(gens, expts):
-                x = self.mul(x, self.power(g, e))
-            if x == 0 and any(expts):
-                relations.append(list(expts))
-        diag = smith_diagonal(Mat.from_rows(relations, k))
+        orders = [self.element_order(g) for g in range(self.order)]
         out: list[int] = []
-        for d in diag:
-            if d > 1:
-                for p, e in _factorint(d).items():
-                    out.append(p ** e)
+        for p, a in _factorint(self.order).items():
+            at_least, s, q = [], 0, 1
+            while s < a:
+                q *= p
+                s_k = _factorint(sum(1 for o in orders if q % o == 0))[p]
+                at_least.append(s_k - s)
+                s = s_k
+            out += [p ** sum(c > i for c in at_least) for i in range(at_least[0])]
         return sorted(out, reverse=True)
 
     # -- quotients and products -------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .errors import UserInputError
 from .groups import is_int
 from .lattices import GLattice, dual, generator_key, parse_lattice
-from .zlinalg import Mat, solve_integer
+from .zlinalg import Mat, pack_lanes, solve_packed
 
 
 @dataclass
@@ -105,29 +105,17 @@ class ExtensionClass:
 def _coboundary_witness(action: MonomialAction, modulus: int,
                         scale: int) -> Optional[tuple[int, ...]]:
     """v with c(s) = (A(s)^T - 1) v mod modulus for all generators s, where c
-    is the coefficient vector scaled into Z/modulus; None if no v exists."""
+    is the coefficient vector scaled into Z/modulus; None if no v exists.
+    One row (A(s)^T - I)[i] | c(s)_i * scale per generator s and coordinate
+    i, packed and solved mod modulus (zlinalg.solve_packed)."""
     lat = action.lattice
-    G = lat.group
-    m = lat.rank
-    gens = list(G.generators)
-    if not gens:
-        return tuple([0] * m)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    k = len(gens)
-    for idx, s in enumerate(gens):
-        At = lat.act(s).transpose()
-        for i in range(m):
-            row = [At.a[i][j] - (1 if i == j else 0) for j in range(m)]
-            # slack unknowns absorb the modulus, one block per generator
-            slack = [0] * (k * m)
-            slack[idx * m + i] = modulus
-            rows.append(row + slack)
-            rhs.append((action.coeff[s][i] * scale) % modulus)
-    sol = solve_integer(Mat.from_rows(rows, m + k * m), rhs)
-    if sol is None:
-        return None
-    return tuple(x % modulus for x in sol[:m])
+    rows = []
+    for s in lat.group.generators:
+        for i, row in enumerate(lat.act(s).transpose().a):
+            rows.append(pack_lanes([x - (i == j) for j, x in enumerate(row)]
+                                   + [action.coeff[s][i] * scale], modulus))
+    v, _ = solve_packed(rows, lat.rank, modulus)
+    return None if v is None else tuple(v)
 
 
 def rescale(action: MonomialAction, v: Sequence[int], modulus: int) -> MonomialAction:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from retractrat.cli import build_parser, run
-from retractrat.groups import catalog_group
+from retractrat.groups import catalog_group, parse_group
 from retractrat.lattices import lattice_document, regular_lattice
 from retractrat.zlinalg import Mat
 
@@ -303,6 +303,35 @@ class TestVerdictVerbs:
     def test_monomial_universal(self, capsys):
         code, out, _ = invoke(capsys, "verdict-monomial", "--group", "V4")
         assert json.loads(out)["answer"] == "No"
+
+    def test_monomial_universal_agl_1_11(self, capsys, tmp_path):
+        # AGL(1,11) = C11 x| C10 (x -> x+1, x -> 2x mod 11), order 110, above
+        # the subgroup enumeration bound: a Z-group, with r = 2 from x -> 2x
+        images = [[(x + 1) % 11 + 1 for x in range(11)], [2 * x % 11 + 1 for x in range(11)]]
+        doc = {"name": "AGL(1,11)", "degree": 11, "perm_generators": images}
+        path = tmp_path / "agl.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = invoke(capsys, "verdict-monomial", "--group", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["answer"] == "Yes"
+        premises = payload["trace"][0]["premises"]
+        assert premises["zassenhaus_presentation"] == {"m": 11, "n": 10, "r": 2}
+        G = parse_group(doc)
+        assert G.order == 110
+        assert G.zgroup_presentation().verify(G)
+
+    def test_monomial_universal_c2_power_7(self, capsys, tmp_path):
+        # C2^7 on 14 points, order 128: a non-cyclic Sylow 2-subgroup
+        images = [[2 * i + 2 if x == 2 * i + 1 else 2 * i + 1 if x == 2 * i + 2 else x
+                   for x in range(1, 15)] for i in range(7)]
+        path = tmp_path / "c2-7.json"
+        path.write_text(json.dumps({"name": "C2^7", "degree": 14, "perm_generators": images}))
+        code, out, _ = invoke(capsys, "verdict-monomial", "--group", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["answer"] == "No"
+        assert payload["trace"][0]["premises"] == {"all_sylow_cyclic": False}
 
     def test_monomial_instance(self, capsys, tmp_path):
         doc = {"group": "C2", "rank": 1, "action": {"1": [[-1]]},

@@ -85,6 +85,9 @@ def commands() -> list[list[str]]:
     for group in ("D8", "Q8", "A4", "C2xC4", "D16"):
         out.append(["group-info", "--group", group])
         out.append(["verdict-noether", "--group", group, "--field", "Q"])
+    out.append(["group-info", "--group", "C12"])
+    for group in ("D8", "S3", "C12", "group-S4xC2.json"):
+        out.append(["verdict-monomial", "--group", group])
     for doc in GROUP_DOCUMENTS:
         out.append(["group-info", "--group", doc])
         for field in ("Q", "C"):

@@ -13,6 +13,7 @@ from retractrat.errors import InternalCheckError, UserInputError
 from retractrat.groups import (
     CATALOG_NAMES,
     SUBGROUP_ORDER_BOUND,
+    FiniteGroup,
     _factorint as factorint,
     catalog_group,
     catalog_groups_upto,
@@ -21,6 +22,7 @@ from retractrat.groups import (
     direct_product,
     parse_group,
 )
+from retractrat.zlinalg import Mat, smith_diagonal
 
 A5_DOC = {"perm_generators": [[2, 3, 4, 5, 1], [2, 3, 1, 4, 5]], "degree": 5, "name": "A5"}
 
@@ -581,6 +583,46 @@ class TestSubgroups:
         assert [r.members for r in G.subgroup_conjugacy_representatives()] == expected
 
 
+def sylow_cyclic_oracle(G):
+    """The former definition: the Sylow subgroup of each prime, taken from
+    the subgroup enumeration, is cyclic."""
+    return all(next(s for s in G.subgroups() if s.order == p ** a).is_cyclic()
+               for p, a in factorint(G.order).items())
+
+
+def abelian_invariants_oracle(G):
+    """The former definition: the prime-power parts of the Smith diagonal
+    of the relation lattice of a minimal generating set, its relations
+    found by exhaustive search below the generators' orders."""
+    gens = G.minimal_generators()
+    ords = [G.element_order(g) for g in gens]
+    relations = [[o if i == j else 0 for j in range(len(gens))] for i, o in enumerate(ords)]
+    for expts in itertools.product(*(range(o) for o in ords)):
+        x = 0
+        for g, e in zip(gens, expts):
+            x = G.mul(x, G.power(g, e))
+        if x == 0 and any(expts):
+            relations.append(list(expts))
+    diag = smith_diagonal(Mat.from_rows(relations, len(gens))) if gens else []
+    return sorted((p ** e for d in diag if d > 1 for p, e in factorint(d).items()),
+                  reverse=True)
+
+
+def cross_check_groups():
+    """Fresh groups, none with its subgroups enumerated: copies of the
+    catalog groups, D4..D64, products of two cyclic groups of order at most
+    64, the subgroup-scan documents at seeds 1 and 2 and seeded permutation
+    groups of order at most 64."""
+    groups = [FiniteGroup(G.mul_table, G.generators, G.name, check=False)
+              for G in map(catalog_group, CATALOG_NAMES)]
+    groups += [dihedral_group(n) for n in range(4, 65, 2)]
+    groups += [direct_product(cyclic_group(a), cyclic_group(b))
+               for a in (2, 3, 4, 6, 8) for b in (2, 3, 4, 5, 6, 8, 9, 12, 16) if a * b <= 64]
+    groups += [parse_group(doc) for seed in (1, 2) for doc in scan_permutation_documents(seed)]
+    groups += [parse_group(doc) for doc in small_permutation_documents(40, seed=20)]
+    return groups
+
+
 class TestSylow:
     def test_examples(self):
         assert catalog_group("S3").all_sylow_cyclic() is True
@@ -591,6 +633,15 @@ class TestSylow:
         assert catalog_group("C12").all_sylow_cyclic() is True
         assert catalog_group("A4").all_sylow_cyclic() is False
         assert catalog_group("D8").all_sylow_cyclic() is False
+
+    def test_against_subgroup_enumeration(self):
+        groups = cross_check_groups()
+        for G in groups:
+            got = G.all_sylow_cyclic()
+            assert G._subgroups is None, G
+            assert got == sylow_cyclic_oracle(G), G
+        # both answers occur
+        assert len({G.all_sylow_cyclic() for G in groups}) == 2
 
 
 class TestZGroupPresentation:
@@ -682,6 +733,14 @@ class TestAbelianDecomposition:
         assert catalog_group("V4").abelian_decomposition() == [2, 2]
         with pytest.raises(UserInputError):
             catalog_group("S3").abelian_decomposition()
+
+    def test_against_relation_lattice(self):
+        abelian = [G for G in cross_check_groups() if G.is_abelian()]
+        for G in abelian:
+            got = G.abelian_decomposition()
+            assert G._subgroups is None, G
+            assert got == abelian_invariants_oracle(G), G
+        assert len(abelian) > 40
 
     @pytest.mark.parametrize("name", ["C1", "C8", "C10", "C15", "C16",
                                       "C2xC4", "C2xC2xC2", "U(16)", "U(32)"])

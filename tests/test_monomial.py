@@ -6,15 +6,16 @@ import random
 import pytest
 
 from retractrat.errors import UserInputError
-from retractrat.groups import catalog_group
+from retractrat.groups import catalog_group, catalog_groups_upto
 from retractrat.lattices import GLattice, random_lattice, regular_lattice, trivial_lattice
 from retractrat.monomial import (
     MonomialAction,
+    _coboundary_witness,
     extension_class,
     parse_monomial_action,
     rescale,
 )
-from retractrat.zlinalg import Mat
+from retractrat.zlinalg import Mat, solve_integer
 
 
 C2 = catalog_group("C2")
@@ -38,6 +39,45 @@ def coboundary_oracle(action, modulus):
         if ok:
             return v
     return None
+
+
+def slack_system_solvable(action, modulus, scale):
+    """The former solver: (A(s)^T - I) v + modulus * t_(s,i) = c(s)_i * scale
+    over Z, one slack unknown t_(s,i) per equation (solve_integer)."""
+    lat = action.lattice
+    m, gens = lat.rank, lat.group.generators
+    rows, rhs = [], []
+    for idx, s in enumerate(gens):
+        At = lat.act(s).transpose()
+        for i in range(m):
+            slack = [0] * (len(gens) * m)
+            slack[idx * m + i] = modulus
+            rows.append([At.a[i][j] - (i == j) for j in range(m)] + slack)
+            rhs.append(action.coeff[s][i] * scale % modulus)
+    return not rows or solve_integer(Mat.from_rows(rows, m + len(gens) * m), rhs) is not None
+
+
+def seeded_actions(seed, per_d=3):
+    """Monomial actions over the catalog groups of order at most 16: for each
+    d in {1, 2, 3, 4, 6, 8, 12}, a random lattice of rank at most 3 and up to
+    per_d random coefficient vectors that satisfy the group's relations."""
+    rng = random.Random(seed)
+    out = []
+    for G in catalog_groups_upto(16):
+        for d in (1, 2, 3, 4, 6, 8, 12):
+            lat = random_lattice(G, 3, rng)
+            kept = 0
+            for _ in range(200):
+                coeff = {s: tuple(rng.randrange(d) for _ in range(lat.rank))
+                         for s in G.generators}
+                try:
+                    out.append(MonomialAction(lat, d, coeff))
+                except UserInputError:
+                    continue
+                kept += 1
+                if kept == per_d:
+                    break
+    return out
 
 
 class TestValidation:
@@ -199,3 +239,28 @@ class TestExtensionClass:
                     stable_mod = d * lat.group.order
                     assert ec.vanishes_stably == (
                         coboundary_oracle(a, stable_mod) is not None)
+
+    def test_coboundary_witness_against_slack_system(self):
+        # at d and at d*|G|, with the trivial group (no generators, no
+        # equations) and modulus 1 among the cases
+        solvable = unsolvable = 0
+        for a in seeded_actions(seed=3):
+            lat, G = a.lattice, a.lattice.group
+            for modulus in (a.d, a.d * G.order):
+                scale = modulus // a.d
+                v = _coboundary_witness(a, modulus, scale)
+                assert (v is not None) == slack_system_solvable(a, modulus, scale)
+                if v is None:
+                    unsolvable += 1
+                    continue
+                solvable += 1
+                assert len(v) == lat.rank and all(0 <= x < modulus for x in v)
+                for s in G.generators:
+                    At = lat.act(s).transpose()
+                    for i in range(lat.rank):
+                        image = sum(At.a[i][j] * v[j] for j in range(lat.rank)) - v[i]
+                        assert (a.coeff[s][i] * scale - image) % modulus == 0
+        assert solvable > 500 and unsolvable > 200
+        trivial = MonomialAction(trivial_lattice(catalog_group("C1"), 2), 5, {})
+        assert _coboundary_witness(trivial, 5, 1) == (0, 0)
+        assert _coboundary_witness(MonomialAction(INV, 1, {1: (0,)}), 1, 1) == (0,)
