@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError, ResourceBoundError, UserInputError
@@ -34,41 +35,80 @@ RANK_BOUND = 512  # lattice documents and fixed-point covers
 
 class GLattice:
     """Integral representation: one unimodular rank x rank matrix per generator,
-    expanded lazily (and verified) to every group element.  A permutation
-    lattice also records its summands: the stabilizer H of each Z[G/H] block,
-    whose basis is the cosets of H in the order of H.cosets().  The lattice
-    keeps what is derived from it (expansion, dual, fixed bases), each built
-    on first use; none of it refers back to the lattice."""
+    expanded lazily (and verified) to every group element.  When every
+    generator permutes the basis, perms holds per generator s the index
+    permutation p with A(s) e_j = e_p[j], and products with A(s) are
+    reindexings (act_mul, mul_act).  permutation_lattice stores only perms;
+    action builds their 0/1 matrices on its first read.  A permutation
+    lattice also records its summands: the stabilizer H of each Z[G/H]
+    block, whose basis is the cosets of H in the order of H.cosets().  The
+    lattice keeps what is derived from it (expansion, dual, fixed bases),
+    each built on first use; none of it refers back to the lattice."""
 
-    def __init__(self, group: FiniteGroup, rank: int, action: dict[int, Mat],
+    def __init__(self, group: FiniteGroup, rank: int, action: Optional[dict[int, Mat]],
                  summands: Optional[list[Subgroup]] = None,
-                 check: bool = True):
+                 check: bool = True,
+                 perms: Optional[dict[int, Sequence[int]]] = None):
         self.group = group
         self.rank = rank
-        self.action = dict(action)
         self.summands = summands
         self._expanded: Optional[dict[int, Mat]] = None
         self._dual: Optional[GLattice] = None
         self._fixed: dict[Subgroup, Mat] = {}
-        if set(self.action) != set(group.generators):
+        if perms is None:
+            self.action = given = dict(action)
+            for g, m in given.items():
+                if m.rows != rank or m.cols != rank:
+                    raise UserInputError(f"matrix for generator {g} has wrong shape")
+            found = {s: m.as_permutation() for s, m in given.items()}
+            self.perms = None if None in found.values() else found
+        else:
+            self.perms = given = {s: tuple(p) for s, p in perms.items()}
+            for s, p in given.items():
+                if sorted(p) != list(range(rank)):
+                    raise InternalCheckError(f"generator {s} does not permute the basis")
+        if set(given) != set(group.generators):
             raise UserInputError("action must be given on exactly the group generators")
-        for g, m in self.action.items():
-            if m.rows != rank or m.cols != rank:
-                raise UserInputError(f"matrix for generator {g} has wrong shape")
         if check:
             # verifies the homomorphism property; A(s)^ord(s) = I then makes
             # every A(s) invertible over Z
             self.expand()
 
+    @cached_property
+    def action(self) -> dict[int, Mat]:
+        """A(s) for every generator s; a lattice given as permutations
+        builds their 0/1 matrices on the first read and keeps them."""
+        return {s: Mat.from_permutation(p) for s, p in self.perms.items()}
+
     def expand(self) -> dict[int, Mat]:
         """A(g) for every g, from A(g * s) = A(g) A(s) over the generators s;
-        FiniteGroup.extend checks that this defines a homomorphism."""
+        FiniteGroup.extend checks that this defines a homomorphism.  With
+        perms the walk composes permutations; otherwise a step reads only
+        the nonzero entries of A(g) and of A(s), the latter listed once."""
         # build-then-publish: the map is assigned only once complete, so
         # concurrent readers never observe a partial expansion
         if self._expanded is None:
-            action = self.action
-            self._expanded = self.group.extend(
-                Mat.identity(self.rank), lambda A, s: A.mul(action[s]), "action")
+            n, perms = self.rank, self.perms
+            if perms is not None:
+                walk = self.group.extend(tuple(range(n)),
+                                         lambda p, s: tuple(map(p.__getitem__, perms[s])), "action")
+                self._expanded = {g: Mat.from_permutation(p) for g, p in walk.items()}
+            else:
+                nonzero = {s: [[(j, y) for j, y in enumerate(row) if y] for row in A.a]
+                           for s, A in self.action.items()}
+
+                def step(A: Mat, s: int) -> Mat:
+                    out = []
+                    for row in A.a:
+                        acc = [0] * n
+                        for x, terms in zip(row, nonzero[s]):
+                            if x:
+                                for j, y in terms:
+                                    acc[j] += x * y
+                        out.append(acc)
+                    return Mat(n, n, out)
+
+                self._expanded = self.group.extend(Mat.identity(n), step, "action")
         return self._expanded
 
     def act(self, g: int) -> Mat:
@@ -76,9 +116,27 @@ class GLattice:
         m = self.action.get(g)
         return m if m is not None else self.expand()[g]
 
+    def act_mul(self, s: int, B: Mat) -> Mat:
+        """A(s) B for a generator s.  With perms, row p[k] of it is row k of
+        B; otherwise a product."""
+        if self.perms is None:
+            return self.act(s).mul(B)
+        rows: list = [None] * B.rows
+        for k, row in zip(self.perms[s], B.a):
+            rows[k] = row[:]
+        return Mat(B.rows, B.cols, rows)
+
+    def mul_act(self, B: Mat, s: int) -> Mat:
+        """B A(s) for a generator s.  With perms, column j of it is column
+        p[j] of B; otherwise a product."""
+        if self.perms is None:
+            return B.mul(self.act(s))
+        p = self.perms[s]
+        return Mat(B.rows, B.cols, [list(map(row.__getitem__, p)) for row in B.a])
+
     def is_permutation_lattice(self) -> bool:
         # products of permutation matrices are permutation matrices
-        return all(m.is_permutation() for m in self.action.values())
+        return self.perms is not None
 
     def __repr__(self) -> str:
         gname = self.group.name or f"order-{self.group.order} group"
@@ -88,7 +146,9 @@ class GLattice:
 @dataclass
 class LatticeMap:
     """Equivariant map between lattices over the same group, as a matrix
-    (target rank x source rank) acting on column vectors."""
+    (target rank x source rank) acting on column vectors.  Equivariance,
+    B A(s) = A(s) B, is checked at every generator s, by reindexing on a
+    side that has perms (GLattice.mul_act, act_mul)."""
 
     source: GLattice
     target: GLattice
@@ -100,9 +160,7 @@ class LatticeMap:
         if (self.matrix.rows, self.matrix.cols) != (self.target.rank, self.source.rank):
             raise UserInputError("map matrix has wrong shape")
         for s in self.source.group.generators:
-            lhs = self.matrix.mul(self.source.act(s))
-            rhs = self.target.act(s).mul(self.matrix)
-            if lhs != rhs:
+            if self.source.mul_act(self.matrix, s) != self.target.act_mul(s, self.matrix):
                 raise UserInputError(f"map is not equivariant at generator {s}")
 
 
@@ -121,27 +179,24 @@ def internal_map(source: GLattice, target: GLattice, matrix: Mat) -> LatticeMap:
 def permutation_lattice(G: FiniteGroup, stabilizers: Sequence[Subgroup]) -> GLattice:
     """Direct sum of coset lattices Z[G/H] for the given stabilizers.
 
-    The basis is the concatenated coset lists; every action matrix is a
-    permutation matrix.  stabilizers=[trivial] gives the regular lattice Z[G].
+    The basis is the concatenated coset lists, and g sends the coset rep*H
+    to (g*rep)*H.  The lattice stores that as one index permutation per
+    generator (GLattice.perms) and builds no matrix until one is read.
+    stabilizers=[trivial] gives the regular lattice Z[G].
     """
     if any(H.parent is not G for H in stabilizers):
         raise UserInputError("stabilizer belongs to a different group")
     cosets = [H.cosets() for H in stabilizers]
     rank = sum(len(reps) for reps, _ in cosets)
-    action = {s: _permutation_action_matrix(G, cosets, s, rank) for s in G.generators}
-    return GLattice(G, rank, action, summands=list(stabilizers), check=False)
-
-
-def _permutation_action_matrix(G: FiniteGroup, cosets, g: int, rank: int) -> Mat:
-    """g sends the coset rep*H to (g*rep)*H."""
-    m = Mat.zero(rank, rank)
-    row = G.mul_table[g]
-    base = 0
-    for reps, coset_of in cosets:
-        for j, rep in enumerate(reps):
-            m.a[base + coset_of[row[rep]]][base + j] = 1
-        base += len(reps)
-    return m
+    perms = {}
+    for s in G.generators:
+        row = G.mul_table[s]
+        perm: list[int] = []
+        for reps, coset_of in cosets:
+            base = len(perm)
+            perm += [base + coset_of[row[rep]] for rep in reps]
+        perms[s] = perm
+    return GLattice(G, rank, None, summands=list(stabilizers), check=False, perms=perms)
 
 
 def regular_lattice(G: FiniteGroup) -> GLattice:
@@ -233,7 +288,7 @@ def conjugated(M: GLattice, T: Mat) -> GLattice:
     Tinv = LinearSolver(T).solve_matrix(Mat.identity(M.rank)) if square else None
     if Tinv is None:
         raise UserInputError(f"basis change must be unimodular of size {M.rank}")
-    action = {s: T.mul(M.act(s)).mul(Tinv) for s in M.group.generators}
+    action = {s: M.mul_act(T, s).mul(Tinv) for s in M.group.generators}
     return GLattice(M.group, M.rank, action, check=False)
 
 
@@ -247,7 +302,7 @@ def invariant_sublattice(M: GLattice, K: Mat) -> GLattice:
     solver = LinearSolver(K)
     action = {}
     for s in M.group.generators:
-        X = solver.solve_matrix(M.act(s).mul(K))
+        X = solver.solve_matrix(M.act_mul(s, K))
         if X is None:
             raise InternalCheckError("sublattice is not action-stable")
         action[s] = X
@@ -313,14 +368,8 @@ def lenstra_lattice(n: int) -> LenstraData:
     pos = {r: i for i, r in enumerate(residues)}
     rank_n = q - 1
 
-    def act_matrix(unit: int) -> Mat:
-        m = Mat.zero(rank_n, rank_n)
-        for r in residues:
-            m.a[pos[(unit * r) % q]][pos[r]] = 1
-        return m
-
-    action = {s: act_matrix(units[s]) for s in pi.generators}
-    N = GLattice(pi, rank_n, action, check=False)
+    perms = {s: [pos[units[s] * r % q] for r in residues] for s in pi.generators}
+    N = GLattice(pi, rank_n, None, check=False, perms=perms)
     phi = tuple(r % q for r in residues)
 
     # kernel of phi over Z: solutions of sum(i * x_i) = 0 mod q, computed as the

@@ -75,6 +75,15 @@ class Mat:
     def zero(cls, rows: int, cols: int) -> "Mat":
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
+    @classmethod
+    def from_permutation(cls, perm: Sequence[int]) -> "Mat":
+        """The 0/1 matrix sending e_j to e_perm[j]: column j is e_perm[j]."""
+        n = len(perm)
+        a = [[0] * n for _ in range(n)]
+        for j, i in enumerate(perm):
+            a[i][j] = 1
+        return cls(n, n, a)
+
     def col(self, j: int) -> list[int]:
         return [row[j] for row in self.a]
 
@@ -102,9 +111,11 @@ class Mat:
         return Mat(self.rows, other.cols, out)
 
     def mulvec(self, v: Sequence[int]) -> list[int]:
+        """self v, reading only the nonzero entries of v."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return [sum(x * y for x, y in zip(row, v)) for row in self.a]
+        terms = [(j, x) for j, x in enumerate(v) if x]
+        return [sum(row[j] * x for j, x in terms) for row in self.a]
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.a for x in row)
@@ -115,17 +126,21 @@ class Mat:
         return all(x == (1 if i == j else 0)
                    for i, row in enumerate(self.a) for j, x in enumerate(row))
 
-    def is_permutation(self) -> bool:
-        """True iff this is a 0/1 matrix with exactly one 1 per row and column."""
-        if self.rows != self.cols:
-            return False
-        seen_cols = set()
-        for row in self.a:
-            ones = [j for j, x in enumerate(row) if x != 0]
-            if len(ones) != 1 or row[ones[0]] != 1:
-                return False
-            seen_cols.add(ones[0])
-        return len(seen_cols) == self.rows
+    def as_permutation(self) -> Optional[tuple[int, ...]]:
+        """perm with from_permutation(perm) == self, or None unless this is
+        a 0/1 matrix with exactly one 1 per row and column."""
+        n = self.rows
+        if n != self.cols:
+            return None
+        perm = [-1] * n
+        for i, row in enumerate(self.a):
+            if row.count(0) != n - 1 or 1 not in row:
+                return None
+            j = row.index(1)
+            if perm[j] >= 0:
+                return None
+            perm[j] = i
+        return tuple(perm)
 
     def to_lists(self) -> list[list[int]]:
         return [row[:] for row in self.a]

@@ -146,6 +146,23 @@ class TestStrictLatticeDocuments:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # matrices that are not a homomorphism of C3: a transposition, read as
+    # an index permutation, and a dense sign, read as a matrix
+    @pytest.mark.parametrize("rank, action", [
+        pytest.param(2, {"1": [[0, 1], [1, 0]]}, id="permutation-of-order-2"),
+        pytest.param(3, {"1": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]}, id="transposition-on-3"),
+        pytest.param(1, {"1": [[-1]]}, id="sign"),
+        pytest.param(2, {"1": [[0, -1], [1, 0]]}, id="rotation-of-order-4"),
+    ])
+    @pytest.mark.parametrize("verb", ["cohomology", "resolve", "invertible"])
+    def test_inconsistent_action_exit_1(self, capsys, tmp_path, verb, rank, action):
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps({"group": "C3", "rank": rank, "action": action}))
+        code, out, err = invoke(capsys, verb, "--lattice", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: action is inconsistent at element 0\n"
+
     @pytest.mark.parametrize("rank", [513, 10 ** 6])
     def test_lattice_rank_bound_exit_2(self, capsys, tmp_path, rank):
         # rejected before the identity shorthand builds a rank x rank matrix

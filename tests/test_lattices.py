@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from conftest import sign_lattice
-from retractrat.errors import UserInputError
+from retractrat.errors import InternalCheckError, UserInputError
 from retractrat.groups import (
     FiniteGroup,
     catalog_group,
@@ -26,6 +26,7 @@ from retractrat.lattices import (
     direct_sum,
     dual,
     fixed_basis,
+    invariant_sublattice,
     lattice_document,
     lenstra_lattice,
     parse_lattice,
@@ -35,7 +36,7 @@ from retractrat.lattices import (
     restrict,
     trivial_lattice,
 )
-from retractrat.resolutions import is_invertible
+from retractrat.resolutions import cover_kernel, fixed_point_cover, flabby_resolution, is_invertible
 from retractrat.zlinalg import Mat, kernel_basis
 
 
@@ -123,6 +124,20 @@ class TestExtend:
                 for h in G.elements():
                     assert mats[G.mul(g, h)] == mats[g].mul(mats[h]), (G.name, g, h)
 
+    def test_expansion_matches_product_oracle_on_tails_and_lenstra(self):
+        rng = random.Random(17)
+        lattices = []
+        for G in catalog_groups_upto(16):
+            M = random_lattice(G, 4, rng)
+            lattices += [M, flabby_resolution(M).F]
+        for n in (3, 4):
+            data = lenstra_lattice(n)
+            lattices += [data.M, data.N, flabby_resolution(data.M).F]
+        for M in lattices:
+            G = M.group
+            walk = G.extend(Mat.identity(M.rank), lambda A, s: A.mul(M.action[s]), "action")
+            assert M.expand() == walk, (G.name, M.rank)
+
     def test_inconsistent_step_raises(self):
         C3 = catalog_group("C3")
         assert sorted(C3.extend(0, lambda v, s: (v + 1) % 3, "count").values()) == [0, 1, 2]
@@ -147,7 +162,7 @@ class TestExtend:
 class TestIsPermutationLattice:
     def test_matches_all_elements_oracle(self, S3):
         def oracle(M):
-            return all(A.is_permutation() for A in M.expand().values())
+            return all(A.as_permutation() is not None for A in M.expand().values())
 
         rng = random.Random(31)
         C4 = catalog_group("C4")
@@ -173,6 +188,138 @@ class TestIsPermutationLattice:
             assert answers[-1] == oracle(M), M
         assert answers[:7] == [True, True, False, True, False, True, False]
         assert True in answers[7:] and False in answers[7:]
+
+
+def dense_permutation_matrices(P):
+    """Oracle: A(g) for every g as the 0/1 matrix read off the cosets of
+    P's summands, with g sending the coset rep*H to (g*rep)*H."""
+    G = P.group
+    cosets = [H.cosets() for H in P.summands]
+    out = {}
+    for g in G.elements():
+        m = Mat.zero(P.rank, P.rank)
+        row = G.mul_table[g]
+        base = 0
+        for reps, coset_of in cosets:
+            for j, rep in enumerate(reps):
+                m.a[base + coset_of[row[rep]]][base + j] = 1
+            base += len(reps)
+        out[g] = m
+    return out
+
+
+def dense_map_check(source_mats, target_mats, B, generators):
+    """Oracle: the message of the first generator s with B A(s) != A(s) B,
+    from dense products, or None for an equivariant B."""
+    for s in generators:
+        if B.mul(source_mats[s]) != target_mats[s].mul(B):
+            return f"map is not equivariant at generator {s}"
+    return None
+
+
+def library_map_check(source, target, B):
+    try:
+        LatticeMap(source, target, B)
+    except UserInputError as exc:
+        return str(exc)
+    return None
+
+
+def seeded_stabilizers(G, rng, max_rank=24):
+    subs = G.subgroups()
+    stabs = [rng.choice(subs)]
+    while rng.random() < 0.6:
+        H = rng.choice(subs)
+        if sum(G.order // K.order for K in stabs) + G.order // H.order > max_rank:
+            break
+        stabs.append(H)
+    return stabs
+
+
+class TestPermutationsAgainstDenseOracle:
+    """Permutation lattices store index permutations; the 0/1 matrices the
+    cosets give and dense products stay the oracle."""
+
+    def test_lazy_matrices_and_composed_expansion(self):
+        rng = random.Random(210)
+        for G in catalog_groups_upto(16):
+            for _ in range(3):
+                P = permutation_lattice(G, seeded_stabilizers(G, rng))
+                assert "action" not in vars(P) and P._expanded is None
+                oracle = dense_permutation_matrices(P)
+                assert all(Mat.from_permutation(P.perms[s]) == oracle[s] for s in G.generators)
+                assert P.action == {s: oracle[s] for s in G.generators}, G.name
+                assert P._expanded is None
+                walk = G.extend(Mat.identity(P.rank), lambda A, s: A.mul(oracle[s]), "action")
+                assert P.expand() == walk == oracle, G.name
+
+    def test_reindexed_checks_agree_with_dense_products(self):
+        rng = random.Random(211)
+        rejected = {"changed": 0, "columns": 0, "rows": 0}
+        for G in catalog_groups_upto(16):
+            gens = G.generators
+            for _ in range(2):
+                M = random_lattice(G, 4, rng)
+                cov = fixed_point_cover(M)
+                P, proj = cov.P, cov.projection.matrix
+                Pm = dense_permutation_matrices(P)
+                inc = cover_kernel(cov)
+                C, K = inc.source, inc.matrix
+                res = flabby_resolution(M)
+                # the cover, its kernel and the resolution read only permutations
+                assert "action" not in vars(P) and "action" not in vars(res.P)
+                Rm = dense_permutation_matrices(res.P)
+                # every map the library built passed the reindexed check
+                assert dense_map_check(Pm, M.expand(), proj, gens) is None
+                assert dense_map_check(C.expand(), Pm, K, gens) is None
+                assert dense_map_check(M.expand(), Rm, res.injection.matrix, gens) is None
+                assert dense_map_check(Rm, res.F.expand(), res.surjection.matrix, gens) is None
+                # broken maps: one entry changed, two columns (rows) swapped
+                for src, dst, (srcm, dstm), B in ((P, M, (Pm, M.expand()), proj),
+                                                  (C, P, (C.expand(), Pm), K)):
+                    if B.rows == 0 or B.cols == 0:
+                        continue
+                    changed = Mat.from_rows(B.a, B.cols)
+                    changed.a[rng.randrange(B.rows)][rng.randrange(B.cols)] += 1
+                    cols = Mat.from_rows(B.a, B.cols)
+                    i, j = rng.sample(range(B.cols), 2) if B.cols > 1 else (0, 0)
+                    for row in cols.a:
+                        row[i], row[j] = row[j], row[i]
+                    rows = Mat.from_rows(B.a, B.cols)
+                    i, j = rng.sample(range(B.rows), 2) if B.rows > 1 else (0, 0)
+                    rows.a[i], rows.a[j] = rows.a[j], rows.a[i]
+                    for kind, broken in (("changed", changed), ("columns", cols), ("rows", rows)):
+                        expected = dense_map_check(srcm, dstm, broken, gens)
+                        assert library_map_check(src, dst, broken) == expected, G.name
+                        rejected[kind] += expected is not None
+        # a change may keep a map equivariant (a fixed column, two trivial
+        # summands), but each kind of change is caught somewhere
+        assert min(rejected.values()) > 10, rejected
+
+    def test_unstable_sublattice_still_an_internal_error(self):
+        for G in catalog_groups_upto(16):
+            if G.order == 1:
+                continue
+            P = regular_lattice(G)
+            e0 = Mat.from_cols([[int(i == 0) for i in range(P.rank)]], rows=P.rank)
+            with pytest.raises(InternalCheckError, match="not action-stable"):
+                invariant_sublattice(P, e0)
+            # the coset sum spans a stable sublattice, with trivial action
+            S = invariant_sublattice(P, Mat.from_cols([[1] * P.rank], rows=P.rank))
+            assert all(S.act(s) == Mat.identity(1) for s in G.generators)
+
+    @pytest.mark.parametrize("perm", [(1, 1, 0), (0, 1), (0, 1, 3), (2, 0, 1, 3)])
+    def test_stored_permutation_must_be_a_bijection(self, perm):
+        C3 = catalog_group("C3")
+        with pytest.raises(InternalCheckError, match="does not permute the basis"):
+            GLattice(C3, 3, None, perms={1: perm})
+
+    def test_permutation_matrices_are_stored_as_permutations(self):
+        C4 = catalog_group("C4")
+        M = GLattice(C4, 4, {1: Mat.from_rows([[0, 0, 0, 1], [1, 0, 0, 0],
+                                               [0, 1, 0, 0], [0, 0, 1, 0]])})
+        assert M.perms == {1: (1, 2, 3, 0)}
+        assert lattices_equal(M, regular_lattice(C4))
 
 
 class TestDual:

@@ -255,7 +255,7 @@ class TestIsInvertible:
                 for k in range(6):
                     T.a[i][k] += T.a[j][k]
         N = conjugated(M, T)
-        assert not N.act(G.generators[0]).is_permutation()
+        assert N.act(G.generators[0]).as_permutation() is None
         dec = is_invertible(N)
         assert dec.answer
         S = dec.witness.matrix

@@ -437,9 +437,33 @@ class TestMat:
         assert K.transpose().rows == 0
         assert Z.transpose().cols == 0
 
+    def test_mulvec_matches_the_dense_formula(self):
+        rng = random.Random(2000)
+        for case in range(2000):
+            rows, cols = rng.randrange(6), rng.randrange(7)
+            A = Mat(rows, cols, [[rng.randint(-9, 9) * (rng.random() < 0.5) for _ in range(cols)]
+                                 for _ in range(rows)])
+            kind = case % 4
+            if kind == 0:  # all zero
+                v = [0] * cols
+            elif kind == 1:  # zero-heavy
+                v = [rng.randint(-3, 3) if rng.random() < 0.2 else 0 for _ in range(cols)]
+            elif kind == 2:  # negative
+                v = [-rng.randint(1, 10 ** 12) for _ in range(cols)]
+            else:
+                v = [rng.randint(-5, 5) for _ in range(cols)]
+            expected = [sum(A.a[i][j] * v[j] for j in range(cols)) for i in range(rows)]
+            assert A.mulvec(v) == expected, (A, v)
+        assert Mat.zero(3, 0).mulvec([]) == [0, 0, 0]
+        with pytest.raises(ValueError):
+            Mat.zero(2, 2).mulvec([1])
+
     def test_permutation_detection(self):
-        assert Mat.from_rows([[0, 1], [1, 0]]).is_permutation()
-        assert not Mat.from_rows([[0, -1], [1, 0]]).is_permutation()
+        assert Mat.from_rows([[0, 1], [1, 0]]).as_permutation() == (1, 0)
+        assert Mat.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]]).as_permutation() == (1, 2, 0)
+        assert Mat.from_rows([[0, -1], [1, 0]]).as_permutation() is None
+        assert Mat.from_rows([[1, 1], [0, 0]]).as_permutation() is None
+        assert Mat.from_permutation((1, 2, 0)) == Mat.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
     def test_solver_reuse(self):
         A = Mat.from_rows([[2, 0], [0, 3]])
