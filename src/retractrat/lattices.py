@@ -321,7 +321,7 @@ def fixed_basis(M: GLattice, H: Subgroup) -> Mat:
                 row = A.a[i][:]
                 row[i] -= 1
                 rows.append(row)
-        FB = M._fixed[H] = (kernel_basis(Mat.from_rows(rows, M.rank)) if rows
+        FB = M._fixed[H] = (kernel_basis(Mat(len(rows), M.rank, rows)) if rows
                             else Mat.identity(M.rank))
     return FB
 

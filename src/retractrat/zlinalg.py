@@ -1,13 +1,17 @@
 """Exact integer matrix algebra: Hermite/Smith normal forms, kernels, solving.
 
 Everything here works over Z with Python's arbitrary-precision integers,
-except the elimination modulo N.  A Mat is dense, a list of rows of Python
-ints.  There is one integer elimination, row_hermite: its pivot in each
-column is the nonzero entry of minimal absolute value, ties broken by the
-smallest row, which keeps coefficient growth tame and makes every output
-deterministic.  LinearSolver and LatticeAccumulator reduce vectors against
-its output, and the Smith form alternates row_hermite passes on a matrix
-and on its transpose.
+except the elimination modulo N.  A Mat is a list of rows of Python ints,
+zeros included.  There is one integer elimination, row_hermite: its pivot
+in each column is the nonzero entry of minimal absolute value, ties broken
+by the smallest row, which keeps coefficient growth tame and makes every
+output deterministic.  It carries the transform in the same rows as the
+matrix, and a row operation reads only the pivot row's nonzero entries,
+so its cost follows the nonzeros rather than the row length; the pivots,
+the operations and so every output are those of the dense elimination.
+LinearSolver and LatticeAccumulator reduce vectors against its output,
+and the Smith form alternates row_hermite passes on a matrix and on its
+transpose.
 
 There is one elimination modulo a prime power, _unit_pivot_sweep, in two
 modes.  solve_packed solves or refutes a system modulo N, one prime power
@@ -203,83 +207,90 @@ class SmithDecomposition(NamedTuple):
     V: Mat
 
 
-def _pick_pivot(a: list[list[int]], start_row: int, col: int) -> Optional[int]:
-    """Row index >= start_row minimizing |a[i][col]| over nonzero entries."""
-    best = None
-    best_abs = None
-    for i in range(start_row, len(a)):
-        x = a[i][col]
-        if x:
-            ax = -x if x < 0 else x
-            if best_abs is None or ax < best_abs:
-                best, best_abs = i, ax
-                if ax == 1:
-                    break
-    return best
-
-
 def row_hermite(A: Mat, transform: bool = False):
     """Row-style Hermite normal form.
 
     Returns (H, U, pivots) with H = U*A when transform is requested, U
-    unimodular. H is the canonical echelon form: pivot columns strictly
-    increase, pivots are positive, entries above a pivot lie in [0, pivot),
-    zero rows sit at the bottom.
+    unimodular, and (H, None, pivots) otherwise. H is the canonical echelon
+    form: pivot columns strictly increase, pivots are positive, entries
+    above a pivot lie in [0, pivot), zero rows sit at the bottom.
+
+    Column by column from row r: the pivot is the nonzero entry of least
+    absolute value, the smallest row on ties (the scan stops at +-1); it is
+    swapped into row r and made positive, every row below subtracts its
+    floor quotient times row r, and the least nonzero remainder (smallest
+    row on ties) is the next pivot, until row r is the only nonzero one in
+    the column.  Then the rows above subtract their floor quotients.
+
+    U rides in the same rows as columns m..m+n-1, so a row operation
+    updates both at once.  It reads only the (index, value) pairs of the
+    pivot row's nonzero entries, listed at the first operation with that
+    pivot row, and updates the target row in place; the rows are copies,
+    so A is never changed.  H and U are split apart at return.
     """
-    a = [row[:] for row in A.a]
     n, m = A.rows, A.cols
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transform else None
+    if transform:
+        a = [row + [0] * n for row in A.a]
+        for i, row in enumerate(a):
+            row[m + i] = 1
+    else:
+        a = [row[:] for row in A.a]
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(m):
         if r >= n:
             break
+        best = None
+        for i in range(r, n):
+            x = a[i][c]
+            if x:
+                x = -x if x < 0 else x
+                if best is None or x < best_abs:
+                    best, best_abs = i, x
+                    if x == 1:
+                        break
+        if best is None:
+            continue
         # Euclidean passes until only row r is nonzero in column c.
         while True:
-            i = _pick_pivot(a, r, c)
-            if i is None:
-                break
-            if i != r:
-                a[r], a[i] = a[i], a[r]
-                if u is not None:
-                    u[r], u[i] = u[i], u[r]
-            piv = a[r][c]
+            a[r], a[best] = a[best], a[r]
+            row_r = a[r]
+            piv = row_r[c]
             if piv < 0:
-                a[r] = [-x for x in a[r]]
-                if u is not None:
-                    u[r] = [-x for x in u[r]]
+                row_r = a[r] = [-x for x in row_r]
                 piv = -piv
-            done = True
+            terms = None
+            best = None
             for i in range(r + 1, n):
-                x = a[i][c]
+                row = a[i]
+                x = row[c]
                 if x:
                     q = x // piv
                     if q:
-                        row_r = a[r]
-                        a[i] = [y - q * z for y, z in zip(a[i], row_r)]
-                        if u is not None:
-                            ur = u[r]
-                            u[i] = [y - q * z for y, z in zip(u[i], ur)]
-                    if a[i][c]:
-                        done = False
-            if done:
+                        if terms is None:
+                            terms = [(j, z) for j, z in enumerate(row_r) if z]
+                        for j, z in terms:
+                            row[j] -= q * z
+                        x = row[c]
+                    if x and (best is None or x < best_abs):
+                        best, best_abs = i, x
+            if best is None:
                 break
-        if r < n and a[r][c]:
-            piv = a[r][c]
-            for i in range(r):
-                x = a[i][c]
+        for i in range(r):
+            row = a[i]
+            x = row[c]
+            if x:
                 q = x // piv
                 if q:
-                    row_r = a[r]
-                    a[i] = [y - q * z for y, z in zip(a[i], row_r)]
-                    if u is not None:
-                        ur = u[r]
-                        u[i] = [y - q * z for y, z in zip(u[i], ur)]
-            pivots.append((r, c))
-            r += 1
-    H = Mat(n, m, a)
-    U = Mat(n, n, u) if transform else None
-    return H, U, pivots
+                    if terms is None:
+                        terms = [(j, z) for j, z in enumerate(row_r) if z]
+                    for j, z in terms:
+                        row[j] -= q * z
+        pivots.append((r, c))
+        r += 1
+    if transform:
+        return Mat(n, m, [row[:m] for row in a]), Mat(n, n, [row[m:] for row in a]), pivots
+    return Mat(n, m, a), None, pivots
 
 
 def hermite_basis(columns: Iterable[Sequence[int]], dim: int) -> Mat:
@@ -287,10 +298,11 @@ def hermite_basis(columns: Iterable[Sequence[int]], dim: int) -> Mat:
 
     The result is the row-HNF of the transposed generator list, transposed
     back, with zero rows dropped: unique per lattice, pivots in ascending
-    coordinate order.
+    coordinate order.  The columns are taken as they are, unchecked.
     """
-    H, _, pivots = row_hermite(Mat.from_rows(list(columns), dim))
-    return Mat.from_cols(H.a[:len(pivots)], dim)
+    rows = [list(col) for col in columns]
+    H, _, pivots = row_hermite(Mat(len(rows), dim, rows))
+    return Mat(len(pivots), dim, H.a[:len(pivots)]).transpose()
 
 
 def kernel_basis(A: Mat) -> Mat:

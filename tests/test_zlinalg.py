@@ -2,10 +2,15 @@
 
 import itertools
 import random
+from typing import Optional
 
 import pytest
 
 from conftest import det
+from retractrat import zlinalg
+from retractrat.groups import catalog_groups_upto
+from retractrat.lattices import augmentation_kernel, fixed_basis, lenstra_lattice, random_lattice
+from retractrat.resolutions import fixed_point_cover
 from retractrat.zlinalg import (
     AbelianInvariants,
     LatticeAccumulator,
@@ -484,6 +489,13 @@ class TestMat:
         M = Mat.from_rows(rows)
         assert M.a == rows and M.a[0] is not rows[0]
 
+    def test_from_rows_rejects_bool_float_and_ragged_rows(self):
+        # hermite_basis, kernel_basis and fixed_basis wrap their own rows
+        # without it; every other caller keeps the check
+        for bad in ([[True, 0]], [[1, 0.0]], [[1, 2], [3]], [[1], [2, 3]]):
+            with pytest.raises(ValueError):
+                Mat.from_rows(bad)
+
     def test_from_cols_is_transposed_from_rows(self):
         cols = [[1, 2, 3], [4, 5, 6]]
         assert Mat.from_cols(cols) == Mat.from_rows(cols).transpose()
@@ -537,3 +549,165 @@ class TestLatticeAccumulator:
                 shuffled = shuffled[k:]
             assert batched._rows == whole._rows
             assert Mat.from_cols(whole._rows, dim) == hermite_basis(vecs, dim)
+
+
+# -- row_hermite against the dense elimination it replaced --------------------------
+#
+# _pick_pivot and _dense_row_hermite are the elimination as it was before row
+# operations went through the pivot row's nonzero entries and the transform
+# rode in the same rows: two full-length list comprehensions per operation.
+# Every output must match it exactly, H, U and pivots alike.
+
+def _pick_pivot(a: list[list[int]], start_row: int, col: int) -> Optional[int]:
+    """Row index >= start_row minimizing |a[i][col]| over nonzero entries."""
+    best = None
+    best_abs = None
+    for i in range(start_row, len(a)):
+        x = a[i][col]
+        if x:
+            ax = -x if x < 0 else x
+            if best_abs is None or ax < best_abs:
+                best, best_abs = i, ax
+                if ax == 1:
+                    break
+    return best
+
+
+def _dense_row_hermite(A: Mat, transform: bool = False):
+    """Row-style Hermite normal form.
+
+    Returns (H, U, pivots) with H = U*A when transform is requested, U
+    unimodular. H is the canonical echelon form: pivot columns strictly
+    increase, pivots are positive, entries above a pivot lie in [0, pivot),
+    zero rows sit at the bottom.
+    """
+    a = [row[:] for row in A.a]
+    n, m = A.rows, A.cols
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transform else None
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(m):
+        if r >= n:
+            break
+        # Euclidean passes until only row r is nonzero in column c.
+        while True:
+            i = _pick_pivot(a, r, c)
+            if i is None:
+                break
+            if i != r:
+                a[r], a[i] = a[i], a[r]
+                if u is not None:
+                    u[r], u[i] = u[i], u[r]
+            piv = a[r][c]
+            if piv < 0:
+                a[r] = [-x for x in a[r]]
+                if u is not None:
+                    u[r] = [-x for x in u[r]]
+                piv = -piv
+            done = True
+            for i in range(r + 1, n):
+                x = a[i][c]
+                if x:
+                    q = x // piv
+                    if q:
+                        row_r = a[r]
+                        a[i] = [y - q * z for y, z in zip(a[i], row_r)]
+                        if u is not None:
+                            ur = u[r]
+                            u[i] = [y - q * z for y, z in zip(u[i], ur)]
+                    if a[i][c]:
+                        done = False
+            if done:
+                break
+        if r < n and a[r][c]:
+            piv = a[r][c]
+            for i in range(r):
+                x = a[i][c]
+                q = x // piv
+                if q:
+                    row_r = a[r]
+                    a[i] = [y - q * z for y, z in zip(a[i], row_r)]
+                    if u is not None:
+                        ur = u[r]
+                        u[i] = [y - q * z for y, z in zip(u[i], ur)]
+            pivots.append((r, c))
+            r += 1
+    H = Mat(n, m, a)
+    U = Mat(n, n, u) if transform else None
+    return H, U, pivots
+
+
+def _oracle_matrix(rng: random.Random, k: int) -> Mat:
+    """The k-th seeded oracle input: empty and 1x1 shapes, small, tall and
+    wide ones up to 100x150, densities 5-100 %, entries within +-1, +-9 or
+    +-2^70 (random signs, so negative pivots), some columns forced zero."""
+    kind = k % 20
+    if kind == 0:
+        rows, cols = rng.choice([(0, rng.randint(0, 6)), (rng.randint(0, 6), 0), (1, 1)])
+    elif kind < 16:
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+    elif kind < 18:
+        rows, cols = rng.randint(1, 40), rng.randint(1, 40)
+    elif kind == 18:
+        rows, cols = rng.randint(40, 100), rng.randint(5, 30)
+    elif k % 200 == 199:
+        rows, cols = rng.randint(80, 100), rng.randint(120, 150)
+    else:
+        rows, cols = rng.randint(5, 40), rng.randint(40, 150)
+    # coefficient growth, more than the shape, sets the cost: 70-bit
+    # entries only up to 64 cells, and the largest shapes sparse and +-1
+    cells = rows * cols
+    density = rng.choice([0.05] if cells > 8000 else [0.05, 0.1, 0.2] if cells > 1600
+                         else [0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0])
+    bound = rng.choice([1, 9, 2 ** 70] if cells <= 64 else [1] if cells > 8000 else [1, 9])
+    zero_cols = set(rng.sample(range(cols), rng.randint(0, cols // 3)))
+    return Mat(rows, cols, [[rng.randint(-bound, bound)
+                             if j not in zero_cols and rng.random() < density else 0
+                             for j in range(cols)] for _ in range(rows)])
+
+
+def _assert_matches_oracle(A: Mat) -> None:
+    before = A.to_lists()
+    for transform in (False, True):
+        H, U, pivots = row_hermite(A, transform=transform)
+        H0, U0, pivots0 = _dense_row_hermite(A, transform=transform)
+        assert (H.rows, H.cols, H.a) == (H0.rows, H0.cols, H0.a)
+        assert pivots == pivots0
+        if transform:
+            assert (U.rows, U.cols, U.a) == (U0.rows, U0.cols, U0.a)
+        else:
+            assert U is None and U0 is None
+        assert A.a == before
+
+
+class TestRowHermiteOracle:
+    def test_seeded_matrices(self):
+        rng = random.Random(2718)
+        for k in range(2000):
+            _assert_matches_oracle(_oracle_matrix(rng, k))
+
+    def test_library_inputs(self, monkeypatch):
+        """Every row_hermite input met while forming fixed bases, fixed-point
+        covers and cover kernels of augmentation kernels and random lattices
+        over the catalog groups of order <= 16, and of the q=8 Lenstra lattice."""
+        seen: list[Mat] = []
+        original = zlinalg.row_hermite
+
+        def record(A, transform=False):
+            seen.append(Mat(A.rows, A.cols, A.to_lists()))
+            return original(A, transform)
+
+        monkeypatch.setattr(zlinalg, "row_hermite", record)
+        rng = random.Random(16)
+        lattices = [lenstra_lattice(3).M]
+        for G in catalog_groups_upto(16):
+            lattices += [augmentation_kernel(G, H) for H in G.subgroups() if H.order < G.order]
+            lattices += [random_lattice(G, 6, rng) for _ in range(2)]
+        for M in lattices:
+            for H in M.group.subgroups():
+                fixed_basis(M, H)
+            kernel_basis(fixed_point_cover(M).projection.matrix)
+        monkeypatch.undo()
+        assert len(seen) > 1000
+        for A in seen:
+            _assert_matches_oracle(A)
