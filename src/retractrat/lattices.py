@@ -211,7 +211,8 @@ def dual(M: GLattice) -> GLattice:
     """Contragredient lattice: A*(g) = transpose(A(g^-1)), built on the first
     call and the same object on every later one; an expansion of M is
     transposed into the dual's.  An unexpanded M stays unexpanded: A(s^-1)
-    is then A(s)^(ord(s)-1) unless s^-1 is itself a generator.  An
+    is then A(s)^(ord(s)-1) unless s^-1 is itself a generator (cover kernels
+    get their dual from sublattice_dual instead).  An
     involution up to exact matrix equality.  Permutation matrices are
     orthogonal, so a permutation lattice is its own dual and is returned as
     it is."""
@@ -307,6 +308,28 @@ def invariant_sublattice(M: GLattice, K: Mat) -> GLattice:
             raise InternalCheckError("sublattice is not action-stable")
         action[s] = X
     return GLattice(M.group, K.cols, action, check=False)
+
+
+def sublattice_dual(P: GLattice, K: Mat, L: GLattice) -> GLattice:
+    """dual(L) for L = invariant_sublattice(P, K) with P a permutation
+    lattice, kept as L's dual, for a caller that reads it next.  A(s^-1) K
+    is K with its rows reindexed through the inverse permutation, so
+    X(s^-1) is solved from A(s^-1) K = K X(s^-1) as invariant_sublattice
+    solves X(s), for each generator s of order above 2: one solve instead
+    of the ord(s) - 2 dense products of X(s) that dual would take."""
+    G = P.group
+    solver = None
+    action = {}
+    for s in G.generators:
+        X = L.action[s]
+        if G.element_order(s) > 2:
+            solver = solver or LinearSolver(K)
+            X = solver.solve_matrix(Mat(K.rows, K.cols, [K.a[k] for k in P.perms[s]]))
+            if X is None:
+                raise InternalCheckError("sublattice is not action-stable")
+        action[s] = X.transpose()
+    L._dual = GLattice(G, L.rank, action, check=False)
+    return L._dual
 
 
 def fixed_basis(M: GLattice, H: Subgroup) -> Mat:

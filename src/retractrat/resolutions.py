@@ -44,8 +44,9 @@ summand of a permutation lattice.  Completeness: if M is invertible, the
 cover sequence splits because its kernel is coflabby, so the system is
 solvable.
 
-The system is decided modulo N = |G|.  Let E = End_G(M) and L the span of
-the D_j, so L lies in E.
+The system is decided modulo N = |G|, after a pass modulo each prime p with
+p^2 | N that may refute it early (below).  Let E = End_G(M) and L the span
+of the D_j, so L lies in E.
 
 * N E lies in L.  Given phi in E, lift it to a Z-linear map psi0: M -> P
   with proj psi0 = phi (M is free and proj is onto).  The average
@@ -74,6 +75,17 @@ So the system has one equation per entry (i, s), s in T: m |T| equations
 instead of m^2 (|T| = 1 for a regular lattice), with the same solutions
 mod N and over Z.  A refutation of it is a Lam supported on those entries.
 
+Before the system mod N, the same system is built and eliminated mod each
+prime p with p^2 | N, stopping at the first that refutes it.  If
+<lam, D_j> = 0 mod p for every j and trace lam != 0 mod p, then
+Lam = (N/p) lam has <Lam, D_j> = (N/p) (multiple of p) = 0 mod N and
+trace Lam = (N/p) trace lam != 0 mod N: a refutation mod N.  A system
+solvable mod N is solvable mod p, so a pass mod p never turns a Yes into a
+No; when it finds no refutation the system mod N decides.  The system mod
+p is smaller (its lanes are narrower and more equations merge) and
+eliminating it skips the rounds mod p^2, p^3, ...  A p dividing N exactly
+is not tried: solve_packed already eliminates mod p^1 there.
+
 So No answers carry such a Lam, checked mod N against every composite by
 verify_refutation, which reads Lam wherever it is nonzero and does not
 assume that it lives on T.  Yes answers lift the solution x mod N of the
@@ -100,6 +112,7 @@ from .lattices import (
     internal_map,
     invariant_sublattice,
     permutation_lattice,
+    sublattice_dual,
 )
 from .zlinalg import (
     AbelianInvariants,
@@ -348,9 +361,12 @@ def fixed_point_cover(M: GLattice, frugal: bool = True) -> FixedPointCover:
 def cover_kernel(cov: FixedPointCover) -> LatticeMap:
     """The inclusion C -> P of the kernel C of the cover projection, with the
     action of C solved from that of P.  C is coflabby because the cover is
-    surjective on every fixed part."""
+    surjective on every fixed part.  flabby_resolution reads C's dual next,
+    so it is built here from P's permutations (lattices.sublattice_dual)."""
     K = kernel_basis(cov.projection.matrix)
-    return internal_map(invariant_sublattice(cov.P, K), cov.P, K)
+    inclusion = internal_map(invariant_sublattice(cov.P, K), cov.P, K)
+    sublattice_dual(cov.P, K, inclusion.source)
+    return inclusion
 
 
 def flabby_resolution(M: GLattice, frugal: bool = True) -> FlabbyResolution:
@@ -546,7 +562,11 @@ def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
     """Decide whether M is a direct summand of a permutation lattice.
 
     The section system is solved mod |G| (module docstring), built and
-    eliminated once as packed rows.  No answers carry a refutation and Yes
+    eliminated as packed rows.  Each prime p with p^2 | |G| is tried first:
+    a lam with <lam, D_j> = 0 mod p for every j and trace lam != 0 mod p
+    gives (|G|/p) lam, which kills every D_j mod |G| and keeps a nonzero
+    trace mod |G|, so the system mod |G| is never built.  Yes answers still
+    come from the solution mod |G|.  No answers carry a refutation and Yes
     answers an explicit equivariant section of the cover projection, both
     re-verified before returning.  The section is the solution mod |G|
     combined over the candidates, less the average over G of a lift of its
@@ -555,16 +575,17 @@ def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
     cov = fixed_point_cover(M, frugal=frugal)
     N, m = M.group.order, M.rank
     T = _orbit_spanning_indices(M)
-    n, rows = _section_rows(cov, T, N)
-    x, lam = solve_packed(list(rows), n, N)
-    if lam is not None:
-        Lam = Mat.zero(m, m)
-        for (i, s), y in zip(rows.values(), lam):
-            Lam.a[i][s] = y
-        decision = InvertibilityDecision(False, None, cov, Lam)
-        if not verify_refutation(decision):
-            raise InternalCheckError("refutation failed its check against the composites")
-        return decision
+    for d in [p for p, a in _factorint(N).items() if a > 1] + [N]:
+        n, rows = _section_rows(cov, T, d)
+        x, lam = solve_packed(list(rows), n, d)
+        if lam is not None:
+            Lam = Mat.zero(m, m)
+            for (i, s), y in zip(rows.values(), lam):
+                Lam.a[i][s] = N // d * y
+            decision = InvertibilityDecision(False, None, cov, Lam)
+            if not verify_refutation(decision):
+                raise InternalCheckError("refutation failed its check against the composites")
+            return decision
     # proj S = I + N Y with Y equivariant (module docstring); lift N Y away
     proj = cov.projection.matrix
     S = _combine_candidates(cov, x)

@@ -347,6 +347,42 @@ class TestDual:
             assert lattices_equal(dual(Q), P)
 
 
+    def test_cover_kernel_dual_from_inverse_permutations(self, monkeypatch):
+        # the dual that cover_kernel builds from P's inverse permutations is
+        # the dual built from powers of A_C(s), and dual reads it as it is:
+        # no Mat.mul inside dual.  The groups have generators of orders 2,
+        # 3, 4 and 8, and the q = 8 Lenstra lattice and its dual are covered.
+        rng = random.Random(5)
+        lattices = [lenstra_lattice(3).M, dual(lenstra_lattice(3).M)]
+        lattices += [random_lattice(catalog_group(name), 4, rng)
+                     for name in ("C8", "S3", "D8", "Q8", "A4", "C2xC4")]
+        orders = set()
+        products = []
+        real_mul = Mat.mul
+
+        def counted(A, B):
+            products.append(A.rows)
+            return real_mul(A, B)
+
+        for M in lattices:
+            G = M.group
+            orders |= {G.element_order(s) for s in G.generators}
+            cov = fixed_point_cover(M)
+            inc = cover_kernel(cov)
+            C = inc.source
+            assert C._dual is not None and C._dual._expanded is None
+            oracle = dual(invariant_sublattice(cov.P, inc.matrix))
+            with monkeypatch.context() as patch:
+                patch.setattr(Mat, "mul", counted)
+                D = dual(C)
+            assert D is C._dual
+            assert D.action == oracle.action, G.name
+            for g in G.elements():
+                assert D.act(g) == C.act(G.inv(g)).transpose(), (G.name, g)
+        assert products == []
+        assert {2, 3, 4, 8} <= orders
+
+
 def fixed_basis_oracle(M, H):
     """Basis of M^H from the conditions (A(h) - 1) v = 0 over every member h
     of H, not only its generators."""

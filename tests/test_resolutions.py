@@ -35,6 +35,7 @@ from retractrat.resolutions import (
 from retractrat.zlinalg import (
     LinearSolver,
     Mat,
+    _factorint,
     hermite_basis,
     kernel_basis,
     lattice_rank,
@@ -388,6 +389,42 @@ def library_rows(cov, T, N):
     return [unpack_lanes(e, n + 1, N) for e in rows]
 
 
+def decide_mod_n_alone(cov):
+    """The decision on a cover with the section system built and solved mod
+    N = |G| only, with no pass mod p before it: (True, the section matrix)
+    or (False, Lam), Lam on the first (i, s) of each equation."""
+    M = cov.M
+    N, m = M.group.order, M.rank
+    n, rows = resolutions._section_rows(cov, resolutions._orbit_spanning_indices(M), N)
+    x, lam = solve_packed(list(rows), n, N)
+    if lam is not None:
+        Lam = Mat.zero(m, m)
+        for (i, s), y in zip(rows.values(), lam):
+            Lam.a[i][s] = y
+        return False, Lam
+    proj = cov.projection.matrix
+    S = resolutions._combine_candidates(cov, x)
+    R = proj.mul(S)
+    if not R.is_identity():
+        Y = Mat(m, m, [[(v - (i == j)) // N for j, v in enumerate(row)]
+                       for i, row in enumerate(R.a)])
+        S = resolutions._combine_candidates(cov, x, LinearSolver(proj).solve_matrix(Y))
+    return True, S
+
+
+def decide_recording_moduli(monkeypatch, M):
+    """is_invertible(M) and the moduli of its solve_packed calls, in order."""
+    moduli = []
+
+    def recorded(rows, n, N):
+        moduli.append(N)
+        return solve_packed(rows, n, N)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(resolutions, "solve_packed", recorded)
+        return is_invertible(M), moduli
+
+
 @pytest.fixture(scope="class")
 def decided():
     """Each case of cross_check_cases decided by is_invertible, as (label,
@@ -424,6 +461,22 @@ class TestModularDecision:
         _, systems, _ = cross_checked
         assert all(modular == exact for modular, exact in systems)
         assert {modular for modular, _ in systems} == {True, False}
+
+    def test_matches_the_decision_mod_n_alone(self, decided):
+        # against the decision without the passes mod p: same answers,
+        # identical Yes witnesses, every No verified; the cases include orders
+        # with a square factor and both answers there
+        squared = set()
+        for label, dec in decided:
+            answer, matrix = decide_mod_n_alone(dec.cover)
+            assert dec.answer == answer, label
+            if answer:
+                assert dec.witness.matrix == matrix, label
+            else:
+                assert verify_refutation(dec), label
+            if any(a > 1 for a in _factorint(dec.cover.M.group.order).values()):
+                squared.add(answer)
+        assert squared == {True, False}
 
     def test_every_no_carries_a_verified_refutation(self, cross_checked):
         decisions, _, _ = cross_checked
@@ -628,6 +681,78 @@ class TestModularDecision:
         assert not dec.answer
         assert dec.refutation is not None and verify_refutation(dec)
         assert calls == []
+
+
+class TestRefutationModP:
+    """is_invertible tries the section system mod each p with p^2 | |G|
+    before mod |G|; decide_mod_n_alone is the decision without those passes."""
+
+    @pytest.fixture(scope="class")
+    def q16_tail(self):
+        return flabby_resolution(lenstra_lattice(4).M).F
+
+    def test_q16_tail_refuted_mod_2(self, monkeypatch, q16_tail):
+        # |G| = 8: the system mod 2 refutes, and the one mod 8 is never built
+        dec, moduli = decide_recording_moduli(monkeypatch, q16_tail)
+        assert moduli == [2]
+        assert not dec.answer and verify_refutation(dec)
+        assert all(y % 4 == 0 for row in dec.refutation.a for y in row)
+        assert decide_mod_n_alone(dec.cover)[0] is False
+
+    def test_no_that_falls_through_to_the_order(self, monkeypatch):
+        # a rank-2 lattice of C12 whose system is solvable mod 2 but not mod
+        # 12 (it is refuted mod 3): the refutation is the one mod 12 itself
+        M = random_lattice(catalog_group("C12"), 3, random.Random(0))
+        dec, moduli = decide_recording_moduli(monkeypatch, M)
+        assert moduli == [2, 12]
+        assert not dec.answer and verify_refutation(dec)
+        assert (False, dec.refutation) == decide_mod_n_alone(dec.cover)
+
+    def test_yes_with_a_square_factor(self, monkeypatch):
+        # the flabby tail of the norm-one torus of C4 and the regular lattice
+        # of D8 are invertible: the pass mod 2 finds no refutation, and the
+        # witness is the one lifted from the solution mod |G|
+        J = dual(augmentation_kernel_of(catalog_group("C4")))
+        for M, N in [(flabby_resolution(J).F, 4), (regular_lattice(catalog_group("D8")), 8)]:
+            dec, moduli = decide_recording_moduli(monkeypatch, M)
+            assert moduli == [2, N]
+            assert dec.answer
+            assert (True, dec.witness.matrix) == decide_mod_n_alone(dec.cover)
+
+    def test_squarefree_order_solves_mod_the_order_only(self, monkeypatch):
+        for name in ("S3", "C6", "C15"):
+            G = catalog_group(name)
+            dec, moduli = decide_recording_moduli(monkeypatch, augmentation_kernel_of(G))
+            assert moduli == [G.order], name
+
+    def test_unscaled_refutation_mod_2_is_rejected(self, q16_tail):
+        # lam mod 2 kills every composite mod 2 only; (|G|/2) lam kills them
+        # mod |G|, lam itself does not (|G| = 4 and 8)
+        for F in (flabby_resolution(lenstra_lattice(3).M).F, q16_tail):
+            cov = fixed_point_cover(F)
+            m, N = F.rank, F.group.order
+            n, rows = resolutions._section_rows(cov, resolutions._orbit_spanning_indices(F), 2)
+            _, lam = solve_packed(list(rows), n, 2)
+            assert lam is not None and N > 2
+            Lam = Mat.zero(m, m)
+            for (i, s), y in zip(rows.values(), lam):
+                Lam.a[i][s] = y
+            no = resolutions.InvertibilityDecision(False, None, cov, Lam)
+            assert not verify_refutation(no), N
+            scaled = Mat.from_rows([[N // 2 * y for y in row] for row in Lam.a], m)
+            assert verify_refutation(dataclasses.replace(no, refutation=scaled)), N
+
+    def test_bogus_refutation_from_the_first_modulus_is_an_internal_error(self, monkeypatch):
+        moduli = []
+
+        def bogus(rows, n, N):
+            moduli.append(N)
+            return None, [1] * len(rows)
+
+        monkeypatch.setattr(resolutions, "solve_packed", bogus)
+        with pytest.raises(InternalCheckError):
+            is_invertible(regular_lattice(catalog_group("D8")))
+        assert moduli == [2]
 
 
 class TestDegenerateInputs:
