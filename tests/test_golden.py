@@ -82,6 +82,11 @@ def commands() -> list[list[str]]:
     for doc in documents():
         for verb in ("invertible", "resolve", "verdict-torus"):
             out.append([verb, "--lattice", doc])
+    # profiles over groups whose subgroups fall into classes of several members
+    for doc in ("J-S3.json", "J-Q8-C2.json", "J-D8-C2.json", "random-A4-7.json",
+                "random-D8-1.json"):
+        out.append(["cohomology", "--lattice", doc])
+        out.append(["cohomology", "--lattice", doc, "--subgroups", "all"])
     for group in ("D8", "Q8", "A4", "C2xC4", "D16"):
         out.append(["group-info", "--group", group])
         out.append(["verdict-noether", "--group", group, "--field", "Q"])
