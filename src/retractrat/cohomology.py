@@ -5,6 +5,13 @@ flabby/coflabby predicates quantify over subgroups; by default only
 subgroups of prime-power order are visited, which is sound because
 restriction to Sylow subgroups is injective on Tate cohomology.
 
+Every value is computed once per conjugacy class of subgroups, at the
+class head (FiniteGroup.subgroup_conjugacy_classes), because m -> g m
+maps the Tate group H^n(H, M) isomorphically onto H^n(gHg^-1, M)
+(K. S. Brown, Cohomology of Groups, III.8): conjugate subgroups have the
+same invariants.  A profile still lists every subgroup of its family,
+each class member under the values of its head (per_class).
+
 One routine computes degrees -1 and 1.  Degree -1 is Ker(N_H) / I_H M, with
 I_H M spanned by (s - 1)M over the generators s of H alone, since
 st - 1 = (s - 1)t + (t - 1).  Degree 1 is degree -1 of the dual: for a Z-free
@@ -27,10 +34,10 @@ needs no basis: it is the multiplicity of the trivial character,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Iterable, Literal, TypeVar
 
 from .errors import InternalCheckError, UserInputError
-from .groups import Subgroup
+from .groups import FiniteGroup, Subgroup
 from .lattices import GLattice, dual, fixed_basis, fixed_rank
 from .zlinalg import (
     AbelianInvariants,
@@ -134,6 +141,24 @@ class CohomologyProfile:
 
 
 SubgroupMode = Literal["prime-power", "all"]
+T = TypeVar("T")
+
+
+def per_class(G: FiniteGroup, subgroups: Iterable[Subgroup],
+              invariants: Callable[[Subgroup], T]) -> dict[tuple[int, ...], T]:
+    """members -> invariants(K) for each of the given subgroups of G, in their
+    order, with K the head of its conjugacy class: invariants is called
+    once per class, so it must be an invariant of conjugation (module
+    docstring)."""
+    head = {H: c[0] for c in G.subgroup_conjugacy_classes() for H in c}
+    values: dict[Subgroup, T] = {}
+    out = {}
+    for H in subgroups:
+        K = head[H]
+        if K not in values:
+            values[K] = invariants(K)
+        out[H.members] = values[K]
+    return out
 
 
 def _profile_subgroups(M: GLattice, mode: SubgroupMode) -> list[Subgroup]:
@@ -150,20 +175,25 @@ def profile(M: GLattice, subgroups: SubgroupMode = "prime-power") -> CohomologyP
 
     The default prime-power family decides flabby/coflabby exactly: the
     restriction of Tate cohomology to Sylow subgroups is injective, and the
-    subgroups of a Sylow subgroup all have prime-power order.
+    subgroups of a Sylow subgroup all have prime-power order.  Every
+    subgroup of the family is listed; the cohomology is computed once per
+    conjugacy class (per_class).
     """
-    entries = {}
-    for H in _profile_subgroups(M, subgroups):
-        entries[H.members] = (tate_minus1(H, M), h1(H, M))
+    entries = per_class(M.group, _profile_subgroups(M, subgroups),
+                        lambda K: (tate_minus1(K, M), h1(K, M)))
     return CohomologyProfile(M, entries, subgroups)
 
 
 def is_flabby(M: GLattice) -> bool:
     """H^-1(H, M) = 0 for every subgroup H of prime-power order p^k > 1,
     decided by one F_p-rank each (module docstring), without the
-    invariants that tate_minus1 computes."""
-    for H in M.group.prime_power_subgroups():
-        p = min(_factorint(H.order))
+    invariants that tate_minus1 computes.  One H per conjugacy class is
+    visited: H^-1(gHg^-1, M) = g H^-1(H, M)."""
+    for H in M.group.subgroup_conjugacy_representatives():
+        primes = _factorint(H.order)
+        if len(primes) != 1:
+            continue
+        p, = primes
         aug = (pack_lanes(col, p) for col in _augmentation_columns(H, M))
         if rank_packed(aug, M.rank, p) != M.rank - fixed_rank(M, H):
             return False

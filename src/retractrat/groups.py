@@ -35,7 +35,8 @@ class FiniteGroup:
     empty for the trivial group), picked by minimal_generators when None is
     given.  Rows are kept as given, as tuples; check=True rejects a
     non-integer entry or generator.  Instances are immutable after
-    construction and cache derived data (subgroups, element orders).
+    construction and cache derived data (subgroups, their conjugacy classes,
+    element orders).
     """
 
     def __init__(self, mul_table: Sequence[Sequence[int]],
@@ -46,6 +47,7 @@ class FiniteGroup:
         self.name = name
         self._subgroups: Optional[list[Subgroup]] = None
         self._subgroup_index: dict[tuple[int, ...], Subgroup] = {}
+        self._classes: Optional[list[list[Subgroup]]] = None
         self._orders: Optional[tuple[int, ...]] = None
         if check:
             self._validate_table()
@@ -308,31 +310,38 @@ class FiniteGroup:
     def prime_power_subgroups(self) -> list["Subgroup"]:
         return [s for s in self.subgroups() if s.order > 1 and _is_prime_power(s.order)]
 
-    def subgroup_conjugacy_representatives(self) -> list["Subgroup"]:
-        """One subgroup per conjugacy class (the class member with the smallest
-        member tuple), sorted by order then members.  A class is the orbit
-        of a subgroup under conjugation by the generators of G."""
-        t, inv = self.mul_table, self.inv_table
-        conj = [[t[gx][inv[g]] for gx in t[g]] for g in self.generators]
-        seen: set[tuple[int, ...]] = set()
-        reps: list[Subgroup] = []
-        for s in self.subgroups():
-            if s.members in seen:
-                continue
-            # subgroups come sorted, so the first of a class is its least
-            reps.append(s)
-            seen.add(s.members)
-            frontier = [s.members]
-            while frontier:
-                nxt = []
-                for members in frontier:
+    def subgroup_conjugacy_classes(self) -> list[list["Subgroup"]]:
+        """The conjugacy classes of subgroups, each sorted by members, so
+        headed by its member with the smallest member tuple; the classes
+        come sorted by order then head.  A class is the orbit of a subgroup
+        under conjugation by the generators of G.  Computed once and kept,
+        like subgroups()."""
+        if self._classes is None:
+            subs, index = self.subgroups(), self._subgroup_index
+            t, inv = self.mul_table, self.inv_table
+            conj = [[t[gx][inv[g]] for gx in t[g]] for g in self.generators]
+            seen: set[tuple[int, ...]] = set()
+            classes = []
+            for s in subs:
+                if s.members in seen:
+                    continue
+                # subgroups come sorted, so the first of a class is its least
+                orbit = [s.members]
+                seen.add(s.members)
+                for members in orbit:
                     for c in conj:
                         image = tuple(sorted(c[x] for x in members))
                         if image not in seen:
                             seen.add(image)
-                            nxt.append(image)
-                frontier = nxt
-        return reps
+                            orbit.append(image)
+                classes.append([index[m] for m in sorted(orbit)])
+            self._classes = classes
+        return self._classes
+
+    def subgroup_conjugacy_representatives(self) -> list["Subgroup"]:
+        """One subgroup per conjugacy class, the head of each class of
+        subgroup_conjugacy_classes(), sorted by order then members."""
+        return [c[0] for c in self.subgroup_conjugacy_classes()]
 
     def trivial_subgroup(self) -> "Subgroup":
         return self.subgroup((0,))

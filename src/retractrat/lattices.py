@@ -42,8 +42,9 @@ class GLattice:
     action builds their 0/1 matrices on its first read.  A permutation
     lattice also records its summands: the stabilizer H of each Z[G/H]
     block, whose basis is the cosets of H in the order of H.cosets().  The
-    lattice keeps what is derived from it (expansion, dual, fixed bases),
-    each built on first use; none of it refers back to the lattice."""
+    lattice keeps what is derived from it (expansion, character, dual,
+    fixed bases), each built on first use; none of it refers back to the
+    lattice."""
 
     def __init__(self, group: FiniteGroup, rank: int, action: Optional[dict[int, Mat]],
                  summands: Optional[list[Subgroup]] = None,
@@ -53,6 +54,7 @@ class GLattice:
         self.rank = rank
         self.summands = summands
         self._expanded: Optional[dict[int, Mat]] = None
+        self._character: Optional[tuple[int, ...]] = None
         self._dual: Optional[GLattice] = None
         self._fixed: dict[Subgroup, Mat] = {}
         if perms is None:
@@ -110,6 +112,14 @@ class GLattice:
 
                 self._expanded = self.group.extend(Mat.identity(n), step, "action")
         return self._expanded
+
+    def character(self) -> tuple[int, ...]:
+        """tr A(g) for every element g, read from the expansion once."""
+        if self._character is None:
+            mats, n = self.expand(), self.rank
+            self._character = tuple(sum(mats[g].a[i][i] for i in range(n))
+                                    for g in self.group.elements())
+        return self._character
 
     def act(self, g: int) -> Mat:
         """A(g); a generator's matrix is read without expanding."""
@@ -211,11 +221,11 @@ def dual(M: GLattice) -> GLattice:
     """Contragredient lattice: A*(g) = transpose(A(g^-1)), built on the first
     call and the same object on every later one; an expansion of M is
     transposed into the dual's.  An unexpanded M stays unexpanded: A(s^-1)
-    is then A(s)^(ord(s)-1) unless s^-1 is itself a generator (cover kernels
-    get their dual from sublattice_dual instead).  An
-    involution up to exact matrix equality.  Permutation matrices are
-    orthogonal, so a permutation lattice is its own dual and is returned as
-    it is."""
+    is then A(s)^(ord(s)-1) unless s^-1 is itself a generator (a sublattice
+    of a permutation lattice gets its dual from invariant_sublattice
+    instead).  An involution up to exact matrix equality.  Permutation
+    matrices are orthogonal, so a permutation lattice is its own dual and is
+    returned as it is."""
     if M.summands is not None:
         return M
     if M._dual is None:
@@ -297,39 +307,31 @@ def conjugated(M: GLattice, T: Mat) -> GLattice:
 
 
 def invariant_sublattice(M: GLattice, K: Mat) -> GLattice:
-    """The sublattice spanned by the columns of K (a basis), with the action
+    """The sublattice L spanned by the columns of K (a basis), with the action
     solved from that of M: A(s) K = K X(s).  A K that the action does not
-    map into itself is an internal error."""
+    map into itself is an internal error.  When M permutes its basis, L's
+    dual is built with the same factorization of K and kept: A(s^-1) K is
+    K with its rows reindexed through the inverse permutation, so X(s^-1)
+    is solved from A(s^-1) K = K X(s^-1) for each generator s of order
+    above 2 (X(s^-1) = X(s) otherwise), one solve instead of the
+    ord(s) - 2 dense products of X(s) that dual would take."""
+    G = M.group
     solver = LinearSolver(K)
-    action = {}
-    for s in M.group.generators:
-        X = solver.solve_matrix(M.act_mul(s, K))
+
+    def solve(AK: Mat) -> Mat:
+        X = solver.solve_matrix(AK)
         if X is None:
             raise InternalCheckError("sublattice is not action-stable")
-        action[s] = X
-    return GLattice(M.group, K.cols, action, check=False)
+        return X
 
-
-def sublattice_dual(P: GLattice, K: Mat, L: GLattice) -> GLattice:
-    """dual(L) for L = invariant_sublattice(P, K) with P a permutation
-    lattice, kept as L's dual, for a caller that reads it next.  A(s^-1) K
-    is K with its rows reindexed through the inverse permutation, so
-    X(s^-1) is solved from A(s^-1) K = K X(s^-1) as invariant_sublattice
-    solves X(s), for each generator s of order above 2: one solve instead
-    of the ord(s) - 2 dense products of X(s) that dual would take."""
-    G = P.group
-    solver = None
-    action = {}
-    for s in G.generators:
-        X = L.action[s]
-        if G.element_order(s) > 2:
-            solver = solver or LinearSolver(K)
-            X = solver.solve_matrix(Mat(K.rows, K.cols, [K.a[k] for k in P.perms[s]]))
-            if X is None:
-                raise InternalCheckError("sublattice is not action-stable")
-        action[s] = X.transpose()
-    L._dual = GLattice(G, L.rank, action, check=False)
-    return L._dual
+    action = {s: solve(M.act_mul(s, K)) for s in G.generators}
+    L = GLattice(G, K.cols, action, check=False)
+    if M.perms is not None:
+        inverse = {s: solve(Mat(K.rows, K.cols, [K.a[k] for k in M.perms[s]]))
+                   if G.element_order(s) > 2 else X for s, X in action.items()}
+        L._dual = GLattice(G, L.rank, {s: X.transpose() for s, X in inverse.items()},
+                           check=False)
+    return L
 
 
 def fixed_basis(M: GLattice, H: Subgroup) -> Mat:
@@ -351,9 +353,10 @@ def fixed_basis(M: GLattice, H: Subgroup) -> Mat:
 
 def fixed_rank(M: GLattice, H: Subgroup) -> int:
     """rank M^H without a basis: the multiplicity of the trivial character,
-    (1/|H|) sum over h in H of tr A(h), read from the expanded matrices.  An
+    (1/|H|) sum over h in H of tr A(h), read from M.character().  An
     average that is not an integer in [0, rank] is an internal error."""
-    r, rem = divmod(sum(M.act(h).a[i][i] for h in H.members for i in range(M.rank)), H.order)
+    chi = M.character()
+    r, rem = divmod(sum(chi[h] for h in H.members), H.order)
     if rem or not 0 <= r <= M.rank:
         raise InternalCheckError(f"trace average of a lattice over {H.members} is not a rank")
     return r

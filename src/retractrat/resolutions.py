@@ -24,7 +24,12 @@ F_p^m.  Hence P^H -> M^H is onto exactly when, for each prime p dividing
 |H|, the images of the H-orbit sums of P's basis have F_p-rank equal to
 rank M^H, which is a trace average (lattices.fixed_rank) and needs no
 basis of M^H.  The construction itself stays over Z: its partial cover is
-not yet onto, so transfer says nothing there.
+not yet onto, so transfer says nothing there.  One H per conjugacy class
+is checked, after the projection's equivariance: for an equivariant
+projection, P^(gHg^-1) -> M^(gHg^-1) is g (P^H -> M^H) (K. S. Brown,
+Cohomology of Groups, III.8), so it is onto exactly when P^H -> M^H is.
+The same argument lets class_fingerprint compute its cohomology once per
+class; like cohomology.profile, it still lists every subgroup.
 
 A cover is P and its projection only: flabby_resolution builds the kernel
 C with cover_kernel, while the invertibility decision never builds it.
@@ -99,7 +104,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cohomology import h1, is_flabby, tate_minus1, tate_zero
+from .cohomology import h1, is_flabby, per_class, tate_minus1, tate_zero
 from .errors import InternalCheckError, ResourceBoundError
 from .groups import Subgroup
 from .lattices import (
@@ -112,7 +117,6 @@ from .lattices import (
     internal_map,
     invariant_sublattice,
     permutation_lattice,
-    sublattice_dual,
 )
 from .zlinalg import (
     AbelianInvariants,
@@ -214,11 +218,12 @@ class _CoverBuilder:
     def summand_fixed_image_columns(self, S: Subgroup, index: int) -> list[list[int]]:
         """Images in M of a basis of (one summand)^S: a column per S-orbit."""
         reps, coset_of = self.cosets[index]
+        start = self.summand_starts[index]
         out = []
-        for orbit in _coset_orbits(S, reps, coset_of, self.summand_starts[index]):
+        for orbit in _coset_orbits(S, reps, coset_of):
             col = [0] * self.M.rank
             for idx in orbit:
-                col = [x + y for x, y in zip(col, self.columns[idx])]
+                col = [x + y for x, y in zip(col, self.columns[start + idx])]
             out.append(col)
         return out
 
@@ -230,12 +235,11 @@ class _CoverBuilder:
         return acc
 
 
-def _coset_orbits(S: Subgroup, reps: Sequence[int], coset_of: Sequence[int],
-                  start: int) -> list[list[int]]:
+def _coset_orbits(S: Subgroup, reps: Sequence[int],
+                  coset_of: Sequence[int]) -> list[list[int]]:
     """The S-orbits on the cosets of one summand Z[G/H] (H.cosets() gives
-    reps and coset_of), as the indices of their columns, the summand's
-    columns starting at start.  The orbit sums of the cosets are a basis of
-    the summand's S-fixed part."""
+    reps and coset_of), as coset indices.  The orbit sums of the cosets
+    are a basis of the summand's S-fixed part."""
     mul = S.parent.mul_table
     out = []
     unvisited = set(range(len(reps)))
@@ -250,7 +254,7 @@ def _coset_orbits(S: Subgroup, reps: Sequence[int], coset_of: Sequence[int],
                     orbit.add(nxt)
                     stack.append(nxt)
         unvisited -= orbit
-        out.append([start + idx for idx in orbit])
+        out.append(list(orbit))
     return out
 
 
@@ -259,6 +263,10 @@ def check_cover_surjective(M: GLattice, summands: Sequence[Subgroup],
     """Raise InternalCheckError unless P^S -> M^S is onto for every subgroup
     S of G, where P is the direct sum of the Z[G/H] over summands (bases in
     the order of H.cosets()) and columns are the images in M of P's basis.
+    The map P -> M must be equivariant (fixed_point_cover checks that
+    first): then P^(gSg^-1) = g P^S and M^(gSg^-1) = g M^S, and the map
+    sends g P^S to g times the image of P^S, so it is onto at gSg^-1 exactly
+    when it is onto at S, and one S per conjugacy class is checked.
 
     S = 1 is checked over Z: the columns span Z^m, which one Hermite form
     decides on the coordinates that no column +-e_j covers.  Every other S is
@@ -270,7 +278,8 @@ def check_cover_surjective(M: GLattice, summands: Sequence[Subgroup],
     the images of the S-orbit sums (_coset_orbits), a spanning set of I,
     have F_p-rank equal to rank M^S (lattices.fixed_rank, a trace average).
     Each projection column is packed mod p once (zlinalg.pack_lanes) and
-    the orbit sums are added in packed form."""
+    the orbit sums are added in packed form; the S-orbits on the cosets of
+    a stabilizer are found once and read at each summand's offset."""
     G, m = M.group, M.rank
     # A column +-e_j puts e_j in the span, so the columns span Z^m exactly
     # when the others span the coordinates outside those j.
@@ -284,32 +293,29 @@ def check_cover_surjective(M: GLattice, summands: Sequence[Subgroup],
     span = hermite_basis(([col[i] for i in rest] for col in others), len(rest))
     if span != Mat.identity(len(rest)):
         raise InternalCheckError("cover does not map onto the base lattice")
-    layout = []  # (reps, coset_of, first column) per summand
-    start = 0
-    for H in summands:
-        reps, coset_of = H.cosets()
-        layout.append((reps, coset_of, start))
-        start += len(reps)
+    cosets = {H: H.cosets() for H in summands}
     packed: dict[int, list[int]] = {}  # p -> the columns packed mod p
-    for S in G.subgroups():
+    for S in G.subgroup_conjugacy_representatives():
         if S.order == 1:
             continue
         rank = fixed_rank(M, S)
         if not rank:
             continue
-        orbits = [orbit for reps, coset_of, first in layout
-                  for orbit in _coset_orbits(S, reps, coset_of, first)]
+        orbits = {H: _coset_orbits(S, *cosets[H]) for H in cosets}
         for p in _factorint(S.order):
             if p not in packed:
                 packed[p] = [pack_lanes(col, p) for col in columns]
             cols = packed[p]
             reduce = lane_reduction(p, p, m)
             sums = []
-            for orbit in orbits:
-                x = 0
-                for j in orbit:
-                    x = reduce(x + cols[j])
-                sums.append(x)
+            first = 0
+            for H in summands:
+                for orbit in orbits[H]:
+                    x = 0
+                    for j in orbit:
+                        x = reduce(x + cols[first + j])
+                    sums.append(x)
+                first += len(cosets[H][0])
             if rank_packed(sums, m, p) != rank:
                 raise InternalCheckError(
                     f"cover misses the {S.members}-fixed part of the base lattice mod {p}")
@@ -324,8 +330,9 @@ def fixed_point_cover(M: GLattice, frugal: bool = True) -> FixedPointCover:
     representative gets its own summand (the plain textbook cover, useful as
     a cross-check because anything downstream must not depend on the choice).
     The construction works over Z, since its partial cover is not yet onto.
-    The per-subgroup surjectivity P^S ->> M^S is verified for EVERY
-    subgroup S before returning (check_cover_surjective): over Z for S = 1,
+    The projection's equivariance is checked first (internal_map), and then
+    the per-subgroup surjectivity P^S ->> M^S for EVERY subgroup S
+    (check_cover_surjective, one S per conjugacy class): over Z for S = 1,
     and for S != 1 by one F_p-rank per prime p dividing |S|, which suffices
     by transfer once P -> M is onto.  Failure raises InternalCheckError.
     The kernel is not built here; cover_kernel builds it for the callers
@@ -351,10 +358,10 @@ def fixed_point_cover(M: GLattice, frugal: bool = True) -> FixedPointCover:
                     image.add(*builder.summand_fixed_image_columns(
                         H, len(builder.summands) - 1))
 
-    check_cover_surjective(M, builder.summands, builder.columns)
     P = permutation_lattice(G, builder.summands)
     proj_mat = Mat.from_cols(builder.columns, rows=M.rank)
     projection = internal_map(P, M, proj_mat)
+    check_cover_surjective(M, builder.summands, builder.columns)
     return FixedPointCover(M, P, projection)
 
 
@@ -362,11 +369,10 @@ def cover_kernel(cov: FixedPointCover) -> LatticeMap:
     """The inclusion C -> P of the kernel C of the cover projection, with the
     action of C solved from that of P.  C is coflabby because the cover is
     surjective on every fixed part.  flabby_resolution reads C's dual next,
-    so it is built here from P's permutations (lattices.sublattice_dual)."""
+    which invariant_sublattice builds from P's permutations with the same
+    factorization of the kernel basis."""
     K = kernel_basis(cov.projection.matrix)
-    inclusion = internal_map(invariant_sublattice(cov.P, K), cov.P, K)
-    sublattice_dual(cov.P, K, inclusion.source)
-    return inclusion
+    return internal_map(invariant_sublattice(cov.P, K), cov.P, K)
 
 
 def flabby_resolution(M: GLattice, frugal: bool = True) -> FlabbyResolution:
@@ -611,13 +617,11 @@ def class_fingerprint(M: GLattice) -> Fingerprint:
     """Necessary-condition invariant of the flabby class of M.
 
     Table over all nontrivial subgroups H of the cohomology of the resolution
-    tail F in degrees -1, 0, 1.  Invariant under M -> M + (permutation
+    tail F in degrees -1, 0, 1, computed once per conjugacy class
+    (cohomology.per_class).  Invariant under M -> M + (permutation
     lattice); it does NOT decide equality of flabby classes.
     """
     F = flabby_resolution(M).F
-    table: Fingerprint = {}
-    for H in M.group.subgroups():
-        if H.order == 1:
-            continue
-        table[H.members] = (tate_minus1(H, F), tate_zero(H, F), h1(H, F))
-    return table
+    G = M.group
+    return per_class(G, [H for H in G.subgroups() if H.order > 1],
+                     lambda K: (tate_minus1(K, F), tate_zero(K, F), h1(K, F)))

@@ -582,6 +582,24 @@ class TestSubgroups:
             expected.append(min(cls))
         assert [r.members for r in G.subgroup_conjugacy_representatives()] == expected
 
+    @pytest.mark.parametrize("name", ["S3", "D8", "Q8", "A4", "D16", "A5"])
+    def test_conjugacy_classes_against_all_elements(self, name):
+        # each class is the orbit of its head under conjugation by every
+        # element, sorted by members; the classes partition subgroups()
+        G = parse_group(A5_DOC) if name == "A5" else catalog_group(name)
+        classes = G.subgroup_conjugacy_classes()
+        for c in classes:
+            orbit = {tuple(sorted(G.conjugate(g, x) for x in c[0].members))
+                     for g in range(G.order)}
+            assert [H.members for H in c] == sorted(orbit)
+        members = [H for c in classes for H in c]
+        assert sorted(members, key=id) == sorted(G.subgroups(), key=id)
+        assert [c[0] for c in classes] == G.subgroup_conjugacy_representatives()
+        heads = [(c[0].order, c[0].members) for c in classes]
+        assert heads == sorted(heads)
+        assert G.subgroup_conjugacy_classes() is classes
+        assert any(len(c) > 1 for c in classes) == any(not H.is_normal for H in G.subgroups())
+
 
 def sylow_cyclic_oracle(G):
     """The former definition: the Sylow subgroup of each prime, taken from

@@ -348,8 +348,9 @@ class TestDual:
 
 
     def test_cover_kernel_dual_from_inverse_permutations(self, monkeypatch):
-        # the dual that cover_kernel builds from P's inverse permutations is
-        # the dual built from powers of A_C(s), and dual reads it as it is:
+        # the dual that invariant_sublattice builds for the cover kernel from
+        # P's inverse permutations is the dual built from powers of A_C(s)
+        # (on a copy of C that keeps no dual), and dual reads it as it is:
         # no Mat.mul inside dual.  The groups have generators of orders 2,
         # 3, 4 and 8, and the q = 8 Lenstra lattice and its dual are covered.
         rng = random.Random(5)
@@ -371,7 +372,7 @@ class TestDual:
             inc = cover_kernel(cov)
             C = inc.source
             assert C._dual is not None and C._dual._expanded is None
-            oracle = dual(invariant_sublattice(cov.P, inc.matrix))
+            oracle = dual(GLattice(G, C.rank, C.action, check=False))
             with monkeypatch.context() as patch:
                 patch.setattr(Mat, "mul", counted)
                 D = dual(C)

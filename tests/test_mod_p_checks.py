@@ -2,14 +2,18 @@
 replaced, kept here as oracles: the cover postcondition
 (check_cover_surjective against fixed_basis and LatticeAccumulator) and
 is_flabby (against the tate_minus1 sweep).  Real covers and flabby tails
-never fail either check, so covers are also broken on purpose."""
+never fail either check, so covers are also broken on purpose.
+
+Both checks, profile and class_fingerprint visit one subgroup per
+conjugacy class; the oracles here sweep every subgroup, over groups whose
+classes have several members."""
 
 import random
 
 import pytest
 
 from conftest import sign_lattice
-from retractrat.cohomology import is_flabby, tate_minus1
+from retractrat.cohomology import h1, is_flabby, profile, tate_minus1, tate_zero
 from retractrat.errors import InternalCheckError
 from retractrat.groups import catalog_group, catalog_groups_upto
 from retractrat.lattices import (
@@ -26,6 +30,7 @@ from retractrat.lattices import (
 from retractrat.resolutions import (
     _permutation_orbit_seeds,
     check_cover_surjective,
+    class_fingerprint,
     fixed_point_cover,
     flabby_resolution,
 )
@@ -103,6 +108,20 @@ class TestFixedRank:
         M.action = {1: Mat.zero(1, 1)}
         with pytest.raises(InternalCheckError):
             fixed_rank(M, C2.full_subgroup())
+
+    def test_non_integer_average_over_each_conjugate(self):
+        # A(g) = 0 on the reflections of S3: average 1/2 over every subgroup
+        # of order 2, which form one class of three
+        S3 = catalog_group("S3")
+        M = trivial_lattice(S3)
+        M._expanded = {g: Mat.from_rows([[int(S3.element_order(g) != 2)]])
+                       for g in S3.elements()}
+        M.action = {s: M._expanded[s] for s in S3.generators}
+        order2 = [H for H in S3.subgroups() if H.order == 2]
+        assert len(order2) == 3
+        for H in order2:
+            with pytest.raises(InternalCheckError, match="not a rank"):
+                fixed_rank(M, H)
 
 
 class TestIsFlabbyAgainstTateSweep:
@@ -246,3 +265,63 @@ class TestBrokenCovers:
             with pytest.raises(InternalCheckError):
                 check_cover_surjective(M, summands, columns)
             assert not integral_postcondition(M, summands, columns)
+
+
+def several_member_class_lattices():
+    """(label, lattice): the norm-one tori J_{G/H} of S3, D8, A4 and D16
+    (one proper H per conjugacy class), their duals, and the flabby
+    resolution tails of all of these."""
+    out = []
+    for name in ("S3", "D8", "A4", "D16"):
+        G = catalog_group(name)
+        assert any(len(c) > 1 for c in G.subgroup_conjugacy_classes())
+        for H in G.subgroup_conjugacy_representatives():
+            if H.order < G.order:
+                J = dual(augmentation_kernel(G, H))
+                out += [(f"J_{name}/{H.members}", J), (f"J*_{name}/{H.members}", dual(J))]
+    return out + [(f"tail of {label}", flabby_resolution(M).F) for label, M in out]
+
+
+@pytest.fixture(scope="module")
+def class_lattices():
+    return several_member_class_lattices()
+
+
+class TestPerClassAgainstEverySubgroup:
+    def test_profile_lists_every_subgroup(self, class_lattices):
+        for label, M in class_lattices:
+            subs = [H for H in M.group.subgroups() if H.order > 1]
+            sweep = [(H.members, (tate_minus1(H, M), h1(H, M))) for H in subs]
+            assert list(profile(M, "all").entries.items()) == sweep, label
+            prime_power = [(H.members, v) for H, (_, v) in zip(subs, sweep)
+                           if H in M.group.prime_power_subgroups()]
+            assert list(profile(M).entries.items()) == prime_power, label
+
+    def test_is_flabby(self, class_lattices):
+        verdicts = [is_flabby(M) for _, M in class_lattices]
+        assert verdicts == [integral_flabby(M) for _, M in class_lattices]
+        assert set(verdicts) == {True, False}
+
+    def test_class_fingerprint(self, class_lattices):
+        tori = class_lattices[:len(class_lattices) // 2]
+        for label, M in [(label, M) for label, M in tori if M.rank <= 7]:
+            F = flabby_resolution(M).F
+            sweep = {H.members: (tate_minus1(H, F), tate_zero(H, F), h1(H, F))
+                     for H in M.group.subgroups() if H.order > 1}
+            assert list(class_fingerprint(M).items()) == list(sweep.items()), label
+
+    def test_non_normal_summand_dropped_or_demoted(self, class_lattices):
+        # every summand with a non-normal stabilizer, dropped or replaced by
+        # Z[G], in the covers of the tori and their duals
+        verdicts = []
+        for label, M in class_lattices[:len(class_lattices) // 2]:
+            cov = fixed_point_cover(M)
+            for k, H, _, _ in summand_blocks(cov):
+                if H.is_normal:
+                    continue
+                for kind, broken in (("drop", dropped), ("demote", demoted)):
+                    summands, columns = broken(cov, k)
+                    ok = accepts(M, summands, columns)
+                    assert ok == integral_postcondition(M, summands, columns), (label, kind, k)
+                    verdicts.append((kind, ok))
+        assert {("drop", False), ("demote", False), ("demote", True)} <= set(verdicts)
