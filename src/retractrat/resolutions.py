@@ -293,7 +293,7 @@ def check_cover_surjective(M: GLattice, summands: Sequence[Subgroup],
     span = hermite_basis(([col[i] for i in rest] for col in others), len(rest))
     if span != Mat.identity(len(rest)):
         raise InternalCheckError("cover does not map onto the base lattice")
-    cosets = {H: H.cosets() for H in summands}
+    cosets = {H: H.cosets() for H in dict.fromkeys(summands)}
     packed: dict[int, list[int]] = {}  # p -> the columns packed mod p
     for S in G.subgroup_conjugacy_representatives():
         if S.order == 1:

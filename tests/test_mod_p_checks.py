@@ -4,8 +4,8 @@ replaced, kept here as oracles: the cover postcondition
 is_flabby (against the tate_minus1 sweep).  Real covers and flabby tails
 never fail either check, so covers are also broken on purpose.
 
-Both checks, profile and class_fingerprint visit one subgroup per
-conjugacy class; the oracles here sweep every subgroup, over groups whose
+Both checks, profile and class_fingerprint work once per conjugacy class
+of subgroups; the oracles here sweep every subgroup, over groups whose
 classes have several members."""
 
 import random
@@ -293,8 +293,8 @@ class TestPerClassAgainstEverySubgroup:
             subs = [H for H in M.group.subgroups() if H.order > 1]
             sweep = [(H.members, (tate_minus1(H, M), h1(H, M))) for H in subs]
             assert list(profile(M, "all").entries.items()) == sweep, label
-            prime_power = [(H.members, v) for H, (_, v) in zip(subs, sweep)
-                           if H in M.group.prime_power_subgroups()]
+            family = M.group.prime_power_subgroups()
+            prime_power = [(H.members, v) for H, (_, v) in zip(subs, sweep) if H in family]
             assert list(profile(M).entries.items()) == prime_power, label
 
     def test_is_flabby(self, class_lattices):
