@@ -53,6 +53,18 @@ def documents() -> dict:
     return {name: lattice_document(M) for name, M in lattices.items()}
 
 
+def profile_documents() -> dict:
+    """File name -> lattice document for the profiles alone: the q=32 and
+    q=64 Lenstra lattices, too large to resolve here, and a resolution
+    tail over D8."""
+    lattices = {
+        "lenstra-q32.json": lenstra_lattice(5).M,
+        "lenstra-q64.json": lenstra_lattice(6).M,
+        "flabby-J-D8-C2.json": flabby_resolution(_norm_one_torus("D8", (0, 2))).F,
+    }
+    return {name: lattice_document(M) for name, M in lattices.items()}
+
+
 def _cycles(*lengths):
     """Image lists (1-based) of one cycle per length on disjoint points."""
     degree, start, out = sum(lengths), 1, []
@@ -87,6 +99,9 @@ def commands() -> list[list[str]]:
                 "random-D8-1.json"):
         out.append(["cohomology", "--lattice", doc])
         out.append(["cohomology", "--lattice", doc, "--subgroups", "all"])
+    for doc in profile_documents():
+        out.append(["cohomology", "--lattice", doc])
+        out.append(["cohomology", "--lattice", doc, "--subgroups", "all"])
     for group in ("D8", "Q8", "A4", "C2xC4", "D16"):
         out.append(["group-info", "--group", group])
         out.append(["verdict-noether", "--group", group, "--field", "Q"])
@@ -105,7 +120,7 @@ def commands() -> list[list[str]]:
 
 def digests(workdir: Path) -> dict:
     """Command line -> sha256 of its stdout, run inside workdir."""
-    for name, doc in (documents() | GROUP_DOCUMENTS).items():
+    for name, doc in (documents() | profile_documents() | GROUP_DOCUMENTS).items():
         (workdir / name).write_text(json.dumps(doc))
     out = {}
     cwd = os.getcwd()
