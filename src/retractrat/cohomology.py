@@ -14,7 +14,13 @@ each class member under the values of its head (per_class).
 
 One routine computes degrees -1 and 1.  Degree -1 is Ker(N_H) / I_H M, with
 I_H M spanned by (s - 1)M over the generators s of H alone, since
-st - 1 = (s - 1)t + (t - 1).  Degree 1 is degree -1 of the dual: for a Z-free
+st - 1 = (s - 1)t + (t - 1).  It is read as the torsion of the coinvariants
+M / I_H M, one Smith diagonal of the columns spanning I_H M, with no basis
+of Ker(N_H): Ker(N_H) is saturated in Z^m and contains I_H M, and
+Ker(N_H) / I_H M is finite (it is killed by |H|), so Ker(N_H) is the
+saturation of I_H M, and sat(I) / I is the torsion of Z^m / I.  The free
+rank of M / I_H M is then m - rank Ker(N_H) = rank M^H, which is checked
+against the trace average.  Degree 1 is degree -1 of the dual: for a Z-free
 M, H^1(H, M) is Hom(H^-1(H, M*), Q/Z) (K. S. Brown, Cohomology of Groups,
 Ch. VI, 7), a group with the same invariants; this is the classical "M is
 flabby iff M* is coflabby".
@@ -44,7 +50,7 @@ from .zlinalg import (
     Mat,
     TRIVIAL_GROUP_INVARIANTS,
     _factorint,
-    kernel_basis,
+    cokernel_invariants,
     pack_lanes,
     quotient_invariants,
     rank_packed,
@@ -84,18 +90,20 @@ def _augmentation_columns(H: Subgroup, M: GLattice) -> list[list[int]]:
 
 def tate_minus1(H: Subgroup, M: GLattice) -> AbelianInvariants:
     """Tate cohomology in degree -1: Ker(N_H) / I_H M, where N_H is the norm
-    and I_H M is spanned by (A(s) - 1) e_j over the generators s of H."""
+    and I_H M is spanned by (A(s) - 1) e_j over the generators s of H.
+    Ker(N_H) is the saturation of I_H M (module docstring), so this is the
+    torsion of M / I_H M, read from one Smith diagonal; its free rank must
+    be rank M^H."""
     _check_subgroup(H, M)
     if H.order == 1 or M.rank == 0:
         return TRIVIAL_GROUP_INVARIANTS
-    K = kernel_basis(norm_matrix(H, M))
-    if K.cols == 0:
+    cols = _augmentation_columns(H, M)
+    if not cols:
         return TRIVIAL_GROUP_INVARIANTS
-    sub = Mat.from_cols(_augmentation_columns(H, M), rows=M.rank)
-    inv = quotient_invariants(K, sub)
-    if inv.free_rank:
-        raise InternalCheckError("cohomology of a lattice must be finite")
-    return inv
+    inv = cokernel_invariants(Mat.from_cols(cols, rows=M.rank), M.rank)
+    if inv.free_rank != fixed_rank(M, H):
+        raise InternalCheckError("coinvariants of a lattice have the wrong rank")
+    return AbelianInvariants(inv.divisors)
 
 
 def tate_zero(H: Subgroup, M: GLattice) -> AbelianInvariants:

@@ -474,7 +474,7 @@ class FiniteGroup:
             t = self.mul_table
             table = [[proj[row[b]] for b in reps] for row in (t[a] for a in reps)]
             gens = sorted({proj[g] for g in self.generators} - {0})
-            H._quotient = (FiniteGroup(table, gens, name=None, check=False), tuple(proj))
+            H._quotient = (FiniteGroup(table, gens, name=None, check=False), proj)
         return H._quotient
 
     def semidirect_decompositions(self) -> list[tuple["Subgroup", "Subgroup"]]:
@@ -512,7 +512,10 @@ class Subgroup:
 
     The parent group caches its subgroups, so the subgroup holds the parent
     through a weak reference: a strong one would make every group a
-    reference cycle that only the cyclic garbage collector frees.
+    reference cycle that only the cyclic garbage collector frees.  It keeps
+    what is derived from it (cosets, the orbits of other subgroups on them,
+    keyed by their members, its standalone group and quotient), each built
+    on first use.
     """
 
     def __init__(self, parent: FiniteGroup, members: tuple[int, ...],
@@ -527,6 +530,10 @@ class Subgroup:
         self._gens: Optional[tuple[int, ...]] = None
         self._group: Optional[FiniteGroup] = None
         self._quotient: Optional[tuple[FiniteGroup, tuple[int, ...]]] = None
+        self._cosets: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+        # S.members -> coset_orbits(S); made on first use, as most subgroups
+        # (every one of a subgroup scan) never get one
+        self._coset_orbits: Optional[dict[tuple[int, ...], tuple[tuple[int, ...], ...]]] = None
 
     @property
     def parent(self) -> FiniteGroup:
@@ -560,21 +567,50 @@ class Subgroup:
             e = lcm(e, order_of(g))
         return e
 
-    def cosets(self) -> tuple[tuple[int, ...], list[int]]:
+    def cosets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Left cosets gH as (reps, coset_of): reps holds the least member of
         each coset, ascending (the identity coset is index 0), and coset_of[g]
         is the index of g's coset.  One pass over g ascending, since the
-        first element met of a new coset is its least member."""
-        table = self.parent.mul_table
-        coset_of = [-1] * len(table)
-        reps: list[int] = []
-        for g in range(len(table)):
-            if coset_of[g] < 0:
-                row = table[g]
-                for h in self.members:
-                    coset_of[row[h]] = len(reps)
-                reps.append(g)
-        return tuple(reps), coset_of
+        first element met of a new coset is its least member.  Computed
+        once and kept, as tuples."""
+        if self._cosets is None:
+            table = self.parent.mul_table
+            coset_of = [-1] * len(table)
+            reps: list[int] = []
+            for g in range(len(table)):
+                if coset_of[g] < 0:
+                    row = table[g]
+                    for h in self.members:
+                        coset_of[row[h]] = len(reps)
+                    reps.append(g)
+            self._cosets = (tuple(reps), tuple(coset_of))
+        return self._cosets
+
+    def coset_orbits(self, S: "Subgroup") -> tuple[tuple[int, ...], ...]:
+        """The orbits of the subgroup S on the left cosets G/H of this
+        subgroup H, as ascending tuples of coset indices (cosets()), ordered
+        by their least index; the orbit of the coset rH is {s r H : s in S}.
+        The orbit sums of the cosets are a basis of Z[G/H]^S.  Computed once
+        per S and kept, keyed by S.members, so that subgroups hold no
+        references to each other."""
+        if self._coset_orbits is None:
+            self._coset_orbits = {}
+        orbits = self._coset_orbits.get(S.members)
+        if orbits is None:
+            if S.parent is not self.parent:
+                raise UserInputError("subgroups belong to different groups")
+            reps, coset_of = self.cosets()
+            rows = [self.parent.mul_table[s] for s in S.members]
+            seen = [False] * len(reps)
+            found = []
+            for r, rep in enumerate(reps):
+                if not seen[r]:
+                    orbit = sorted({coset_of[row[rep]] for row in rows})
+                    for i in orbit:
+                        seen[i] = True
+                    found.append(tuple(orbit))
+            orbits = self._coset_orbits[S.members] = tuple(found)
+        return orbits
 
     def as_group(self) -> FiniteGroup:
         """Standalone FiniteGroup with the induced table (identity stays 0),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InternalCheckError, ResourceBoundError, UserInputError
 from .groups import (
@@ -56,6 +56,7 @@ class GLattice:
         self._expanded: Optional[dict[int, Mat]] = None
         self._character: Optional[tuple[int, ...]] = None
         self._dual: Optional[GLattice] = None
+        self._dual_from: Optional[Callable[[], GLattice]] = None  # see invariant_sublattice
         self._fixed: dict[Subgroup, Mat] = {}
         if perms is None:
             self.action = given = dict(action)
@@ -223,11 +224,14 @@ def dual(M: GLattice) -> GLattice:
     transposed into the dual's.  An unexpanded M stays unexpanded: A(s^-1)
     is then A(s)^(ord(s)-1) unless s^-1 is itself a generator (a sublattice
     of a permutation lattice gets its dual from invariant_sublattice
-    instead).  An involution up to exact matrix equality.  Permutation
-    matrices are orthogonal, so a permutation lattice is its own dual and is
-    returned as it is."""
+    instead, built on this first call).  An involution up to exact matrix
+    equality.  Permutation matrices are orthogonal, so a permutation lattice
+    is its own dual and is returned as it is."""
     if M.summands is not None:
         return M
+    if M._dual is None and M._dual_from is not None:
+        M._dual = M._dual_from()
+        M._dual_from = None
     if M._dual is None:
         G = M.group
 
@@ -309,12 +313,13 @@ def conjugated(M: GLattice, T: Mat) -> GLattice:
 def invariant_sublattice(M: GLattice, K: Mat) -> GLattice:
     """The sublattice L spanned by the columns of K (a basis), with the action
     solved from that of M: A(s) K = K X(s).  A K that the action does not
-    map into itself is an internal error.  When M permutes its basis, L's
-    dual is built with the same factorization of K and kept: A(s^-1) K is
-    K with its rows reindexed through the inverse permutation, so X(s^-1)
-    is solved from A(s^-1) K = K X(s^-1) for each generator s of order
-    above 2 (X(s^-1) = X(s) otherwise), one solve instead of the
-    ord(s) - 2 dense products of X(s) that dual would take."""
+    map into itself is an internal error.  When M permutes its basis, L
+    keeps the factorization of K to build its dual from, on the first
+    dual(L) only: A(s^-1) K is K with its rows reindexed through the
+    inverse permutation, so X(s^-1) is solved from A(s^-1) K = K X(s^-1)
+    for each generator s of order above 2 (X(s^-1) = X(s) otherwise), one
+    solve instead of the ord(s) - 2 dense products of X(s) that dual would
+    take.  A dual that is never read is never built."""
     G = M.group
     solver = LinearSolver(K)
 
@@ -327,10 +332,13 @@ def invariant_sublattice(M: GLattice, K: Mat) -> GLattice:
     action = {s: solve(M.act_mul(s, K)) for s in G.generators}
     L = GLattice(G, K.cols, action, check=False)
     if M.perms is not None:
-        inverse = {s: solve(Mat(K.rows, K.cols, [K.a[k] for k in M.perms[s]]))
-                   if G.element_order(s) > 2 else X for s, X in action.items()}
-        L._dual = GLattice(G, L.rank, {s: X.transpose() for s, X in inverse.items()},
-                           check=False)
+        def dual_of_L() -> GLattice:
+            inverse = {s: solve(Mat(K.rows, K.cols, [K.a[k] for k in M.perms[s]]))
+                       if G.element_order(s) > 2 else X for s, X in action.items()}
+            return GLattice(G, K.cols, {s: X.transpose() for s, X in inverse.items()},
+                            check=False)
+
+        L._dual_from = dual_of_L  # refers to M and K, not to L
     return L
 
 

@@ -34,6 +34,13 @@ class; like cohomology.profile, it still lists every subgroup.
 A cover is P and its projection only: flabby_resolution builds the kernel
 C with cover_kernel, while the invertibility decision never builds it.
 
+Cosets and orbits on cosets come from the subgroup records, which keep
+them: H.cosets() and, per subgroup S, the S-orbits on G/H
+(Subgroup.coset_orbits), each computed once per group.  The cover
+construction and its check, the section rows, the candidates, the
+refutation check and permutation_lattice all read these tables, and the
+catalog groups, which stay cached, keep them from one request to the next.
+
 The invertibility decision searches for an integral equivariant section of
 the cover projection.  Sections M -> Z[G/H] correspond to H-fixed
 functionals on M (the coset-gH coordinate of the image of v is that
@@ -199,28 +206,24 @@ def _permutation_orbit_seeds(M: GLattice) -> list[tuple[Subgroup, int]]:
 class _CoverBuilder:
     def __init__(self, M: GLattice):
         self.M = M
-        self.G = M.group
         self.summands: list[Subgroup] = []
-        self.cosets: list[tuple[tuple[int, ...], list[int]]] = []  # per summand
         self.columns: list[list[int]] = []  # projection columns, basis order
         self.summand_starts: list[int] = []
 
     def adjoin(self, H: Subgroup, f: list[int]):
-        reps, coset_of = H.cosets()
         self.summand_starts.append(len(self.columns))
-        for rep in reps:
+        for rep in H.cosets()[0]:
             self.columns.append(self.M.act(rep).mulvec(f))
         self.summands.append(H)
-        self.cosets.append((reps, coset_of))
         if len(self.columns) > RANK_BOUND:
             raise ResourceBoundError(f"cover rank exceeds bound {RANK_BOUND}")
 
     def summand_fixed_image_columns(self, S: Subgroup, index: int) -> list[list[int]]:
-        """Images in M of a basis of (one summand)^S: a column per S-orbit."""
-        reps, coset_of = self.cosets[index]
+        """Images in M of a basis of (one summand)^S: a column per S-orbit
+        on its cosets (Subgroup.coset_orbits)."""
         start = self.summand_starts[index]
         out = []
-        for orbit in _coset_orbits(S, reps, coset_of):
+        for orbit in self.summands[index].coset_orbits(S):
             col = [0] * self.M.rank
             for idx in orbit:
                 col = [x + y for x, y in zip(col, self.columns[start + idx])]
@@ -233,29 +236,6 @@ class _CoverBuilder:
         acc.add(*(col for i in range(len(self.summands))
                   for col in self.summand_fixed_image_columns(S, i)))
         return acc
-
-
-def _coset_orbits(S: Subgroup, reps: Sequence[int],
-                  coset_of: Sequence[int]) -> list[list[int]]:
-    """The S-orbits on the cosets of one summand Z[G/H] (H.cosets() gives
-    reps and coset_of), as coset indices.  The orbit sums of the cosets
-    are a basis of the summand's S-fixed part."""
-    mul = S.parent.mul_table
-    out = []
-    unvisited = set(range(len(reps)))
-    while unvisited:
-        orbit = {min(unvisited)}
-        stack = list(orbit)
-        while stack:
-            cur = reps[stack.pop()]
-            for s in S.generators:
-                nxt = coset_of[mul[s][cur]]
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    stack.append(nxt)
-        unvisited -= orbit
-        out.append(list(orbit))
-    return out
 
 
 def check_cover_surjective(M: GLattice, summands: Sequence[Subgroup],
@@ -275,11 +255,12 @@ def check_cover_surjective(M: GLattice, summands: Sequence[Subgroup],
     the image I of P^S has finite index in M^S, with |S| M^S inside I.  M^S
     is saturated in Z^m, so M^S / p M^S embeds in F_p^m and has dimension
     rank M^S.  Hence I = M^S exactly when, for each prime p dividing |S|,
-    the images of the S-orbit sums (_coset_orbits), a spanning set of I,
-    have F_p-rank equal to rank M^S (lattices.fixed_rank, a trace average).
-    Each projection column is packed mod p once (zlinalg.pack_lanes) and
-    the orbit sums are added in packed form; the S-orbits on the cosets of
-    a stabilizer are found once and read at each summand's offset."""
+    the images of the S-orbit sums (Subgroup.coset_orbits), a spanning set
+    of I, have F_p-rank equal to rank M^S (lattices.fixed_rank, a trace
+    average).  Each projection column is packed mod p once
+    (zlinalg.pack_lanes) and the orbit sums are added in packed form; the
+    S-orbits on the cosets of a stabilizer are kept on the stabilizer and
+    read at each summand's offset."""
     G, m = M.group, M.rank
     # A column +-e_j puts e_j in the span, so the columns span Z^m exactly
     # when the others span the coordinates outside those j.
@@ -293,7 +274,6 @@ def check_cover_surjective(M: GLattice, summands: Sequence[Subgroup],
     span = hermite_basis(([col[i] for i in rest] for col in others), len(rest))
     if span != Mat.identity(len(rest)):
         raise InternalCheckError("cover does not map onto the base lattice")
-    cosets = {H: H.cosets() for H in dict.fromkeys(summands)}
     packed: dict[int, list[int]] = {}  # p -> the columns packed mod p
     for S in G.subgroup_conjugacy_representatives():
         if S.order == 1:
@@ -301,7 +281,6 @@ def check_cover_surjective(M: GLattice, summands: Sequence[Subgroup],
         rank = fixed_rank(M, S)
         if not rank:
             continue
-        orbits = {H: _coset_orbits(S, *cosets[H]) for H in cosets}
         for p in _factorint(S.order):
             if p not in packed:
                 packed[p] = [pack_lanes(col, p) for col in columns]
@@ -310,12 +289,12 @@ def check_cover_surjective(M: GLattice, summands: Sequence[Subgroup],
             sums = []
             first = 0
             for H in summands:
-                for orbit in orbits[H]:
+                for orbit in H.coset_orbits(S):
                     x = 0
                     for j in orbit:
                         x = reduce(x + cols[first + j])
                     sums.append(x)
-                first += len(cosets[H][0])
+                first += len(H.cosets()[0])
             if rank_packed(sums, m, p) != rank:
                 raise InternalCheckError(
                     f"cover misses the {S.members}-fixed part of the base lattice mod {p}")

@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from conftest import random_permutation_lattice, sign_lattice
+from retractrat.errors import InternalCheckError
 from retractrat.groups import catalog_group, catalog_groups_upto
 from retractrat.lattices import (
     augmentation_kernel,
@@ -14,6 +17,7 @@ from retractrat.lattices import (
     trivial_lattice,
 )
 from retractrat.cohomology import h1, is_coflabby, is_flabby, profile, tate_minus1, tate_zero
+from retractrat.resolutions import flabby_resolution
 from retractrat.zlinalg import AbelianInvariants
 
 
@@ -33,6 +37,13 @@ class TestDegreeMinusOne:
 
     def test_trivial_subgroup(self):
         assert tate_minus1(TRIV, SIGN).is_trivial
+
+    def test_coinvariant_rank_checked(self, monkeypatch):
+        # the free rank of M / I_H M must be rank M^H
+        import retractrat.cohomology as cohomology
+        monkeypatch.setattr(cohomology, "fixed_rank", lambda M, H: 1)
+        with pytest.raises(InternalCheckError):
+            tate_minus1(FULL, SIGN)
 
 
 class TestDegreeZero:
@@ -247,10 +258,58 @@ class TestH1AgainstNaiveSystem:
         assert noncyclic_nontrivial > 0
 
 
+def tail_cases():
+    """(label, M) for the flabby resolution tails F of the norm-one tori
+    J_{G/S} of every catalog group G of order <= 8 and every class
+    representative S != G, and their duals, up to rank 40: the one tail
+    left out, that of J_{C2xC2xC2/1}, has rank 87 and takes seconds."""
+    for G in catalog_groups_upto(8):
+        for S in G.subgroup_conjugacy_representatives():
+            if S.order == G.order:
+                continue
+            F = flabby_resolution(dual(augmentation_kernel(G, S))).F
+            if F.rank <= 40:
+                yield f"F_{G.name}/{S.members}", F
+                yield f"F*_{G.name}/{S.members}", dual(F)
+
+
 class TestTateMinus1AgainstAllMembers:
+    """tate_minus1 reads the torsion of the coinvariants M / I_H M; the
+    oracle forms Ker(N_H) and the span of (A(h) - 1) e_j over every member
+    h of H."""
+
+    @staticmethod
+    def check(label, M):
+        nontrivial = 0
+        for H in M.group.subgroups():
+            if H.order > 1:
+                got = tate_minus1(H, M)
+                assert got == naive_tate_minus1(H, M), f"{label}, H={H.members}"
+                nontrivial += not got.is_trivial
+        return nontrivial
+
     def test_tori_and_duals(self):
         for label, H, M in torus_cases():
             assert tate_minus1(H, M) == naive_tate_minus1(H, M), f"{label}, H={H.members}"
+
+    def test_resolution_tails_and_duals(self):
+        assert sum(self.check(label, F) for label, F in tail_cases()) > 0
+
+    def test_lenstra_lattices_and_duals(self):
+        for n in (3, 4):
+            M = lenstra_lattice(n).M
+            assert self.check(f"Lenstra q={2 ** n}", M) > 0
+            self.check(f"dual Lenstra q={2 ** n}", dual(M))
+
+    def test_random_lattices_of_every_catalog_group(self):
+        rng = random.Random(23)
+        groups = catalog_groups_upto(16)
+        assert len(groups) == 29
+        nontrivial = 0
+        for G in groups:
+            for trial in range(2):
+                nontrivial += self.check(f"{G.name} #{trial}", random_lattice(G, 6, rng))
+        assert nontrivial > 0
 
 
 def _chain(divs):

@@ -22,6 +22,8 @@ from retractrat.groups import (
     direct_product,
     parse_group,
 )
+from retractrat.lattices import augmentation_kernel, dual
+from retractrat.resolutions import fixed_point_cover
 from retractrat.zlinalg import Mat, smith_diagonal
 
 A5_DOC = {"perm_generators": [[2, 3, 4, 5, 1], [2, 3, 1, 4, 5]], "degree": 5, "name": "A5"}
@@ -476,13 +478,18 @@ class TestSubgroups:
                                              for a in S.members for b in S.members)
 
     def test_group_freed_without_cycle_collector(self):
+        # a cover over G fills the subgroups' kept cosets and coset orbits
+        # (keyed by members), and the lattices' fixed bases (keyed by
+        # subgroups); none of it makes a cycle
         gc.disable()
         try:
             G = parse_group(A5_DOC)
-            G.subgroups()
-            ref = weakref.ref(G)
-            del G
-            assert ref() is None
+            A4 = next(H for H in G.subgroups() if H.order == 12)
+            fixed_point_cover(dual(augmentation_kernel(G, A4)))
+            assert any(H._coset_orbits for H in G.subgroups())
+            refs = [weakref.ref(G)] + [weakref.ref(H) for H in G.subgroups()]
+            del G, A4
+            assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
 
@@ -789,6 +796,38 @@ class TestCosets:
                 assert reps[0] == 0
                 for c in cosets:
                     assert {coset_of[g] for g in c} == {reps.index(c[0])}
+
+    def test_cosets_kept_as_tuples(self):
+        for G in (parse_group(S4_DOC), catalog_group("D16")):
+            for H in G.subgroups():
+                kept = H.cosets()
+                assert H.cosets() is kept
+                assert all(isinstance(part, tuple) for part in kept)
+
+    def test_coset_orbits_match_fresh_orbits(self):
+        # the kept S-orbits on G/H against orbits of coset sets computed
+        # here, for every pair (S, H); a second call returns the kept table
+        for G in (parse_group(S4_DOC), catalog_group("D16")):
+            subs = G.subgroups()
+            for H in subs:
+                reps, _ = H.cosets()
+                coset_sets = [frozenset(G.mul(r, h) for h in H.members) for r in reps]
+                index = {c: i for i, c in enumerate(coset_sets)}
+                for S in subs:
+                    fresh = {frozenset(index[frozenset(G.mul(s, g) for g in c)]
+                                       for s in S.members) for c in coset_sets}
+                    kept = H.coset_orbits(S)
+                    assert {frozenset(orbit) for orbit in kept} == fresh, (H, S)
+                    assert all(list(orbit) == sorted(orbit) for orbit in kept)
+                    assert [orbit[0] for orbit in kept] == sorted(orbit[0] for orbit in kept)
+                    assert H.coset_orbits(S) is kept
+                assert set(H._coset_orbits) == {S.members for S in subs}
+
+    def test_coset_orbits_of_another_groups_subgroup_rejected(self):
+        H = catalog_group("D8").subgroups()[1]
+        S = catalog_group("Q8").subgroups()[1]
+        with pytest.raises(UserInputError):
+            H.coset_orbits(S)
 
 
 class TestQuotient:

@@ -22,6 +22,7 @@ from retractrat.lattices import (
     GLattice,
     LatticeMap,
     action_kernel,
+    augmentation_kernel,
     conjugated,
     direct_sum,
     dual,
@@ -349,10 +350,11 @@ class TestDual:
 
     def test_cover_kernel_dual_from_inverse_permutations(self, monkeypatch):
         # the dual that invariant_sublattice builds for the cover kernel from
-        # P's inverse permutations is the dual built from powers of A_C(s)
-        # (on a copy of C that keeps no dual), and dual reads it as it is:
-        # no Mat.mul inside dual.  The groups have generators of orders 2,
-        # 3, 4 and 8, and the q = 8 Lenstra lattice and its dual are covered.
+        # P's inverse permutations, on the first dual(C) and not before, is
+        # the dual built from powers of A_C(s) (on a copy of C that keeps no
+        # dual): no Mat.mul inside dual.  The groups have generators of
+        # orders 2, 3, 4 and 8, and the q = 8 Lenstra lattice and its dual
+        # are covered.
         rng = random.Random(5)
         lattices = [lenstra_lattice(3).M, dual(lenstra_lattice(3).M)]
         lattices += [random_lattice(catalog_group(name), 4, rng)
@@ -371,12 +373,13 @@ class TestDual:
             cov = fixed_point_cover(M)
             inc = cover_kernel(cov)
             C = inc.source
-            assert C._dual is not None and C._dual._expanded is None
+            assert C._dual is None and C._dual_from is not None
             oracle = dual(GLattice(G, C.rank, C.action, check=False))
             with monkeypatch.context() as patch:
                 patch.setattr(Mat, "mul", counted)
                 D = dual(C)
-            assert D is C._dual
+            assert D is C._dual and D._expanded is None and C._dual_from is None
+            assert dual(C) is D
             assert D.action == oracle.action, G.name
             for g in G.elements():
                 assert D.act(g) == C.act(G.inv(g)).transpose(), (G.name, g)
@@ -403,6 +406,33 @@ class TestDerivedData:
             M = random_lattice(G, 4, rng)
             assert dual(M) is dual(M)
             assert dual(dual(M)) is dual(dual(M))
+
+    def test_sublattice_dual_built_on_first_read(self, monkeypatch):
+        # a sublattice of a permutation lattice solves its action at once and
+        # its dual's only when dual reads it: one solve_matrix per generator
+        # of order above 2, none for the Lenstra lattice nobody dualizes
+        import retractrat.zlinalg as zlinalg
+        calls = []
+        real = zlinalg.LinearSolver.solve_matrix
+
+        def counted(solver, B):
+            calls.append(B.cols)
+            return real(solver, B)
+
+        monkeypatch.setattr(zlinalg.LinearSolver, "solve_matrix", counted)
+        for n in (3, 4, 5):
+            G = lenstra_lattice(n).pi
+            assert len(calls) == len(G.generators)
+            calls.clear()
+        G = catalog_group("C2xC4")
+        L = augmentation_kernel(G, G.trivial_subgroup())
+        assert L._dual is None and len(calls) == len(G.generators)
+        D = dual(L)
+        above_2 = [s for s in G.generators if G.element_order(s) > 2]
+        assert above_2 and len(calls) == len(G.generators) + len(above_2)
+        assert dual(L) is D and len(calls) == len(G.generators) + len(above_2)
+        for g in G.elements():
+            assert D.act(g) == L.act(G.inv(g)).transpose()
 
     def test_dual_action_is_inverse_transpose(self):
         rng = random.Random(21)
