@@ -8,12 +8,23 @@ strictly additive over permutation summands:
 
 * seeding: basis vectors that G permutes outright are covered first by one
   summand per orbit, mapping isomorphically onto the orbit block;
-* frugality: a generator already contained in the image of the partial
+* frugality: a generator already contained in the image I of the partial
   cover's H-fixed part is skipped.
 
 Neither changes the contract (surjectivity of P^H -> M^H for every subgroup
 H, which is machine-verified on every call, hence coflabbiness of the
 kernel); they only pick a smaller P among the valid covers.
+
+The classes are visited character first: rank M^H is a trace average
+(lattices.fixed_rank), and a class with rank 0 is skipped.  I lies in M^H,
+since the projection is equivariant, so when I has rank M^H and Hermite
+pivots 1 it is saturated and equals M^H, and the class is skipped without a
+basis of M^H.  Otherwise the basis is formed and its generators tested
+until I is full in that sense.  A saturated I with a larger pivot (the span
+of (2, 1)) falls back to the tests, which then skip every generator, so
+each class adjoins what testing every generator would.  For H = 1, I is the
+span of all columns, formed on the coordinates that no column +-e_j covers
+(_unit_free_image, shared with check_cover_surjective).
 
 The verification (check_cover_surjective) works over Z only for H = 1,
 where it asks that the projection's columns span Z^m.  For H != 1 it uses
@@ -131,7 +142,6 @@ from .zlinalg import (
     LinearSolver,
     Mat,
     _factorint,
-    hermite_basis,
     kernel_basis,
     lane_layout,
     lane_reduction,
@@ -209,11 +219,21 @@ class _CoverBuilder:
         self.summands: list[Subgroup] = []
         self.columns: list[list[int]] = []  # projection columns, basis order
         self.summand_starts: list[int] = []
+        self._act_columns: dict[int, list[list[int]]] = {}  # rep -> columns of A(rep)
 
     def adjoin(self, H: Subgroup, f: list[int]):
+        """Add Z[G/H] with its coset rep H sent to A(rep) f, for f != 0 in
+        M^H: the sum of x times column j of A(rep) over f's nonzero x = f[j]."""
         self.summand_starts.append(len(self.columns))
+        (j0, x0), *terms = [(j, x) for j, x in enumerate(f) if x]
         for rep in H.cosets()[0]:
-            self.columns.append(self.M.act(rep).mulvec(f))
+            cols = self._act_columns.get(rep)
+            if cols is None:
+                cols = self._act_columns[rep] = self.M.act(rep).transpose().a
+            col = [x0 * y for y in cols[j0]]
+            for j, x in terms:
+                col = [a + x * y for a, y in zip(col, cols[j])]
+            self.columns.append(col)
         self.summands.append(H)
         if len(self.columns) > RANK_BOUND:
             raise ResourceBoundError(f"cover rank exceeds bound {RANK_BOUND}")
@@ -238,6 +258,25 @@ class _CoverBuilder:
         return acc
 
 
+def _unit_free_image(m: int,
+                     columns: Sequence[Sequence[int]]) -> tuple[list[int], LatticeAccumulator]:
+    """(rest, image): the coordinates rest that no column +-e_j covers, and
+    the span of the other columns restricted to rest.  A column +-e_j puts
+    e_j in the span of the columns, so a vector lies in that span exactly
+    when its restriction to rest lies in image, and the columns span Z^m
+    exactly when image is all of Z^rest."""
+    units, others = set(), []
+    for col in columns:
+        if sum(map(abs, col)) == 1:
+            units.add(col.index(1) if 1 in col else col.index(-1))
+        else:
+            others.append(col)
+    rest = [i for i in range(m) if i not in units]
+    image = LatticeAccumulator(len(rest))
+    image.add(*([col[i] for i in rest] for col in others))
+    return rest, image
+
+
 def check_cover_surjective(M: GLattice, summands: Sequence[Subgroup],
                            columns: Sequence[Sequence[int]]):
     """Raise InternalCheckError unless P^S -> M^S is onto for every subgroup
@@ -249,7 +288,8 @@ def check_cover_surjective(M: GLattice, summands: Sequence[Subgroup],
     when it is onto at S, and one S per conjugacy class is checked.
 
     S = 1 is checked over Z: the columns span Z^m, which one Hermite form
-    decides on the coordinates that no column +-e_j covers.  Every other S is
+    decides on the coordinates that no column +-e_j covers
+    (_unit_free_image).  Every other S is
     checked mod p, by transfer.  Once P -> M is onto, each x in M^S lifts
     to some y in P, and sum_{s in S} s y lies in P^S and maps to |S| x; so
     the image I of P^S has finite index in M^S, with |S| M^S inside I.  M^S
@@ -262,17 +302,8 @@ def check_cover_surjective(M: GLattice, summands: Sequence[Subgroup],
     S-orbits on the cosets of a stabilizer are kept on the stabilizer and
     read at each summand's offset."""
     G, m = M.group, M.rank
-    # A column +-e_j puts e_j in the span, so the columns span Z^m exactly
-    # when the others span the coordinates outside those j.
-    units, others = set(), []
-    for col in columns:
-        if sum(map(abs, col)) == 1:
-            units.add(col.index(1) if 1 in col else col.index(-1))
-        else:
-            others.append(col)
-    rest = [i for i in range(m) if i not in units]
-    span = hermite_basis(([col[i] for i in rest] for col in others), len(rest))
-    if span != Mat.identity(len(rest)):
+    rest, span = _unit_free_image(m, columns)
+    if not span.is_full(len(rest)):
         raise InternalCheckError("cover does not map onto the base lattice")
     packed: dict[int, list[int]] = {}  # p -> the columns packed mod p
     for S in G.subgroup_conjugacy_representatives():
@@ -300,15 +331,16 @@ def check_cover_surjective(M: GLattice, summands: Sequence[Subgroup],
                     f"cover misses the {S.members}-fixed part of the base lattice mod {p}")
 
 
-def fixed_point_cover(M: GLattice, frugal: bool = True) -> FixedPointCover:
+def fixed_point_cover(M: GLattice) -> FixedPointCover:
     """Permutation cover P ->> M with per-subgroup surjectivity.
 
-    With frugal=True (the default) basis orbits that G permutes are seeded
-    with one summand each and generators already covered are skipped; with
-    frugal=False every fixed-basis generator of every conjugacy-class
-    representative gets its own summand (the plain textbook cover, useful as
-    a cross-check because anything downstream must not depend on the choice).
-    The construction works over Z, since its partial cover is not yet onto.
+    Basis orbits that G permutes are seeded with one summand each; then each
+    conjugacy class H, largest first, adjoins Z[G/H] for each Hermite
+    generator of M^H outside the image of the partial cover's H-fixed part.
+    A class whose image is already full is skipped before its basis is
+    formed, and the trivial subgroup's image is formed on the non-unit
+    coordinates (module docstring).  The construction works over Z, since
+    its partial cover is not yet onto.
     The projection's equivariance is checked first (internal_map), and then
     the per-subgroup surjectivity P^S ->> M^S for EVERY subgroup S
     (check_cover_surjective, one S per conjugacy class): over Z for S = 1,
@@ -317,28 +349,37 @@ def fixed_point_cover(M: GLattice, frugal: bool = True) -> FixedPointCover:
     The kernel is not built here; cover_kernel builds it for the callers
     that read it.
     """
-    G = M.group
+    G, m = M.group, M.rank
     builder = _CoverBuilder(M)
-    if frugal:
-        for stab, j in _permutation_orbit_seeds(M):
-            f = [1 if i == j else 0 for i in range(M.rank)]
-            builder.adjoin(stab, f)
+    for stab, j in _permutation_orbit_seeds(M):
+        builder.adjoin(stab, [int(i == j) for i in range(m)])
     reps = G.subgroup_conjugacy_representatives()
     for H in sorted(reps, key=lambda s: (-s.order, s.members)):
-        FB = fixed_basis(M, H)
-        if FB.cols == 0:
+        rank = fixed_rank(M, H)
+        if not rank:
             continue
-        image = builder.fixed_image_lattice(H) if frugal else None
+        if H.order == 1:  # the last class: I is the span of every column
+            coords, image = _unit_free_image(m, builder.columns)
+            rank = len(coords)
+        else:
+            coords, image = range(m), builder.fixed_image_lattice(H)
+        if image.is_full(rank):
+            continue
+        FB = fixed_basis(M, H)
         for j in range(FB.cols):
             f = FB.col(j)
-            if not frugal or not image.contains(f):
-                builder.adjoin(H, f)
-                if frugal:
-                    image.add(*builder.summand_fixed_image_columns(
-                        H, len(builder.summands) - 1))
+            if image.contains([f[i] for i in coords]):
+                continue
+            builder.adjoin(H, f)
+            if j == FB.cols - 1:
+                break
+            cols = builder.summand_fixed_image_columns(H, -1)
+            image.add(*([c[i] for i in coords] for c in cols))
+            if image.is_full(rank):
+                break
 
     P = permutation_lattice(G, builder.summands)
-    proj_mat = Mat.from_cols(builder.columns, rows=M.rank)
+    proj_mat = Mat.from_cols(builder.columns, rows=m)
     projection = internal_map(P, M, proj_mat)
     check_cover_surjective(M, builder.summands, builder.columns)
     return FixedPointCover(M, P, projection)
@@ -354,13 +395,13 @@ def cover_kernel(cov: FixedPointCover) -> LatticeMap:
     return internal_map(invariant_sublattice(cov.P, K), cov.P, K)
 
 
-def flabby_resolution(M: GLattice, frugal: bool = True) -> FlabbyResolution:
+def flabby_resolution(M: GLattice) -> FlabbyResolution:
     """0 -> M -> P -> F -> 0 by dualizing a fixed-point cover of the dual.
 
     All exactness conditions are machine-checked, and F is verified flabby;
     a failure of either is an internal error, never a user error.
     """
-    cov = fixed_point_cover(dual(M), frugal=frugal)
+    cov = fixed_point_cover(dual(M))
     inclusion = cover_kernel(cov)
     P = cov.P  # a permutation lattice is its own dual
     F = dual(inclusion.source)
@@ -543,7 +584,7 @@ def verify_refutation(decision: InvertibilityDecision) -> bool:
     return True
 
 
-def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
+def is_invertible(M: GLattice) -> InvertibilityDecision:
     """Decide whether M is a direct summand of a permutation lattice.
 
     The section system is solved mod |G| (module docstring), built and
@@ -557,7 +598,7 @@ def is_invertible(M: GLattice, frugal: bool = True) -> InvertibilityDecision:
     combined over the candidates, less the average over G of a lift of its
     error through the projection; the lift is skipped when the error is 0.
     """
-    cov = fixed_point_cover(M, frugal=frugal)
+    cov = fixed_point_cover(M)
     N, m = M.group.order, M.rank
     T = _orbit_spanning_indices(M)
     for d in [p for p, a in _factorint(N).items() if a > 1] + [N]:

@@ -624,6 +624,13 @@ class LatticeAccumulator:
     def contains(self, vec: Sequence[int]) -> bool:
         return _reduce(self._rows, self._pivots, vec) is not None
 
+    def is_full(self, rank: int) -> bool:
+        """True when the lattice has the given rank and every Hermite pivot
+        is 1.  It is then saturated in Z^dim, so it contains every lattice
+        vector of its rational span.  A saturated lattice may have larger
+        pivots (the span of (2, 1)); this says False there."""
+        return len(self._pivots) == rank and all(self._rows[r][c] == 1 for r, c in self._pivots)
+
 
 def _smith(A: Mat, transforms: bool):
     """(U, D, V) with U*A*V = D, or (None, D, None) without transforms; U and

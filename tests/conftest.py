@@ -4,9 +4,18 @@ import random
 
 import pytest
 
-from retractrat.groups import FiniteGroup, catalog_group, parse_group
-from retractrat.lattices import GLattice, permutation_lattice
-from retractrat.zlinalg import Mat
+from retractrat.groups import FiniteGroup, catalog_group, catalog_groups_upto, parse_group
+from retractrat.lattices import (
+    GLattice,
+    augmentation_kernel,
+    dual,
+    fixed_basis,
+    internal_map,
+    permutation_lattice,
+    random_lattice,
+)
+from retractrat.resolutions import FixedPointCover, _permutation_orbit_seeds, check_cover_surjective
+from retractrat.zlinalg import LatticeAccumulator, Mat
 
 
 def det(A: Mat) -> int:
@@ -79,6 +88,75 @@ def metacyclic_group(m: int, n: int, r: int, name=None) -> FiniteGroup:
                     row.append(enc((a1 + pow(r, b1, m) * a2) % m, (b1 + b2) % n))
             table.append(row)
     return parse_group({"table": table, "name": name or f"C{m}:C{n}"})
+
+
+def cross_check_lattices():
+    """(label, lattice): the norm-one tori J_{G/H} of every catalog group of
+    order <= 16 (one H per conjugacy class) and two seeded random lattices
+    per group, then the duals of all of them."""
+    rng = random.Random(2024)
+    out = []
+    for G in catalog_groups_upto(16):
+        for H in G.subgroup_conjugacy_representatives():
+            if H.order < G.order:
+                out.append((f"J_{G.name}/{H.members}", dual(augmentation_kernel(G, H))))
+        for t in range(2):
+            out.append((f"random {G.name} #{t}", random_lattice(G, 5, rng)))
+    return out + [(f"dual of {label}", dual(M)) for label, M in out]
+
+
+def oracle_cover_columns(M: GLattice, frugal: bool = True):
+    """(summands, columns) of a cover of M, built by the plain construction
+    loop: for every class, largest first, the whole fixed basis of M^H is
+    formed and each generator is tested against the image of the partial
+    cover's H-fixed part, a Hermite form over all coordinates, with every
+    coset image a dense A(rep) f.  With frugal=False nothing is seeded or
+    tested and every generator gets a summand: the textbook cover."""
+    G, m = M.group, M.rank
+    summands, columns = [], []
+
+    def adjoin(H, f):
+        block = [M.act(rep).mulvec(f) for rep in H.cosets()[0]]
+        summands.append(H)
+        columns.extend(block)
+        return block
+
+    def orbit_sums(S, H, block):
+        return [[sum(xs) for xs in zip(*(block[i] for i in orbit))] for orbit in H.coset_orbits(S)]
+
+    if frugal:
+        for stab, j in _permutation_orbit_seeds(M):
+            adjoin(stab, [int(i == j) for i in range(m)])
+    for H in sorted(G.subgroup_conjugacy_representatives(), key=lambda s: (-s.order, s.members)):
+        FB = fixed_basis(M, H)
+        if not FB.cols:
+            continue
+        image = LatticeAccumulator(m)
+        if frugal:
+            start, sums = 0, []
+            for K in summands:
+                n = len(K.cosets()[0])
+                sums += orbit_sums(H, K, columns[start:start + n])
+                start += n
+            image.add(*sums)
+        for j in range(FB.cols):
+            f = FB.col(j)
+            if not frugal or not image.contains(f):
+                block = adjoin(H, f)
+                if frugal:
+                    image.add(*orbit_sums(H, H, block))
+    return summands, columns
+
+
+def textbook_cover(M: GLattice) -> FixedPointCover:
+    """The textbook cover (oracle_cover_columns with frugal=False), checked
+    like fixed_point_cover's; it stands in for fixed_point_cover when a test
+    asks that nothing downstream depends on the choice of cover."""
+    summands, columns = oracle_cover_columns(M, frugal=False)
+    P = permutation_lattice(M.group, summands)
+    projection = internal_map(P, M, Mat.from_cols(columns, rows=M.rank))
+    check_cover_surjective(M, summands, columns)
+    return FixedPointCover(M, P, projection)
 
 
 @pytest.fixture

@@ -8,14 +8,12 @@ Both checks, profile and class_fingerprint work once per conjugacy class
 of subgroups; the oracles here sweep every subgroup, over groups whose
 classes have several members."""
 
-import random
-
 import pytest
 
-from conftest import sign_lattice
+from conftest import cross_check_lattices, sign_lattice, textbook_cover
 from retractrat.cohomology import h1, is_flabby, profile, tate_minus1, tate_zero
 from retractrat.errors import InternalCheckError
-from retractrat.groups import catalog_group, catalog_groups_upto
+from retractrat.groups import catalog_group
 from retractrat.lattices import (
     augmentation_kernel,
     direct_sum,
@@ -24,7 +22,6 @@ from retractrat.lattices import (
     fixed_rank,
     lenstra_lattice,
     permutation_lattice,
-    random_lattice,
     trivial_lattice,
 )
 from retractrat.resolutions import (
@@ -67,21 +64,6 @@ def accepts(M, summands, columns) -> bool:
 
 def spans(M, columns) -> bool:
     return hermite_basis(columns, M.rank) == Mat.identity(M.rank)
-
-
-def cross_check_lattices():
-    """(label, lattice): the norm-one tori J_{G/H} of every catalog group of
-    order <= 16 (one H per conjugacy class) and two seeded random lattices
-    per group, then the duals of all of them."""
-    rng = random.Random(2024)
-    out = []
-    for G in catalog_groups_upto(16):
-        for H in G.subgroup_conjugacy_representatives():
-            if H.order < G.order:
-                out.append((f"J_{G.name}/{H.members}", dual(augmentation_kernel(G, H))))
-        for t in range(2):
-            out.append((f"random {G.name} #{t}", random_lattice(G, 5, rng)))
-    return out + [(f"dual of {label}", dual(M)) for label, M in out]
 
 
 @pytest.fixture(scope="module")
@@ -156,11 +138,11 @@ class TestIsFlabbyAgainstTateSweep:
 
 class TestCoverPostconditionAgainstIntegralImages:
     def test_covers_of_catalog_lattices(self, lattices):
-        # the textbook covers (frugal=False) of groups of order 16 reach
-        # rank 450, where the oracle takes seconds per cover
+        # the textbook covers of groups of order 16 reach rank 450, where the
+        # oracle takes seconds per cover
         for label, M in lattices:
-            for frugal in (True, False)[:1 + (M.group.order <= 8)]:
-                cov = fixed_point_cover(M, frugal=frugal)  # runs the check
+            for build in (fixed_point_cover, textbook_cover)[:1 + (M.group.order <= 8)]:
+                cov = build(M)  # runs the check
                 summands, columns = cov.P.summands, cov.projection.matrix.columns()
                 assert integral_postcondition(M, summands, columns), label
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_permutation_lattice, sign_lattice
+from conftest import random_permutation_lattice, sign_lattice, textbook_cover
 from retractrat import resolutions
 from retractrat.cohomology import is_coflabby, profile
 from retractrat.errors import InternalCheckError
@@ -775,21 +775,27 @@ class TestDegenerateInputs:
 
 
 class TestCoverIndependence:
-    def test_decision_independent_of_cover_choice(self):
-        # the frugal cover and the plain textbook cover must give the same
-        # invertibility answer
+    # the library's cover and the plain textbook cover (conftest), swapped
+    # in for fixed_point_cover, must give the same answers
+
+    def test_decision_independent_of_cover_choice(self, monkeypatch):
         rng = random.Random(61)
         from retractrat.lattices import augmentation_kernel
+        larger = 0
         for name in ["C4", "V4", "S3", "Q8"]:
             G = catalog_group(name)
             samples = [random_lattice(G, 3, rng) for _ in range(2)]
             samples.append(dual(augmentation_kernel(G, G.trivial_subgroup())))
             for M in samples:
-                a = is_invertible(M, frugal=True).answer
-                b = is_invertible(M, frugal=False).answer
-                assert a == b, f"{name}: cover choice changed the decision"
+                a = is_invertible(M)
+                with monkeypatch.context() as mp:
+                    mp.setattr(resolutions, "fixed_point_cover", textbook_cover)
+                    b = is_invertible(M)
+                assert a.answer == b.answer, f"{name}: cover choice changed the decision"
+                larger += b.cover.P.rank > a.cover.P.rank
+        assert larger  # the textbook cover was the one decided on
 
-    def test_class_answer_independent_of_resolution_choice(self):
+    def test_class_answer_independent_of_resolution_choice(self, monkeypatch):
         # invertibility of the flabby class cannot depend on which resolution
         # represents it
         rng = random.Random(62)
@@ -797,8 +803,11 @@ class TestCoverIndependence:
             G = catalog_group(name)
             for _ in range(2):
                 M = random_lattice(G, 2, rng)
-                fa = is_invertible(flabby_resolution(M, frugal=True).F).answer
-                fb = is_invertible(flabby_resolution(M, frugal=False).F).answer
+                fa = is_invertible(flabby_resolution(M).F).answer
+                with monkeypatch.context() as mp:
+                    mp.setattr(resolutions, "fixed_point_cover", textbook_cover)
+                    F = flabby_resolution(M).F
+                fb = is_invertible(F).answer
                 assert fa == fb, f"{name}: resolution choice changed the class answer"
 
 
