@@ -46,6 +46,7 @@ def documents() -> dict:
         "J-C2xC2.json": _norm_one_torus("C2xC2", (0,)),
         "J-Q8-C2.json": _norm_one_torus("Q8", (0, 1)),
         "J-D8-C2.json": _norm_one_torus("D8", (0, 2)),
+        "J-Q8-1.json": _norm_one_torus("Q8", (0,)),
         "flabby-J-S3.json": flabby_resolution(_norm_one_torus("S3", (0,))).F,
         "random-A4-7.json": random_lattice(catalog_group("A4"), 6, random.Random(7)),
         "random-D8-1.json": random_lattice(catalog_group("D8"), 6, random.Random(1)),
@@ -94,6 +95,9 @@ def commands() -> list[list[str]]:
     for doc in documents():
         for verb in ("invertible", "resolve", "verdict-torus"):
             out.append([verb, "--lattice", doc])
+    # faithful lattices whose tails are not coflabby: Unknown over Q
+    for doc in ("lenstra-q8.json", "J-C2xC2.json"):
+        out.append(["verdict-multiplicative", "--lattice", doc, "--field", "Q"])
     # profiles over groups whose subgroups fall into classes of several members
     for doc in ("J-S3.json", "J-Q8-C2.json", "J-D8-C2.json", "random-A4-7.json",
                 "random-D8-1.json"):
