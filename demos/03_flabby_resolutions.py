@@ -65,26 +65,33 @@ for name in ["C4", "S3", "V4", "Q8"]:
     G = catalog_group(name)
     J = dual(augmentation_kernel(G, G.trivial_subgroup()))
     v = torus_verdict(J)
-    print(f"norm-one torus of a {name}-extension (lattice rank {J.rank}): {v.answer}")
+    step = v.trace[-1]
+    how = (f"H^1 = {step.premises['h1']} at {step.premises['subgroup']}"
+           if step.rule == "h1-obstruction" else "section system")
+    print(f"norm-one torus of a {name}-extension (lattice rank {J.rank}): {v.answer} ({how})")
 print("""
 These match the classical criterion: the norm-one torus of a Galois
 extension is retract rational exactly when every Sylow subgroup of the
 Galois group is cyclic.  The V4 case is the smallest non-rational torus.
+An invertible lattice is coflabby, so a subgroup with H^1 of the flabby
+tail nonzero decides No before any section is searched for; the tail of
+the Q8 torus is coflabby, and its No comes from the section system.
 """)
 
 print("== Class fingerprints ==")
 V4 = catalog_group("V4")
-M = random_lattice(V4, 3, random.Random(2))
+M = dual(augmentation_kernel(V4, V4.trivial_subgroup()))
 fp = class_fingerprint(M)
-print(f"fingerprint of a random rank-{M.rank} lattice over V4 "
-      "(per subgroup: H^-1, H^0, H^1 of the resolution tail):")
-for members, triple in fp.items():
-    print(f"  {members}: {tuple(str(t) for t in triple)}")
+print(f"fingerprint of the V4 norm-one torus lattice (rank {M.rank}; "
+      "per subgroup: H^1 of the resolution tail):")
+for members, invariants in fp.items():
+    print(f"  {members}: {invariants}")
 H = V4.subgroups()[1]
 fp2 = class_fingerprint(direct_sum(M, permutation_lattice(V4, [H])))
 print(f"unchanged after adding the coset block Z[G/{H.members}]: {fp == fp2}")
 print("""
-The fingerprint is invariant under adding any permutation lattice, so it is
-a necessary condition for two lattices to share a flabby class.  It is not
-a decision procedure for class equality - only invertibility is decided.
+H^1 vanishes on permutation lattices, so the fingerprint does not depend on
+which tail represents the class: it is a necessary condition for two
+lattices to share a flabby class.  It is not a decision procedure for
+class equality - only invertibility is decided.
 """)

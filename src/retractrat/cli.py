@@ -28,7 +28,7 @@ from .lattices import (
 )
 from .cohomology import profile
 from .monomial import parse_monomial_action
-from .resolutions import flabby_resolution, is_invertible
+from .resolutions import decide_flabby_class, flabby_resolution, is_invertible
 from .verdict import (
     monomial_instance_verdict,
     monomial_universal_verdict,
@@ -177,8 +177,8 @@ def _verdict_monomial(args) -> dict:
 
 def _reproduce_voskresenskii(n: int) -> dict:
     """The 2-power cyclotomic pipeline: build the units-action kernel lattice,
-    profile it, resolve it and decide invertibility once (inside the torus
-    verdict), and compare against the published values."""
+    profile it, resolve it and decide its flabby class once (inside the
+    torus verdict), and compare against the published values."""
     data = lenstra_lattice(n)
     q = data.q
     pi = data.pi
@@ -203,8 +203,11 @@ def _reproduce_voskresenskii(n: int) -> dict:
     check("profile: coflabby, not flabby", {"flabby": False, "coflabby": True},
           {"flabby": prof.is_flabby, "coflabby": prof.is_coflabby})
     tv = torus_verdict(data.M)
-    decision = next(s for s in tv.trace if s.rule == "invertibility-decision")
-    check("flabby class not invertible", False, decision.premises["invertible"])
+    # an H^1 obstruction or the section system decides the class
+    decision = next(s for s in tv.trace
+                    if s.rule in ("h1-obstruction", "invertibility-decision"))
+    check("flabby class not invertible", False,
+          decision.rule == "invertibility-decision" and decision.premises["invertible"])
     check("torus verdict", "No", tv.answer)
     return {
         "q": q,
@@ -235,7 +238,7 @@ def _reproduce_endo_miyata(max_order: int, trials: int, seed: int) -> dict:
         for t in range(trials):
             M = random_lattice(G, 5, rng)
             res = flabby_resolution(M)
-            dec = is_invertible(res.F)
+            dec = decide_flabby_class(res)
             ok = ok and dec.answer
             results.append({
                 "group": G.name,

@@ -26,12 +26,13 @@ Ch. VI, 7), a group with the same invariants; this is the classical "M is
 flabby iff M* is coflabby".
 
 is_flabby only asks whether degree -1 vanishes, and decides that with one
-rank over F_p per p-subgroup H instead of the invariants.  K = Ker(N_H) is
-saturated in Z^m, and its rank is m - rank M^H, since N_H maps M onto a
-sublattice of M^H containing |H| M^H.  K / I_H M = H^-1(H, M) is a finite
-group killed by |H| = p^k, so by Nakayama it vanishes exactly when
-I_H M + pK = K, that is when the image of I_H M in K / pK, which embeds in
-F_p^m, has dimension rank K.  So H^-1(H, M) = 0 exactly when the columns
+rank over F_p per p-subgroup H instead of the invariants: nonflabby_heads
+lists the class heads where the rank falls short, and is_flabby asks that
+there be none.  K = Ker(N_H) is saturated in Z^m, and its rank is
+m - rank M^H, since N_H maps M onto a sublattice of M^H containing
+|H| M^H.  K / I_H M = H^-1(H, M) is a finite group killed by |H| = p^k,
+so by Nakayama it vanishes exactly when I_H M + pK = K, that is when the
+image of I_H M in K / pK, which embeds in F_p^m, has dimension rank K.  So H^-1(H, M) = 0 exactly when the columns
 (A(s) - 1) e_j spanning I_H M have F_p-rank m - rank M^H.  The rank of M^H
 needs no basis: it is the multiplicity of the trivial character,
 (1/|H|) sum over h in H of tr A(h) (lattices.fixed_rank).
@@ -40,7 +41,7 @@ needs no basis: it is the multiplicity of the trivial character,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, TypeVar
+from typing import Callable, Iterable, Iterator, Literal, TypeVar
 
 from .errors import InternalCheckError, UserInputError
 from .groups import FiniteGroup, Subgroup
@@ -192,11 +193,11 @@ def profile(M: GLattice, subgroups: SubgroupMode = "prime-power") -> CohomologyP
     return CohomologyProfile(M, entries, subgroups)
 
 
-def is_flabby(M: GLattice) -> bool:
-    """H^-1(H, M) = 0 for every subgroup H of prime-power order p^k > 1,
-    decided by one F_p-rank each (module docstring), without the
-    invariants that tate_minus1 computes.  One H per conjugacy class is
-    visited: H^-1(gHg^-1, M) = g H^-1(H, M)."""
+def nonflabby_heads(M: GLattice) -> Iterator[Subgroup]:
+    """The class heads H of prime-power order p^k > 1 with H^-1(H, M) != 0,
+    one at a time in class order, each decided by one F_p-rank (module
+    docstring) without the invariants that tate_minus1 computes.  One H
+    per conjugacy class is visited: H^-1(gHg^-1, M) = g H^-1(H, M)."""
     for H in M.group.subgroup_conjugacy_representatives():
         primes = _factorint(H.order)
         if len(primes) != 1:
@@ -204,8 +205,13 @@ def is_flabby(M: GLattice) -> bool:
         p, = primes
         aug = (pack_lanes(col, p) for col in _augmentation_columns(H, M))
         if rank_packed(aug, M.rank, p) != M.rank - fixed_rank(M, H):
-            return False
-    return True
+            yield H
+
+
+def is_flabby(M: GLattice) -> bool:
+    """H^-1(H, M) = 0 for every subgroup H of prime-power order: no class
+    head fails the F_p-rank test (nonflabby_heads)."""
+    return next(nonflabby_heads(M), None) is None
 
 
 def is_coflabby(M: GLattice) -> bool:

@@ -39,8 +39,8 @@ not yet onto, so transfer says nothing there.  One H per conjugacy class
 is checked, after the projection's equivariance: for an equivariant
 projection, P^(gHg^-1) -> M^(gHg^-1) is g (P^H -> M^H) (K. S. Brown,
 Cohomology of Groups, III.8), so it is onto exactly when P^H -> M^H is.
-The same argument lets class_fingerprint compute its cohomology once per
-class; like cohomology.profile, it still lists every subgroup.
+The same argument lets class_fingerprint compute H^1 once per class; like
+cohomology.profile, it still lists every subgroup.
 
 A cover is P and its projection only: flabby_resolution builds the kernel
 C with cover_kernel, while the invertibility decision never builds it.
@@ -115,6 +115,17 @@ assume that it lives on T.  Yes answers lift the solution x mod N of the
 same elimination as in the first point: S0 = sum_j x_j S_j has
 proj S0 = I + N Y with Y in E, the average psi of a lift of Y through proj
 has proj psi = N Y, and S0 - psi is the section, checked exactly.
+
+The flabby class of a resolution's tail F is decided by decide_flabby_class,
+which tries the H^1 obstruction before the section system.  An invertible
+lattice is coflabby: H^1(H, Z[G/K]) is a sum of H^1(H ∩ gKg^-1, Z) =
+Hom(H ∩ gKg^-1, Z) = 0 (Shapiro's lemma), and H^1 of a direct summand is a
+summand of H^1.  So a subgroup H with H^1(H, F) != 0 proves [F] not
+invertible without a cover of F.  The F_p-rank test of is_flabby, run on F*
+(H^-1(H, F*) = H^1(H, F)), finds such an H, and its exact invariants
+h1(H, F) certify it.  So a No about a flabby class carries either Lam from
+is_invertible or a subgroup with its nonzero H^1; a Yes always carries the
+section.
 """
 
 from __future__ import annotations
@@ -122,7 +133,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cohomology import h1, is_flabby, per_class, tate_minus1, tate_zero
+from .cohomology import h1, is_flabby, nonflabby_heads, per_class
 from .errors import InternalCheckError, ResourceBoundError
 from .groups import Subgroup
 from .lattices import (
@@ -630,18 +641,46 @@ def is_invertible(M: GLattice) -> InvertibilityDecision:
     return InvertibilityDecision(True, witness, cov)
 
 
-Fingerprint = dict[tuple[int, ...], tuple[AbelianInvariants, AbelianInvariants, AbelianInvariants]]
+@dataclass
+class FlabbyClassDecision:
+    """Whether the flabby class of a resolution's tail F is invertible.  A No
+    carries either obstruction, a subgroup H with H^1(H, F) != 0 and its
+    invariants, or invertibility, the section system's decision with its
+    refutation; a Yes carries invertibility with its witness."""
+
+    answer: bool
+    invertibility: Optional[InvertibilityDecision] = None
+    obstruction: Optional[tuple[Subgroup, AbelianInvariants]] = None
+
+
+def decide_flabby_class(res: FlabbyResolution) -> FlabbyClassDecision:
+    """Decide whether the flabby class of res.F is invertible, by its H^1
+    obstruction first (module docstring).  The class heads of prime-power
+    order are tested on F* one at a time (cohomology.nonflabby_heads), and
+    the first that fails is certified by h1(H, F), which must be nontrivial:
+    a trivial one is an InternalCheckError.  Only a coflabby F reaches
+    is_invertible(F) and its cover."""
+    F = res.F
+    H = next(nonflabby_heads(dual(F)), None)
+    if H is None:
+        dec = is_invertible(F)
+        return FlabbyClassDecision(dec.answer, invertibility=dec)
+    invariants = h1(H, F)
+    if invariants.is_trivial:
+        raise InternalCheckError(f"H^1 at {H.members} is trivial but the F_p-rank test failed")
+    return FlabbyClassDecision(False, obstruction=(H, invariants))
+
+
+Fingerprint = dict[tuple[int, ...], AbelianInvariants]
 
 
 def class_fingerprint(M: GLattice) -> Fingerprint:
-    """Necessary-condition invariant of the flabby class of M.
-
-    Table over all nontrivial subgroups H of the cohomology of the resolution
-    tail F in degrees -1, 0, 1, computed once per conjugacy class
-    (cohomology.per_class).  Invariant under M -> M + (permutation
-    lattice); it does NOT decide equality of flabby classes.
+    """Necessary-condition invariant of the flabby class of M: H^1(H, F) of
+    the resolution tail F for every nontrivial subgroup H, computed once per
+    conjugacy class (cohomology.per_class).  H^1 vanishes on permutation
+    lattices, so any tail of the class gives the same table; it does NOT
+    decide equality of flabby classes.
     """
     F = flabby_resolution(M).F
     G = M.group
-    return per_class(G, [H for H in G.subgroups() if H.order > 1],
-                     lambda K: (tate_minus1(K, F), tate_zero(K, F), h1(K, F)))
+    return per_class(G, [H for H in G.subgroups() if H.order > 1], lambda K: h1(K, F))

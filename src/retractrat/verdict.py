@@ -6,6 +6,12 @@ step names a rule whose premises were machine-checked, and replay_trace
 re-verifies them.  Rules fire in a fixed priority: reductions, then
 definitive No rules (these rest on equivalences or necessary conditions),
 then Yes rules, then product decompositions.
+
+A torus No is about the flabby class of the resolution tail F, and its
+trace carries one of two certificates: an invertibility-decision step, whose
+No rests on the refutation Lam that is_invertible checks against the cover
+of F, or an h1-obstruction step naming a subgroup H and the nonzero
+invariants of H^1(H, F), which replay_trace recomputes.
 """
 
 from __future__ import annotations
@@ -14,11 +20,12 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Optional
 
+from .cohomology import h1
 from .errors import InternalCheckError, UserInputError
 from .groups import FiniteGroup, _factorint, is_index_key
 from .lattices import GLattice, action_kernel
 from .monomial import MonomialAction, extension_class
-from .resolutions import flabby_resolution, is_invertible
+from .resolutions import decide_flabby_class, flabby_resolution, is_invertible
 
 YES = "Yes"
 NO = "No"
@@ -223,6 +230,10 @@ CITE_RESOLUTION = ("Colliot-Thelene/Sansuc flabby resolution plus Saltman's "
 CITE_SPLITTING = ("invertibility decided by an integral splitting test against "
                   "a cover with coflabby kernel; completeness is the splitting "
                   "lemma for extensions of invertible lattices")
+CITE_H1_OBSTRUCTION = ("an invertible lattice is coflabby: H^1 vanishes on "
+                       "permutation lattices and their direct summands "
+                       "(Colliot-Thelene/Sansuc 1977), so H^1(H, F) != 0 shows "
+                       "that the flabby class is not invertible")
 CITE_CYCLIC_LATTICE = ("cyclic groups: k(G) retract k-rational iff k(M)^G is, "
                        "for every G-lattice M (flabby classes over cyclic "
                        "groups are invertible by Endo-Miyata)")
@@ -481,18 +492,25 @@ def torus_verdict(M: GLattice) -> Verdict:
     lattice M (the acting group read as a faithful Galois group).  This rule
     is an equivalence, so No is definitive."""
     res = flabby_resolution(M)
-    dec = is_invertible(res.F)
+    dec = decide_flabby_class(res)
     steps = [
         TraceStep("flabby-resolution", CITE_RESOLUTION, {
             "lattice_rank": M.rank,
             "cover_rank": res.P.rank,
             "tail_rank": res.F.rank,
         }),
-        TraceStep("invertibility-decision", CITE_SPLITTING, {
-            "invertible": dec.answer,
-            "witness_verified": dec.witness is not None,
-        }),
     ]
+    if dec.obstruction is None:
+        steps.append(TraceStep("invertibility-decision", CITE_SPLITTING, {
+            "invertible": dec.answer,
+            "witness_verified": dec.invertibility.witness is not None,
+        }))
+    else:
+        H, invariants = dec.obstruction
+        steps.append(TraceStep("h1-obstruction", CITE_H1_OBSTRUCTION, {
+            "subgroup": list(H.members),
+            "h1": invariants.to_list(),
+        }))
     v = Verdict(YES if dec.answer else NO, steps,
                 context={"kind": "torus", "lattice": M})
     if v.answer == YES:
@@ -525,8 +543,7 @@ def multiplicative_verdict(G: FiniteGroup, M: GLattice, k: FieldDescriptor) -> V
 
     if faithful:
         res = flabby_resolution(M)
-        dec = is_invertible(res.F)
-        if dec.answer:
+        if decide_flabby_class(res).answer:
             sub = _noether(G, k)
             steps = [
                 TraceStep("invertible-flabby-class", CITE_INVERTIBLE_CLASS, {
@@ -738,7 +755,14 @@ def replay_trace(v: Verdict) -> bool:
         return all(_replay_noether_step(s.scope_group or G, k, s) for s in v.trace)
     if kind == "torus":
         M = v.context["lattice"]
-        return torus_verdict(M).answer == v.answer
+        if torus_verdict(M).answer != v.answer:
+            return False
+        obstructions = [s.premises for s in v.trace if s.rule == "h1-obstruction"]
+        if obstructions:
+            F = flabby_resolution(M).F
+            return all(h1(M.group.subgroup(p["subgroup"]), F).to_list() == p["h1"]
+                       for p in obstructions)
+        return True
     if kind == "multiplicative":
         fresh = multiplicative_verdict(v.context["group"], v.context["lattice"],
                                        v.context["field"])

@@ -412,8 +412,10 @@ class TestReproduce:
         assert "Tate H^-1 at the Klein four subgroup" in names
 
     def test_voskresenskii_decides_once(self, capsys, monkeypatch):
-        # the flabby class is resolved and decided inside torus_verdict only
+        # the flabby class is resolved and decided inside torus_verdict only,
+        # by its H^1 obstruction: the tail gets no cover and no section system
         import retractrat.cli as cli
+        import retractrat.resolutions as resolutions
         import retractrat.verdict as verdict
 
         calls = {"flabby_resolution": 0, "is_invertible": 0}
@@ -421,11 +423,20 @@ class TestReproduce:
             def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
-            for module in (cli, verdict):
+            for module in (cli, verdict, resolutions):
                 monkeypatch.setattr(module, name, counted)
+        steps = []
+        torus_verdict = verdict.torus_verdict
+
+        def traced(*args):
+            v = torus_verdict(*args)
+            steps.extend(s.rule for s in v.trace)
+            return v
+        monkeypatch.setattr(cli, "torus_verdict", traced)
         code, out, _ = invoke(capsys, "reproduce", "voskresenskii", "--n", "3")
         assert code == 0
-        assert calls == {"flabby_resolution": 1, "is_invertible": 1}
+        assert calls == {"flabby_resolution": 1, "is_invertible": 0}
+        assert steps == ["flabby-resolution", "h1-obstruction"]
         checks = [(c["name"], c["expected"], c["got"])
                   for c in json.loads(out)["checks"]]
         flags = {"flabby": False, "coflabby": True}

@@ -11,7 +11,7 @@ classes have several members."""
 import pytest
 
 from conftest import cross_check_lattices, sign_lattice, textbook_cover
-from retractrat.cohomology import h1, is_flabby, profile, tate_minus1, tate_zero
+from retractrat.cohomology import h1, is_flabby, profile, tate_minus1
 from retractrat.errors import InternalCheckError
 from retractrat.groups import catalog_group
 from retractrat.lattices import (
@@ -288,8 +288,7 @@ class TestPerClassAgainstEverySubgroup:
         tori = class_lattices[:len(class_lattices) // 2]
         for label, M in [(label, M) for label, M in tori if M.rank <= 7]:
             F = flabby_resolution(M).F
-            sweep = {H.members: (tate_minus1(H, F), tate_zero(H, F), h1(H, F))
-                     for H in M.group.subgroups() if H.order > 1}
+            sweep = {H.members: h1(H, F) for H in M.group.subgroups() if H.order > 1}
             assert list(class_fingerprint(M).items()) == list(sweep.items()), label
 
     def test_non_normal_summand_dropped_or_demoted(self, class_lattices):

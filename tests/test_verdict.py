@@ -17,6 +17,8 @@ from retractrat.groups import (
 )
 from retractrat.lattices import (
     GLattice,
+    augmentation_kernel,
+    dual,
     lenstra_lattice,
     regular_lattice,
     trivial_lattice,
@@ -264,6 +266,22 @@ class TestTorusVerdict:
     def test_lenstra_no(self):
         v = torus_verdict(lenstra_lattice(3).M)
         assert v.answer == "No"
+        assert replay_trace(v)
+
+    def test_obstruction_replay_checks_the_divisors(self):
+        v = torus_verdict(lenstra_lattice(3).M)
+        assert [s.rule for s in v.trace] == ["flabby-resolution", "h1-obstruction"]
+        premises = v.trace[1].premises
+        assert premises["h1"] == [2]
+        assert replay_trace(v)
+        premises["h1"] = [4]  # the same answer, with a wrong certificate
+        assert not replay_trace(v)
+
+    def test_coflabby_tail_decided_by_the_section_system(self):
+        Q8 = catalog_group("Q8")
+        v = torus_verdict(dual(augmentation_kernel(Q8, Q8.trivial_subgroup())))
+        assert v.answer == "No"
+        assert [s.rule for s in v.trace] == ["flabby-resolution", "invertibility-decision"]
         assert replay_trace(v)
 
     def test_permutation_yes(self):
