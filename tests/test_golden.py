@@ -56,12 +56,17 @@ def documents() -> dict:
 
 def profile_documents() -> dict:
     """File name -> lattice document for the profiles alone: the q=32 and
-    q=64 Lenstra lattices, too large to resolve here, and a resolution
-    tail over D8."""
+    q=64 Lenstra lattices, too large to resolve here, a resolution tail
+    over D8, and the regular norm-one tori of C12, C16 and C2xC4, whose
+    H^-1 and H^1 have the divisors 8, 12 and 16, the chain (2, 4), and
+    two primes at valuation >= 2."""
     lattices = {
         "lenstra-q32.json": lenstra_lattice(5).M,
         "lenstra-q64.json": lenstra_lattice(6).M,
         "flabby-J-D8-C2.json": flabby_resolution(_norm_one_torus("D8", (0, 2))).F,
+        "J-C12-1.json": _norm_one_torus("C12", (0,)),
+        "J-C16-1.json": _norm_one_torus("C16", (0,)),
+        "J-C2xC4-1.json": _norm_one_torus("C2xC4", (0,)),
     }
     return {name: lattice_document(M) for name, M in lattices.items()}
 
