@@ -15,15 +15,25 @@ each class member under the values of its head (per_class).
 One routine computes degrees -1 and 1.  Degree -1 is Ker(N_H) / I_H M, with
 I_H M spanned by (s - 1)M over the generators s of H alone, since
 st - 1 = (s - 1)t + (t - 1).  It is read as the torsion of the coinvariants
-M / I_H M, one Smith diagonal of the columns spanning I_H M, with no basis
-of Ker(N_H): Ker(N_H) is saturated in Z^m and contains I_H M, and
-Ker(N_H) / I_H M is finite (it is killed by |H|), so Ker(N_H) is the
-saturation of I_H M, and sat(I) / I is the torsion of Z^m / I.  The free
-rank of M / I_H M is then m - rank Ker(N_H) = rank M^H, which is checked
-against the trace average.  Degree 1 is degree -1 of the dual: for a Z-free
-M, H^1(H, M) is Hom(H^-1(H, M*), Q/Z) (K. S. Brown, Cohomology of Groups,
-Ch. VI, 7), a group with the same invariants; this is the classical "M is
-flabby iff M* is coflabby".
+M / I_H M, with no basis of Ker(N_H): Ker(N_H) is saturated in Z^m and
+contains I_H M, and Ker(N_H) / I_H M is finite (it is killed by |H|), so
+Ker(N_H) is the saturation of I_H M, and sat(I) / I is the torsion of
+Z^m / I.  The free rank of M / I_H M is then m - rank Ker(N_H) = rank M^H.
+
+The torsion is read one prime p dividing |H| at a time, from packed
+elimination rounds mod p^a, p^(a-1), ..., p with a = v_p(|H|) + 1
+(zlinalg.valuation_counts) on the columns spanning I_H M; round t + 1
+counts the invariant factors of I_H M of p-valuation t.  Since |H| kills
+the torsion, every torsion factor has p-valuation at most v_p(|H|) < a, so
+what survives every round is free, and m minus the pivots of all rounds
+must be rank M^H: that is checked for every p against the trace average.
+A torsion factor of valuation a or more would read as free and fail the
+check.  The p-parts, each sorted descending, are multiplied position by
+position into the invariant factors (Chinese remainder theorem).  Degree 1
+is degree -1 of the dual: for a Z-free M, H^1(H, M) is
+Hom(H^-1(H, M*), Q/Z) (K. S. Brown, Cohomology of Groups, Ch. VI, 7), a
+group with the same invariants; this is the classical "M is flabby iff M*
+is coflabby".
 
 is_flabby only asks whether degree -1 vanishes, and decides that with one
 rank over F_p per p-subgroup H instead of the invariants: nonflabby_heads
@@ -32,15 +42,18 @@ there be none.  K = Ker(N_H) is saturated in Z^m, and its rank is
 m - rank M^H, since N_H maps M onto a sublattice of M^H containing
 |H| M^H.  K / I_H M = H^-1(H, M) is a finite group killed by |H| = p^k,
 so by Nakayama it vanishes exactly when I_H M + pK = K, that is when the
-image of I_H M in K / pK, which embeds in F_p^m, has dimension rank K.  So H^-1(H, M) = 0 exactly when the columns
-(A(s) - 1) e_j spanning I_H M have F_p-rank m - rank M^H.  The rank of M^H
-needs no basis: it is the multiplicity of the trivial character,
-(1/|H|) sum over h in H of tr A(h) (lattices.fixed_rank).
+image of I_H M in K / pK, which embeds in F_p^m, has dimension rank K.
+So H^-1(H, M) = 0 exactly when the columns (A(s) - 1) e_j spanning I_H M
+have F_p-rank m - rank M^H: the pivots of tate_minus1's first round
+alone.  The rank of M^H needs no basis: it is the multiplicity of the
+trivial character, (1/|H|) sum over h in H of tr A(h) (lattices.fixed_rank).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
+from math import prod
 from typing import Callable, Iterable, Iterator, Literal, TypeVar
 
 from .errors import InternalCheckError, UserInputError
@@ -51,10 +64,10 @@ from .zlinalg import (
     Mat,
     TRIVIAL_GROUP_INVARIANTS,
     _factorint,
-    cokernel_invariants,
     pack_lanes,
     quotient_invariants,
     rank_packed,
+    valuation_counts,
 )
 
 
@@ -92,19 +105,28 @@ def _augmentation_columns(H: Subgroup, M: GLattice) -> list[list[int]]:
 def tate_minus1(H: Subgroup, M: GLattice) -> AbelianInvariants:
     """Tate cohomology in degree -1: Ker(N_H) / I_H M, where N_H is the norm
     and I_H M is spanned by (A(s) - 1) e_j over the generators s of H.
-    Ker(N_H) is the saturation of I_H M (module docstring), so this is the
-    torsion of M / I_H M, read from one Smith diagonal; its free rank must
-    be rank M^H."""
+    Ker(N_H) is the saturation of I_H M, so this is the torsion of
+    M / I_H M (module docstring).  For each prime power p^k exactly dividing
+    |H|, valuation_counts runs rounds mod p^(k+1), ..., p on the columns
+    spanning I_H M, and round t + 1 counts the p-parts p^t.  |H| kills the
+    torsion, so all of it is seen, and the m - (pivots of all rounds)
+    coordinates left must be rank M^H for every p; a torsion factor of
+    valuation above k would be left among them and fail that check."""
     _check_subgroup(H, M)
     if H.order == 1 or M.rank == 0:
         return TRIVIAL_GROUP_INVARIANTS
     cols = _augmentation_columns(H, M)
     if not cols:
         return TRIVIAL_GROUP_INVARIANTS
-    inv = cokernel_invariants(Mat.from_cols(cols, rows=M.rank), M.rank)
-    if inv.free_rank != fixed_rank(M, H):
-        raise InternalCheckError("coinvariants of a lattice have the wrong rank")
-    return AbelianInvariants(inv.divisors)
+    free = fixed_rank(M, H)
+    parts = []
+    for p, k in _factorint(H.order).items():
+        q = p ** (k + 1)
+        counts = valuation_counts([pack_lanes(col, q) for col in cols], M.rank, p, k + 1)
+        if M.rank - sum(counts) != free:
+            raise InternalCheckError("coinvariants of a lattice have the wrong rank")
+        parts.append([p ** t for t in range(k, 0, -1) for _ in range(counts[t])])
+    return AbelianInvariants(tuple(sorted(prod(ds) for ds in zip_longest(*parts, fillvalue=1))))
 
 
 def tate_zero(H: Subgroup, M: GLattice) -> AbelianInvariants:

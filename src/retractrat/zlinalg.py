@@ -24,8 +24,11 @@ is then one big-int multiply-add and a lane-wise reduction
 (lane_reduction), run in C rather than entry by entry.  Callers that build
 their system mod N can build it in this layout directly, with the same
 multiply-add and reduction; refute_mod packs a dense Mat and returns only
-a refutation.  rank_packed counts the pivots of one sweep mod a prime p,
-which is the rank over F_p of vectors packed mod p.
+a refutation.  valuation_counts runs the same rounds on vectors packed
+mod p^a without a right-hand side and counts the pivots of each round:
+round t + 1 counts the invariant factors of the span of p-valuation t,
+which decides a cokernel's p-torsion when it is killed by p^(a-1).
+rank_packed is its one round mod p, the rank over F_p.
 """
 
 from __future__ import annotations
@@ -567,7 +570,9 @@ def _unit_pivot_sweep(queue: list[list[int]], unknowns: int, L: int, mod: int,
 
     Mod a prime the rows left over are zero and the pivot rows, in
     echelon order of their pivots, are a basis of the span: the number of
-    pivots is the rank over F_p (rank_packed).
+    pivots is the rank over F_p (rank_packed).  Mod p^a the pivot rows
+    span a free summand, and the rows left over are divisible by p
+    (valuation_counts).
     """
     lane = (1 << L) - 1
     rest = []
@@ -592,13 +597,45 @@ def _unit_pivot_sweep(queue: list[list[int]], unknowns: int, L: int, mod: int,
     return rest, pivots
 
 
+def valuation_counts(rows: Iterable[int], n: int, p: int, a: int) -> list[int]:
+    """counts[t], t < a: the number of invariant factors of p-valuation t of
+    the span S of the vectors given as rows packed mod q = p^a with n lanes
+    (pack_lanes), p prime.  Invariant factors of valuation a or more, and
+    the zero ones, are not counted: n - sum(counts) is the free rank of
+    Z^n / S plus the number of its torsion factors p^e with e >= a.
+
+    Rounds of _unit_pivot_sweep mod p^a, p^(a-1), ..., p, as in
+    _eliminate_prime_power; counts[t] is the number of pivots of round
+    t + 1.  After a round mod p^b the pivot rows are unit-triangular on
+    their pivot lanes and the rows left over are zero there, so
+    (Z/p^b)^n is the pivot span, free with invariant factors 1, plus the
+    other coordinates, which hold the rows left over.  Those have no unit
+    entry, so every lane is divisible by p, and dividing them by p (which
+    divides the whole int exactly) lowers the valuation of each of their
+    invariant factors by one: the next round, mod p^(b-1), counts the
+    factors of valuation 1 as units.
+    """
+    q = p ** a
+    L = lane_layout(q)[1]
+    unknowns = (1 << L * n) - 1
+    residue = lane_reduction(p, q, n)
+    work = [[r] for r in rows if r]
+    counts = []
+    mod = q
+    while True:
+        work, pivots = _unit_pivot_sweep(work, unknowns, L, mod, residue,
+                                         lane_reduction(mod, q, n))
+        counts.append(len(pivots))
+        mod //= p
+        if mod == 1:
+            return counts
+        work = [[r[0] // p] for r in work if r[0]]
+
+
 def rank_packed(rows: Iterable[int], n: int, p: int) -> int:
     """Rank over F_p, p prime, of the vectors given as rows packed mod p
-    with n lanes (pack_lanes): one round of _unit_pivot_sweep mod p."""
-    L = lane_layout(p)[1]
-    reduce = lane_reduction(p, p, n)
-    return len(_unit_pivot_sweep([[r] for r in rows if r], (1 << L * n) - 1, L, p,
-                                 reduce, reduce)[1])
+    with n lanes (pack_lanes): the one round of valuation_counts mod p."""
+    return valuation_counts(rows, n, p, 1)[0]
 
 
 class LatticeAccumulator:

@@ -301,6 +301,17 @@ class TestTateMinus1AgainstAllMembers:
             assert self.check(f"Lenstra q={2 ** n}", M) > 0
             self.check(f"dual Lenstra q={2 ** n}", dual(M))
 
+    def test_direct_sum_mixes_primes_and_valuations(self):
+        # H^-1(C12, J_{C12/K}) = ker(Z/12 -> Z/|K|) = Z/[C12:K], so the sum
+        # with K of index 2 has 2-parts 4, 2 and 3-part 3: Z/2 + Z/12, and
+        # the p-parts must be joined largest with largest
+        G = catalog_group("C12")
+        K = next(S for S in G.subgroups() if S.order == 6)
+        M = direct_sum(dual(augmentation_kernel(G, G.trivial_subgroup())),
+                       dual(augmentation_kernel(G, K)))
+        assert tate_minus1(G.full_subgroup(), M) == AbelianInvariants((2, 12))
+        assert self.check("J_C12/1 + J_C12/C6", M) > 0
+
     def test_random_lattices_of_every_catalog_group(self):
         rng = random.Random(23)
         groups = catalog_groups_upto(16)
@@ -310,6 +321,32 @@ class TestTateMinus1AgainstAllMembers:
             for trial in range(2):
                 nontrivial += self.check(f"{G.name} #{trial}", random_lattice(G, 6, rng))
         assert nontrivial > 0
+
+
+class TestRegularNormOneTori:
+    """Closed forms on J_G, the dual of the augmentation kernel of Z[G]:
+    Z[G] is H-free, so 0 -> Z -> Z[G] -> J_G -> 0 gives
+    H^-1(H, J_G) = H^0(H, Z) = Z/|H| and H^1(H, J_G) = H^2(H, Z) =
+    Hom(H, Q/Z), which has the invariants of H^ab."""
+
+    @staticmethod
+    def abelianization(H):
+        K = H.as_group()
+        commutators = {K.mul(K.mul(a, b), K.mul(K.inv(a), K.inv(b)))
+                       for a in K.elements() for b in K.elements()}
+        quotient, _ = K.quotient(K.subgroup(K.closure(commutators)))
+        return AbelianInvariants(_chain(quotient.abelian_decomposition()))
+
+    def test_every_subgroup_of_every_catalog_group(self):
+        pairs = 0
+        for G in catalog_groups_upto(16):
+            J = dual(augmentation_kernel(G, G.trivial_subgroup()))
+            for H in G.subgroups():
+                if H.order > 1:
+                    assert tate_minus1(H, J) == AbelianInvariants((H.order,)), (G.name, H.members)
+                    assert h1(H, J) == self.abelianization(H), (G.name, H.members)
+                    pairs += 1
+        assert pairs == 128
 
 
 def _chain(divs):

@@ -8,8 +8,15 @@ import pytest
 
 from conftest import det
 from retractrat import zlinalg
-from retractrat.groups import catalog_groups_upto
-from retractrat.lattices import augmentation_kernel, fixed_basis, lenstra_lattice, random_lattice
+from retractrat.errors import InternalCheckError
+from retractrat.groups import catalog_group, catalog_groups_upto
+from retractrat.lattices import (
+    augmentation_kernel,
+    dual,
+    fixed_basis,
+    lenstra_lattice,
+    random_lattice,
+)
 from retractrat.resolutions import fixed_point_cover
 from retractrat.zlinalg import (
     AbelianInvariants,
@@ -31,6 +38,7 @@ from retractrat.zlinalg import (
     solve_integer,
     solve_packed,
     unpack_lanes,
+    valuation_counts,
 )
 
 
@@ -325,6 +333,86 @@ class TestRankModP:
         vectors = [[1, 2, 3], [2, 4, 13], [-1, -2, -3]]
         assert rank_packed([pack_lanes(v, 7) for v in vectors], 3, 7) == 1
         assert rank_packed([pack_lanes(v, 5) for v in vectors], 3, 5) == 2
+
+
+def random_unimodular(rng, n):
+    """A product of random elementary row operations on I_n."""
+    a = Mat.identity(n).a
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        kind = rng.random()
+        if kind < 0.2:
+            a[i], a[j] = a[j], a[i]
+        elif kind < 0.3:
+            a[i] = [-x for x in a[i]]
+        else:
+            c = rng.randint(-3, 3)
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return Mat(n, n, a)
+
+
+class TestValuationCounts:
+    """The p-adic rounds against the Smith form: round t + 1 counts the
+    invariant factors of the row span of p-valuation t."""
+
+    @staticmethod
+    def counts(A, p, a):
+        return valuation_counts([pack_lanes(row, p ** a) for row in A.a], A.cols, p, a)
+
+    @staticmethod
+    def expected(A, p, a):
+        vals = []
+        for d in smith_diagonal(A):
+            if d:
+                t = 0
+                while d % p == 0:
+                    d, t = d // p, t + 1
+                vals.append(t)
+        return [vals.count(t) for t in range(a)]
+
+    def test_examples(self):
+        assert self.counts(Mat.from_rows([[2, 0], [0, 4]]), 2, 3) == [0, 1, 1]
+        assert self.counts(Mat.from_rows([[2, 0], [0, 4]]), 3, 1) == [2]
+        assert self.counts(Mat.from_rows([[6, 0, 0], [0, 0, 0]]), 3, 2) == [0, 1]
+        assert self.counts(Mat.from_rows([], 4), 5, 3) == [0, 0, 0]
+        # a factor of valuation a or more reads as free
+        assert self.counts(Mat.from_rows([[8]]), 2, 3) == [0, 0, 0]
+
+    def test_seeded_diagonals_against_smith(self):
+        rng = random.Random(28)
+        seen = set()
+        for trial in range(400):
+            n = rng.choice([12, 16, 18, 72, 360])
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            divisors = [d for d in range(1, n + 1) if n % d == 0] + [0, 0]
+            D = Mat.zero(rows, cols)
+            for i in range(min(rows, cols)):
+                D.a[i][i] = rng.choice(divisors)
+            A = random_unimodular(rng, rows).mul(D).mul(random_unimodular(rng, cols))
+            for p, k in _factorint(n).items():
+                want = self.expected(A, p, k + 1)
+                assert self.counts(A, p, k + 1) == want, (A, p)
+                # fewer rounds see the valuations below their bound alone
+                for a in range(1, k + 1):
+                    assert self.counts(A, p, a) == want[:a], (A, p, a)
+                seen.add((p, tuple(want)))
+        assert len(seen) >= 60, len(seen)
+
+    def test_rank_check_catches_a_short_bound(self, monkeypatch):
+        # H^-1(C4, J_{C4/1}) = Z/4 has 2-valuation 2: with rounds mod 4 and
+        # 2 alone it reads as free, and the per-prime rank check must fail
+        import retractrat.cohomology as cohomology
+        C4 = catalog_group("C4")
+        J = dual(augmentation_kernel(C4, C4.trivial_subgroup()))
+        assert cohomology.tate_minus1(C4.full_subgroup(), J) == AbelianInvariants((4,))
+        rounds = cohomology.valuation_counts
+
+        def short(rows, n, p, a):
+            q = p ** (a - 1)
+            return rounds([pack_lanes(unpack_lanes(r, n, p ** a), q) for r in rows], n, p, a - 1)
+        monkeypatch.setattr(cohomology, "valuation_counts", short)
+        with pytest.raises(InternalCheckError, match="wrong rank"):
+            cohomology.tate_minus1(C4.full_subgroup(), J)
 
 
 class TestPackedLanes:
