@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Optional
 
-from .cohomology import h1
+from .cohomology import tate_minus1
 from .errors import InternalCheckError, UserInputError
 from .groups import FiniteGroup, _factorint, is_index_key
 from .lattices import GLattice, action_kernel
@@ -759,8 +759,8 @@ def replay_trace(v: Verdict) -> bool:
             return False
         obstructions = [s.premises for s in v.trace if s.rule == "h1-obstruction"]
         if obstructions:
-            F = flabby_resolution(M).F
-            return all(h1(M.group.subgroup(p["subgroup"]), F).to_list() == p["h1"]
+            C = flabby_resolution(M).C  # H^1(H, F) = H^-1(H, C)
+            return all(tate_minus1(M.group.subgroup(p["subgroup"]), C).to_list() == p["h1"]
                        for p in obstructions)
         return True
     if kind == "multiplicative":

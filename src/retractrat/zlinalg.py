@@ -23,11 +23,11 @@ every p^a reduces the same rows.  Subtracting a multiple of the pivot row
 is then one big-int multiply-add and a lane-wise reduction
 (lane_reduction), run in C rather than entry by entry.  Callers that build
 their system mod N can build it in this layout directly, with the same
-multiply-add and reduction; refute_mod packs a dense Mat and returns only
-a refutation.  valuation_counts runs the same rounds on vectors packed
-mod p^a without a right-hand side and counts the pivots of each round:
-round t + 1 counts the invariant factors of the span of p-valuation t,
-which decides a cokernel's p-torsion when it is killed by p^(a-1).
+multiply-add and reduction.  valuation_counts runs the same rounds on
+vectors packed mod p^a without a right-hand side and counts the pivots of
+each round: round t + 1 counts the invariant factors of the span of
+p-valuation t, which decides a cokernel's p-torsion when it is killed by
+p^(a-1).
 rank_packed is its one round mod p, the rank over F_p.
 """
 
@@ -488,17 +488,6 @@ def solve_packed(rows: Sequence[int], n: int,
     return x, None
 
 
-def refute_mod(A: Mat, b: Sequence[int], N: int) -> Optional[list[int]]:
-    """None if A*x = b (mod N) is solvable; otherwise a row vector lam with
-    lam*A = 0 and lam*b != 0 (mod N), entries in [0, N).  Packs each row
-    with its right-hand side and calls solve_packed."""
-    if len(b) != A.rows:
-        raise ValueError("dimension mismatch")
-    if N < 1:
-        raise ValueError("modulus must be positive")
-    return solve_packed([pack_lanes(row + [bi], N) for row, bi in zip(A.a, b)], A.cols, N)[1]
-
-
 def _eliminate_prime_power(rows: Sequence[int], n: int, N: int, p: int, a: int,
                            ) -> tuple[Optional[list[tuple]], Optional[list[int]]]:
     """solve_packed's elimination mod q = p^a: (steps, None), the pivot rows
@@ -743,9 +732,3 @@ def quotient_invariants(basis: Mat, subgens: Mat) -> AbelianInvariants:
     if coords is None:
         raise ValueError("generators do not lie in the span of the basis")
     return cokernel_invariants(coords, basis.cols)
-
-
-def lattice_rank(A: Mat) -> int:
-    """Rank of the column span."""
-    _, _, pivots = row_hermite(A.transpose())
-    return len(pivots)

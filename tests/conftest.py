@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded samplers and small builders."""
 
 import random
+from typing import Optional, Sequence
 
 import pytest
 
@@ -15,7 +16,7 @@ from retractrat.lattices import (
     random_lattice,
 )
 from retractrat.resolutions import FixedPointCover, _permutation_orbit_seeds, check_cover_surjective
-from retractrat.zlinalg import LatticeAccumulator, Mat
+from retractrat.zlinalg import LatticeAccumulator, Mat, pack_lanes, solve_packed
 
 
 def det(A: Mat) -> int:
@@ -43,6 +44,17 @@ def det(A: Mat) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def refute_mod(A: Mat, b: Sequence[int], N: int) -> Optional[list[int]]:
+    """None if A*x = b (mod N) is solvable; otherwise a row vector lam with
+    lam*A = 0 and lam*b != 0 (mod N), entries in [0, N).  Packs each row
+    with its right-hand side and calls solve_packed."""
+    if len(b) != A.rows:
+        raise ValueError("dimension mismatch")
+    if N < 1:
+        raise ValueError("modulus must be positive")
+    return solve_packed([pack_lanes(row + [bi], N) for row, bi in zip(A.a, b)], A.cols, N)[1]
 
 
 def random_permutation_lattice(G, rng: random.Random, max_rank: int = 14) -> GLattice:

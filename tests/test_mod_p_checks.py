@@ -28,6 +28,7 @@ from retractrat.resolutions import (
     _permutation_orbit_seeds,
     check_cover_surjective,
     class_fingerprint,
+    decide_flabby_class,
     fixed_point_cover,
     flabby_resolution,
 )
@@ -120,9 +121,22 @@ class TestIsFlabbyAgainstTateSweep:
         assert odd_order_not_flabby > 0
 
     def test_resolution_tails(self, lattices, lenstra_tails):
-        # flabby_resolution itself raises if is_flabby rejects its tail
-        tails = [flabby_resolution(M).F for label, M in lattices[::3]]
-        for F in tails + list(lenstra_tails.values()):
+        # flabby_resolution derives that its tail is flabby from the cover's
+        # checks instead of re-deciding it, so this sweep is the oracle; it
+        # also checks the kernel C kept as F*, from which H^1(H, F) is read
+        obstructed = 0
+        for label, M in lattices:
+            res = flabby_resolution(M)
+            assert is_flabby(res.F) and integral_flabby(res.F), label
+            D = dual(res.F)
+            assert all(res.C.act(s) == D.act(s) for s in M.group.generators), label
+            dec = decide_flabby_class(res)
+            if dec.obstruction is not None:
+                H, invariants = dec.obstruction
+                assert invariants == h1(H, res.F), label
+                obstructed += 1
+        assert obstructed > 0
+        for F in lenstra_tails.values():
             assert is_flabby(F) and integral_flabby(F)
 
     def test_lattices_that_are_not_flabby(self):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_permutation_lattice, sign_lattice, textbook_cover
+from conftest import random_permutation_lattice, refute_mod, sign_lattice, textbook_cover
 from retractrat import resolutions
 from retractrat.cohomology import is_coflabby, profile
 from retractrat.errors import InternalCheckError
@@ -38,8 +38,7 @@ from retractrat.zlinalg import (
     _factorint,
     hermite_basis,
     kernel_basis,
-    lattice_rank,
-    refute_mod,
+    row_hermite,
     solve_integer,
     solve_packed,
     unpack_lanes,
@@ -161,12 +160,30 @@ class TestFlabbyResolution:
             for _ in range(3):
                 M = random_lattice(G, 3, rng)
                 res = flabby_resolution(M)
-                assert lattice_rank(res.injection.matrix) == M.rank
+                assert len(row_hermite(res.injection.matrix.transpose())[2]) == M.rank
                 assert res.surjection.matrix.mul(res.injection.matrix).is_zero()
                 assert M.rank + res.F.rank == res.P.rank
                 assert res.P.is_permutation_lattice()
                 p = profile(res.F)
                 assert p.is_flabby
+
+    def test_composite_check_fires(self, monkeypatch):
+        # the identity P -> P as the "kernel": the composite is proj^T != 0
+        def identity(cov):
+            return LatticeMap(cov.P, cov.P, Mat.identity(cov.P.rank))
+
+        monkeypatch.setattr(resolutions, "cover_kernel", identity)
+        with pytest.raises(InternalCheckError, match="composite is nonzero"):
+            flabby_resolution(SIGN)
+
+    def test_rank_check_fires(self, monkeypatch):
+        # a rank-0 "kernel": the composite is 0, but 1 + 0 != rank P = 2
+        def zero(cov):
+            return LatticeMap(trivial_lattice(C2, 0), cov.P, Mat.zero(cov.P.rank, 0))
+
+        monkeypatch.setattr(resolutions, "cover_kernel", zero)
+        with pytest.raises(InternalCheckError, match="ranks do not add up"):
+            flabby_resolution(SIGN)
 
     def test_permutation_input_resolves_to_zero_tail(self):
         rng = random.Random(21)

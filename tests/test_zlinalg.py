@@ -6,7 +6,7 @@ from typing import Optional
 
 import pytest
 
-from conftest import det
+from conftest import det, refute_mod
 from retractrat import zlinalg
 from retractrat.errors import InternalCheckError
 from retractrat.groups import catalog_group, catalog_groups_upto
@@ -31,7 +31,6 @@ from retractrat.zlinalg import (
     pack_lanes,
     quotient_invariants,
     rank_packed,
-    refute_mod,
     row_hermite,
     smith_diagonal,
     smith_normal_form,
