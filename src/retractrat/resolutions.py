@@ -121,11 +121,10 @@ which tries the H^1 obstruction before the section system.  An invertible
 lattice is coflabby: H^1(H, Z[G/K]) is a sum of H^1(H ∩ gKg^-1, Z) =
 Hom(H ∩ gKg^-1, Z) = 0 (Shapiro's lemma), and H^1 of a direct summand is a
 summand of H^1.  So a subgroup H with H^1(H, F) != 0 proves [F] not
-invertible without a cover of F.  The F_p-rank test of is_flabby, run on
-the cover kernel C = F* (H^-1(H, C) = H^1(H, F)), finds such an H, and its
-exact invariants tate_minus1(H, C) certify it.  So a No about a flabby
-class carries either Lam from is_invertible or a subgroup with its nonzero
-H^1; a Yes always carries the section.
+invertible without a cover of F.  The F_p-rank test of is_coflabby, run on
+F, finds such an H, and its exact invariants h1(H, F) certify it.  So a No
+about a flabby class carries either Lam from is_invertible or a subgroup
+with its nonzero H^1; a Yes always carries the section.
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cohomology import nonflabby_heads, per_class, tate_minus1
+from .cohomology import h1, nonflabby_heads, per_class
 from .errors import InternalCheckError, ResourceBoundError
 from .groups import Subgroup
 from .lattices import (
@@ -173,16 +172,13 @@ class FixedPointCover:
 
 @dataclass
 class FlabbyResolution:
-    """0 -> M -> P -> F -> 0 with P permutation and F flabby.  C is the
-    kernel of the cover P ->> M* that the resolution dualizes, equal to F*
-    matrix for matrix; H^1(H, F) is read as H^-1(H, C)."""
+    """0 -> M -> P -> F -> 0 with P permutation and F flabby."""
 
     M: GLattice
     P: GLattice
     F: GLattice
     injection: LatticeMap
     surjection: LatticeMap
-    C: GLattice
 
 
 @dataclass
@@ -401,9 +397,9 @@ def fixed_point_cover(M: GLattice) -> FixedPointCover:
 def cover_kernel(cov: FixedPointCover) -> LatticeMap:
     """The inclusion C -> P of the kernel C of the cover projection, with the
     action of C solved from that of P.  C is coflabby because the cover is
-    surjective on every fixed part.  flabby_resolution keeps C and its dual
-    F, which invariant_sublattice builds from P's permutations with the
-    same factorization of the kernel basis."""
+    surjective on every fixed part.  flabby_resolution keeps its dual F,
+    which invariant_sublattice builds from P's permutations with the same
+    factorization of the kernel basis."""
     K = kernel_basis(cov.projection.matrix)
     return internal_map(invariant_sublattice(cov.P, K), cov.P, K)
 
@@ -426,15 +422,14 @@ def flabby_resolution(M: GLattice) -> FlabbyResolution:
     """
     cov = fixed_point_cover(dual(M))
     inclusion = cover_kernel(cov)
-    P, C = cov.P, inclusion.source  # a permutation lattice is its own dual
-    F = dual(C)
+    P, F = cov.P, dual(inclusion.source)  # a permutation lattice is its own dual
     inj = internal_map(M, P, cov.projection.matrix.transpose())
     surj = internal_map(P, F, inclusion.matrix.transpose())
     if not surj.matrix.mul(inj.matrix).is_zero():
         raise InternalCheckError("resolution composite is nonzero")
     if M.rank + F.rank != P.rank:
         raise InternalCheckError("resolution ranks do not add up")
-    return FlabbyResolution(M, P, F, inj, surj, C)
+    return FlabbyResolution(M, P, F, inj, surj)
 
 
 def _orbit_spanning_indices(M: GLattice) -> list[int]:
@@ -655,15 +650,15 @@ class FlabbyClassDecision:
 def decide_flabby_class(res: FlabbyResolution) -> FlabbyClassDecision:
     """Decide whether the flabby class of res.F is invertible, by its H^1
     obstruction first (module docstring).  The class heads of prime-power
-    order are tested on F* = res.C one at a time (cohomology.nonflabby_heads),
-    and the first that fails is certified by H^1(H, F) = H^-1(H, res.C),
-    which must be nontrivial: a trivial one is an InternalCheckError.  Only
-    a coflabby F reaches is_invertible(F) and its cover."""
-    H = next(nonflabby_heads(res.C), None)
+    order are tested for H^1 one at a time (cohomology.nonflabby_heads in
+    degree 1), and the first that fails is certified by h1(H, res.F), which
+    must be nontrivial: a trivial one is an InternalCheckError.  Only a
+    coflabby F reaches is_invertible(F) and its cover."""
+    H = next(nonflabby_heads(res.F, 1), None)
     if H is None:
         dec = is_invertible(res.F)
         return FlabbyClassDecision(dec.answer, invertibility=dec)
-    invariants = tate_minus1(H, res.C)
+    invariants = h1(H, res.F)
     if invariants.is_trivial:
         raise InternalCheckError(f"H^1 at {H.members} is trivial but the F_p-rank test failed")
     return FlabbyClassDecision(False, obstruction=(H, invariants))
@@ -674,12 +669,11 @@ Fingerprint = dict[tuple[int, ...], AbelianInvariants]
 
 def class_fingerprint(M: GLattice) -> Fingerprint:
     """Necessary-condition invariant of the flabby class of M: H^1(H, F) of
-    the resolution tail F for every nontrivial subgroup H, read as
-    H^-1(H, C) of the cover kernel C = F* once per conjugacy class
-    (cohomology.per_class).  H^1 vanishes on permutation lattices, so any
-    tail of the class gives the same table; it does NOT decide equality of
-    flabby classes.
+    the resolution tail F for every nontrivial subgroup H, once per
+    conjugacy class (cohomology.per_class).  H^1 vanishes on permutation
+    lattices, so any tail of the class gives the same table; it does NOT
+    decide equality of flabby classes.
     """
-    C = flabby_resolution(M).C
+    F = flabby_resolution(M).F
     G = M.group
-    return per_class(G, [H for H in G.subgroups() if H.order > 1], lambda K: tate_minus1(K, C))
+    return per_class(G, [H for H in G.subgroups() if H.order > 1], lambda K: h1(K, F))

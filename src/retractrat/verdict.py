@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Optional
 
-from .cohomology import tate_minus1
+from .cohomology import h1
 from .errors import InternalCheckError, UserInputError
 from .groups import FiniteGroup, _factorint, is_index_key
 from .lattices import GLattice, action_kernel
@@ -688,9 +688,7 @@ def _replay_noether_step(G: FiniteGroup, k: FieldDescriptor, step: TraceStep) ->
         H = G.subgroup(p["normal_subgroup"])
         C = G.subgroup(p["complement"])
         q = p["quotient_order"]
-        return (H.is_normal and C.order == q and C.is_cyclic()
-                and len(set(H.members) & set(C.members)) == 1
-                and H.order * C.order == G.order
+        return ((H, C) in G.semidirect_decompositions() and C.order == q and C.is_cyclic()
                 and k.cyclotomic_2power_cyclic(_v2(q)) == "no")
     if rule.startswith("abelian-normal-cyclic-quotient"):
         H = G.subgroup(p["abelian_normal_subgroup"])
@@ -713,26 +711,19 @@ def _replay_noether_step(G: FiniteGroup, k: FieldDescriptor, step: TraceStep) ->
     if rule == "semidirect-quotient":
         N = G.subgroup(p["normal_subgroup"])
         K = G.subgroup(p["complement"])
-        if not (N.is_normal and N.order * K.order == G.order
-                and len(set(N.members) & set(K.members)) == 1):
-            return False
-        return _noether(K.as_group(), k).answer == NO
+        return ((N, K) in G.semidirect_decompositions()
+                and _noether(K.as_group(), k).answer == NO)
     if rule == "coprime-semidirect":
         N = G.subgroup(p["normal_subgroup"])
         K = G.subgroup(p["complement"])
-        if not (N.is_normal and N.is_abelian()
-                and gcd(N.order, K.order) == 1
-                and N.order * K.order == G.order
-                and len(set(N.members) & set(K.members)) == 1):
-            return False
-        return (_noether(N.as_group(), k).answer == YES
+        return ((N, K) in G.semidirect_decompositions()
+                and N.is_abelian() and gcd(N.order, K.order) == 1
+                and _noether(N.as_group(), k).answer == YES
                 and _noether(K.as_group(), k).answer == YES)
     if rule == "direct-product":
         N1 = G.subgroup(p["factor_1"])
         N2 = G.subgroup(p["factor_2"])
-        if not (N1.is_normal and N2.is_normal
-                and N1.order * N2.order == G.order
-                and len(set(N1.members) & set(N2.members)) == 1):
+        if (N1, N2) not in G.direct_decompositions():
             return False
         got = [_noether(N1.as_group(), k).answer, _noether(N2.as_group(), k).answer]
         return got == p["sub_answers"]
@@ -759,8 +750,8 @@ def replay_trace(v: Verdict) -> bool:
             return False
         obstructions = [s.premises for s in v.trace if s.rule == "h1-obstruction"]
         if obstructions:
-            C = flabby_resolution(M).C  # H^1(H, F) = H^-1(H, C)
-            return all(tate_minus1(M.group.subgroup(p["subgroup"]), C).to_list() == p["h1"]
+            F = flabby_resolution(M).F
+            return all(h1(M.group.subgroup(p["subgroup"]), F).to_list() == p["h1"]
                        for p in obstructions)
         return True
     if kind == "multiplicative":

@@ -707,28 +707,3 @@ def smith_diagonal(A: Mat) -> list[int]:
     """Diagonal of the Smith form only (no transforms)."""
     _, D, _ = _smith(A, transforms=False)
     return [D.a[t][t] for t in range(min(A.rows, A.cols))]
-
-
-def cokernel_invariants(A: Mat, ambient_rank: int) -> AbelianInvariants:
-    """Invariants of Z^ambient_rank / columnspan(A); unit divisors dropped."""
-    if A.rows != ambient_rank:
-        raise ValueError(f"matrix has {A.rows} rows, ambient rank is {ambient_rank}")
-    diag = smith_diagonal(A)
-    nonzero = [d for d in diag if d]
-    free = ambient_rank - len(nonzero)
-    return AbelianInvariants(tuple(d for d in nonzero if d > 1), free)
-
-
-def quotient_invariants(basis: Mat, subgens: Mat) -> AbelianInvariants:
-    """Invariants of L / L' where basis columns span L and subgens columns
-    span a sublattice L' of L. The coordinates of every generator in the
-    basis must be integral (this is asserted, not assumed)."""
-    if basis.cols == 0:
-        if not subgens.is_zero():
-            raise ValueError("sublattice not contained in the zero lattice")
-        return TRIVIAL_GROUP_INVARIANTS
-    solver = LinearSolver(basis)
-    coords = solver.solve_matrix(subgens)
-    if coords is None:
-        raise ValueError("generators do not lie in the span of the basis")
-    return cokernel_invariants(coords, basis.cols)

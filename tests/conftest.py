@@ -16,7 +16,16 @@ from retractrat.lattices import (
     random_lattice,
 )
 from retractrat.resolutions import FixedPointCover, _permutation_orbit_seeds, check_cover_surjective
-from retractrat.zlinalg import LatticeAccumulator, Mat, pack_lanes, solve_packed
+from retractrat.zlinalg import (
+    TRIVIAL_GROUP_INVARIANTS,
+    AbelianInvariants,
+    LatticeAccumulator,
+    LinearSolver,
+    Mat,
+    pack_lanes,
+    smith_diagonal,
+    solve_packed,
+)
 
 
 def det(A: Mat) -> int:
@@ -55,6 +64,50 @@ def refute_mod(A: Mat, b: Sequence[int], N: int) -> Optional[list[int]]:
     if N < 1:
         raise ValueError("modulus must be positive")
     return solve_packed([pack_lanes(row + [bi], N) for row, bi in zip(A.a, b)], A.cols, N)[1]
+
+
+def cokernel_invariants(A: Mat, ambient_rank: int) -> AbelianInvariants:
+    """Invariants of Z^ambient_rank / columnspan(A) from the Smith diagonal
+    of A, unit divisors dropped: an oracle for the packed p-adic rounds."""
+    if A.rows != ambient_rank:
+        raise ValueError(f"matrix has {A.rows} rows, ambient rank is {ambient_rank}")
+    nonzero = [d for d in smith_diagonal(A) if d]
+    return AbelianInvariants(tuple(d for d in nonzero if d > 1), ambient_rank - len(nonzero))
+
+
+def quotient_invariants(basis: Mat, subgens: Mat) -> AbelianInvariants:
+    """Invariants of L / L' where the columns of basis span L and those of
+    subgens a sublattice L' of L, by the Smith form of the coordinates of
+    subgens in basis, which must be integral (this is asserted, not
+    assumed)."""
+    if basis.cols == 0:
+        if not subgens.is_zero():
+            raise ValueError("sublattice not contained in the zero lattice")
+        return TRIVIAL_GROUP_INVARIANTS
+    coords = LinearSolver(basis).solve_matrix(subgens)
+    if coords is None:
+        raise ValueError("generators do not lie in the span of the basis")
+    return cokernel_invariants(coords, basis.cols)
+
+
+def smith_tate_zero(H, M: GLattice) -> AbelianInvariants:
+    """Tate cohomology in degree 0, M^H / N_H M, by the Smith form of the
+    norm's coordinates in the Hermite basis of M^H: an oracle for
+    tate_zero, which reads the torsion of M / N_H M without a basis of M^H."""
+    members = [M.act(h).a for h in H.members]
+    norm = [[sum(A[i][j] for A in members) for j in range(M.rank)] for i in range(M.rank)]
+    return quotient_invariants(fixed_basis(M, H), Mat(M.rank, M.rank, norm))
+
+
+def dense_unimodular(n: int, rng: random.Random) -> Mat:
+    """L U for seeded unit-triangular L (lower) and U (upper) with entries
+    in {-1, 0, 1}: a dense n x n matrix of determinant 1."""
+    lower, upper = Mat.identity(n), Mat.identity(n)
+    for i in range(n):
+        for j in range(i):
+            lower.a[i][j] = rng.choice((-1, 0, 1))
+            upper.a[j][i] = rng.choice((-1, 0, 1))
+    return lower.mul(upper)
 
 
 def random_permutation_lattice(G, rng: random.Random, max_rank: int = 14) -> GLattice:

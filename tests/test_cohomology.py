@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from conftest import random_permutation_lattice, sign_lattice
+from conftest import (
+    cross_check_lattices,
+    quotient_invariants,
+    random_permutation_lattice,
+    sign_lattice,
+    smith_tate_zero,
+)
 from retractrat.errors import InternalCheckError
 from retractrat.groups import catalog_group, catalog_groups_upto
 from retractrat.lattices import (
@@ -38,12 +44,14 @@ class TestDegreeMinusOne:
     def test_trivial_subgroup(self):
         assert tate_minus1(TRIV, SIGN).is_trivial
 
-    def test_coinvariant_rank_checked(self, monkeypatch):
-        # the free rank of M / I_H M must be rank M^H
+    @pytest.mark.parametrize("tate", [tate_minus1, tate_zero, h1], ids=lambda f: f.__name__)
+    def test_coinvariant_rank_checked(self, monkeypatch, tate):
+        # the free rank of the quotient read must be rank M^H (degrees -1
+        # and 1) or m - rank M^H (degree 0); over C2, rank Z[C2]^C2 is 1
         import retractrat.cohomology as cohomology
-        monkeypatch.setattr(cohomology, "fixed_rank", lambda M, H: 1)
-        with pytest.raises(InternalCheckError):
-            tate_minus1(FULL, SIGN)
+        monkeypatch.setattr(cohomology, "fixed_rank", lambda M, H: 0)
+        with pytest.raises(InternalCheckError, match="wrong rank"):
+            tate(FULL, regular_lattice(C2))
 
 
 class TestDegreeZero:
@@ -147,6 +155,21 @@ class TestInvariances:
                             tuple(_chain(da + db)), 0).to_list()
                         assert ds == merged
 
+    def test_duality_swaps_the_profile_columns(self):
+        # H^1(H, M*) and H^-1(H, M) have the same invariants, and so do
+        # H^-1(H, M*) and H^1(H, M)
+        rng = random.Random(5)
+        D8 = catalog_group("D8")
+        cases = [dual(augmentation_kernel(D8, D8.trivial_subgroup())), lenstra_lattice(4).M]
+        cases += [random_lattice(catalog_group(name), 6, rng)
+                  for name in ("S3", "C4", "D8", "Q8", "A4", "C2xC4")]
+        swapped = 0
+        for M in cases:
+            entries = profile(M, "all").entries
+            assert profile(dual(M), "all").entries == {k: (b, a) for k, (a, b) in entries.items()}
+            swapped += any(a != b for a, b in entries.values())
+        assert swapped > 0
+
     def test_duality_swaps_flabby_coflabby(self):
         rng = random.Random(41)
         for name in ["C4", "S3", "Q8"]:
@@ -157,10 +180,46 @@ class TestInvariances:
                 assert is_coflabby(M) == is_flabby(dual(M))
 
 
+class TestDegreesAgainstOracles:
+    """Every degree is read off the generator matrices.  The oracles take
+    the routes the library gave up: the Smith form of the norm in a basis
+    of M^H, degree -1 of the dual lattice, and is_flabby of the dual."""
+
+    @pytest.fixture(scope="class")
+    def lattices(self):
+        return cross_check_lattices()
+
+    def test_tate_zero_against_the_smith_form(self, lattices):
+        nontrivial = 0
+        for label, M in lattices:
+            for H in M.group.subgroups():
+                got = tate_zero(H, M)
+                assert got == smith_tate_zero(H, M), (label, H.members)
+                nontrivial += not got.is_trivial
+        assert nontrivial > 0
+
+    def test_h1_against_the_dual(self, lattices):
+        nontrivial = 0
+        for label, M in lattices:
+            for H in M.group.subgroups():
+                got = h1(H, M)
+                assert got == tate_minus1(H, dual(M)), (label, H.members)
+                nontrivial += not got.is_trivial
+        assert nontrivial > 0
+
+    def test_is_coflabby_against_the_dual(self, lattices):
+        verdicts = set()
+        for label, M in lattices:
+            got = is_coflabby(M)
+            assert got == is_flabby(dual(M)), label
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+
 def naive_h1(H, M):
     """Independent H^1: the full cocycle system on ALL pairs, one unknown
     vector d(h) per subgroup element."""
-    from retractrat.zlinalg import Mat, kernel_basis, quotient_invariants
+    from retractrat.zlinalg import Mat, kernel_basis
 
     G = H.parent
     members = list(H.members)
@@ -198,8 +257,7 @@ def naive_h1(H, M):
 def naive_tate_minus1(H, M):
     """Independent Tate H^-1: Ker(N_H) / I_H M with I_H M spanned by
     (A(h) - 1) e_j over ALL members h, not only the generators."""
-    from retractrat.zlinalg import (
-        TRIVIAL_GROUP_INVARIANTS, Mat, kernel_basis, quotient_invariants)
+    from retractrat.zlinalg import TRIVIAL_GROUP_INVARIANTS, Mat, kernel_basis
 
     m = M.rank
     norm = [[sum(M.act(h).a[i][j] for h in H.members) for j in range(m)]

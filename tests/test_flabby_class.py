@@ -72,6 +72,6 @@ def test_obstruction_at_a_head_with_trivial_h1_is_an_internal_error(monkeypatch)
     quiet = [H for H in G.subgroup_conjugacy_representatives()
              if H.order > 1 and h1(H, res.F).is_trivial]
     assert quiet
-    monkeypatch.setattr(resolutions, "nonflabby_heads", lambda M: iter(quiet))
+    monkeypatch.setattr(resolutions, "nonflabby_heads", lambda M, degree: iter(quiet))
     with pytest.raises(InternalCheckError):
         decide_flabby_class(res)

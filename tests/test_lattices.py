@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from conftest import sign_lattice
+from conftest import dense_unimodular, sign_lattice
 from retractrat.errors import InternalCheckError, UserInputError
 from retractrat.groups import (
     FiniteGroup,
@@ -569,15 +569,22 @@ class TestLenstra:
 
 class TestConjugationAndRandom:
     def test_conjugated_same_cohomology(self):
+        # a basis change keeps every Tate group over every subgroup, while
+        # the generator matrices whose rows and columns are read change
+        from retractrat.cohomology import profile, tate_zero
         rng = random.Random(8)
-        C4 = catalog_group("C4")
-        M = regular_lattice(C4)
+        C4, D8 = catalog_group("C4"), catalog_group("D8")
         T = Mat.from_rows([[1, 2, 0, 1], [0, 1, 0, 3], [0, 0, 1, 0], [0, 0, 0, 1]])
-        N = conjugated(M, T)
-        from retractrat.cohomology import profile
-        p1, p2 = profile(M), profile(N)
-        assert {k: v for k, v in p1.entries.items()} == \
-            {k: v for k, v in p2.entries.items()}
+        pairs = [(regular_lattice(C4), T)]
+        cases = [dual(augmentation_kernel(D8, D8.trivial_subgroup())), lenstra_lattice(4).M]
+        cases += [random_lattice(catalog_group(name), 6, rng)
+                  for name in ("S3", "C4", "D8", "Q8", "A4", "C2xC2", "C6")]
+        pairs += [(M, dense_unimodular(M.rank, rng)) for M in cases]
+        for M, T in pairs:
+            N = conjugated(M, T)
+            assert profile(N, "all").entries == profile(M, "all").entries, M
+            for H in M.group.subgroups():
+                assert tate_zero(H, N) == tate_zero(H, M), (M, H.members)
 
     @pytest.mark.parametrize("T", [
         [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # det 2

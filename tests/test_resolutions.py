@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from conftest import random_permutation_lattice, refute_mod, sign_lattice, textbook_cover
+from conftest import (
+    dense_unimodular,
+    random_permutation_lattice,
+    refute_mod,
+    sign_lattice,
+    textbook_cover,
+)
 from retractrat import resolutions
 from retractrat.cohomology import is_coflabby, profile
 from retractrat.errors import InternalCheckError
@@ -878,13 +884,7 @@ class TestFingerprint:
             M = dual(augmentation_kernel(D8, D8.trivial_subgroup()))
         else:
             M = lenstra_lattice(4).M
-        rng = random.Random(1)
-        lower, upper = Mat.identity(M.rank), Mat.identity(M.rank)
-        for i in range(M.rank):
-            for j in range(i):
-                lower.a[i][j] = rng.choice((-1, 0, 1))
-                upper.a[j][i] = rng.choice((-1, 0, 1))
-        N = conjugated(M, lower.mul(upper))
+        N = conjugated(M, dense_unimodular(M.rank, random.Random(1)))
         assert flabby_resolution(N).F.rank != flabby_resolution(M).F.rank
         assert class_fingerprint(N) == class_fingerprint(M)
 

@@ -256,6 +256,60 @@ class TestReplay:
             replay_trace(Verdict("Yes"))
 
 
+class TestNoetherStepReplay:
+    """A step of the split rules names a normal subgroup and a complement,
+    or two factors; replay must reject the step once the complement is
+    altered, with every other premise left true.  C8 x C8 has a cyclic
+    normal N of order 8 with a cyclic complement K, and N itself has the
+    order of a complement."""
+
+    G = direct_product(cyclic_group(8), cyclic_group(8))
+
+    @staticmethod
+    def replay(G, k, rule, premises) -> bool:
+        return verdict._replay_noether_step(G, k, verdict.TraceStep(rule, "", premises))
+
+    def split(self):
+        return next((N, K) for N, K in self.G.direct_decompositions()
+                    if N.order == 8 and N.is_cyclic() and K.is_cyclic())
+
+    def test_semidirect_quotient(self):
+        N, K = self.split()
+        premises = {"normal_subgroup": list(N.members), "complement": list(K.members),
+                    "sub_answer": "No"}
+        assert self.replay(self.G, RATIONALS, "semidirect-quotient", premises)
+        premises["complement"] = list(N.members)  # C8 again, meeting N
+        assert not self.replay(self.G, RATIONALS, "semidirect-quotient", premises)
+
+    def test_direct_product(self):
+        N, K = self.split()
+        premises = {"factor_1": list(N.members), "factor_2": list(K.members),
+                    "sub_answers": ["No", "No"]}
+        assert self.replay(self.G, RATIONALS, "direct-product", premises)
+        premises["factor_2"] = list(N.members)
+        assert not self.replay(self.G, RATIONALS, "direct-product", premises)
+
+    def test_2power_quotient_split(self):
+        k = parse_field({"name": "k3", "cyclotomic_2power_cyclic": {"3": False}})
+        N, K = self.split()
+        premises = {"normal_subgroup": list(N.members), "complement": list(K.members),
+                    "quotient_order": 8, "cyclotomic_2power_cyclic": "no"}
+        assert self.replay(self.G, k, "2power-quotient-split", premises)
+        premises["complement"] = list(N.members)  # cyclic of order 8, meeting N
+        assert not self.replay(self.G, k, "2power-quotient-split", premises)
+
+    def test_coprime_semidirect(self):
+        # coprime orders leave only the order of the complement to alter
+        G = direct_product(cyclic_group(3), cyclic_group(8))
+        N = next(S for S in G.subgroups() if S.order == 3)
+        K = next(S for S in G.subgroups() if S.order == 8)
+        premises = {"normal_subgroup": list(N.members), "complement": list(K.members),
+                    "sub_answers": ["Yes", "Yes"]}
+        assert self.replay(G, COMPLEX, "coprime-semidirect", premises)
+        premises["complement"] = list(next(S for S in G.subgroups() if S.order == 4).members)
+        assert not self.replay(G, COMPLEX, "coprime-semidirect", premises)
+
+
 class TestTorusVerdict:
     def test_sign_yes(self):
         C2 = catalog_group("C2")

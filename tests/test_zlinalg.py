@@ -6,7 +6,7 @@ from typing import Optional
 
 import pytest
 
-from conftest import det, refute_mod
+from conftest import cokernel_invariants, det, quotient_invariants, refute_mod
 from retractrat import zlinalg
 from retractrat.errors import InternalCheckError
 from retractrat.groups import catalog_group, catalog_groups_upto
@@ -24,12 +24,10 @@ from retractrat.zlinalg import (
     LinearSolver,
     Mat,
     _factorint,
-    cokernel_invariants,
     hermite_basis,
     kernel_basis,
     lane_layout,
     pack_lanes,
-    quotient_invariants,
     rank_packed,
     row_hermite,
     smith_diagonal,
