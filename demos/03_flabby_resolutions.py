@@ -16,20 +16,21 @@ from retractrat import Mat, GLattice, catalog_group
 from retractrat.lattices import direct_sum, permutation_lattice, random_lattice, regular_lattice
 from retractrat.resolutions import (
     class_fingerprint,
-    cover_kernel,
     fixed_point_cover,
     flabby_resolution,
     is_invertible,
 )
+from retractrat.zlinalg import kernel_basis
 
 C2 = catalog_group("C2")
 sign = GLattice(C2, 1, {1: Mat.from_rows([[-1]])})
 
 print("== The cover and resolution of the sign lattice ==")
 cov = fixed_point_cover(sign)
-C = cover_kernel(cov).source
+K = kernel_basis(cov.projection.matrix)
+c = K.col(0)
 print(f"cover: P = Z[C2] (rank {cov.P.rank}), projection {cov.projection.matrix.a},")
-print(f"       kernel C of rank {C.rank} with action {C.act(1).a} (trivial)")
+print(f"       kernel C spanned by {c}, fixed by C2: {cov.P.act(1).mulvec(c) == c}")
 res = flabby_resolution(sign)
 print(f"resolution: 0 -> sign -> P (rank {res.P.rank}) -> F (rank {res.F.rank}) -> 0")
 print(f"F is the trivial lattice: {res.F.act(1).a}")

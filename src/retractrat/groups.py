@@ -832,8 +832,8 @@ def quaternion_group(name: Optional[str] = None) -> FiniteGroup:
 
 def unit_group_mod_2n(n: int, name: Optional[str] = None) -> FiniteGroup:
     """(Z/2^n Z)^x with 1 at index 0, remaining units ascending."""
-    if not 1 <= n <= 6:
-        raise UserInputError("unit group exponent out of range 1..6")
+    if not 1 <= n <= 7:
+        raise UserInputError("unit group exponent out of range 1..7")
     q = 2 ** n
     units = [1] + [u for u in range(3, q, 2)]
     index = {u: i for i, u in enumerate(units)}

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InternalCheckError, ResourceBoundError, UserInputError
 from .groups import (
@@ -56,7 +56,6 @@ class GLattice:
         self._expanded: Optional[dict[int, Mat]] = None
         self._character: Optional[tuple[int, ...]] = None
         self._dual: Optional[GLattice] = None
-        self._dual_from: Optional[Callable[[], GLattice]] = None  # see invariant_sublattice
         self._fixed: dict[Subgroup, Mat] = {}
         if perms is None:
             self.action = given = dict(action)
@@ -222,16 +221,13 @@ def dual(M: GLattice) -> GLattice:
     """Contragredient lattice: A*(g) = transpose(A(g^-1)), built on the first
     call and the same object on every later one; an expansion of M is
     transposed into the dual's.  An unexpanded M stays unexpanded: A(s^-1)
-    is then A(s)^(ord(s)-1) unless s^-1 is itself a generator (a sublattice
-    of a permutation lattice gets its dual from invariant_sublattice
-    instead, built on this first call).  An involution up to exact matrix
+    is then A(s)^(ord(s)-1) unless s^-1 is itself a generator (the dual of
+    a sublattice of a permutation lattice, given by a basis, is solved
+    instead by sublattice_dual).  An involution up to exact matrix
     equality.  Permutation matrices are orthogonal, so a permutation lattice
     is its own dual and is returned as it is."""
     if M.summands is not None:
         return M
-    if M._dual is None and M._dual_from is not None:
-        M._dual = M._dual_from()
-        M._dual_from = None
     if M._dual is None:
         G = M.group
 
@@ -310,36 +306,34 @@ def conjugated(M: GLattice, T: Mat) -> GLattice:
 # -- sublattices --------------------------------------------------------------------
 
 
+def _solve_stable(solver: LinearSolver, B: Mat) -> Mat:
+    """X with B = K X for the basis K of solver; a B outside the span of K
+    means K is not action-stable, an internal error."""
+    X = solver.solve_matrix(B)
+    if X is None:
+        raise InternalCheckError("sublattice is not action-stable")
+    return X
+
+
 def invariant_sublattice(M: GLattice, K: Mat) -> GLattice:
     """The sublattice L spanned by the columns of K (a basis), with the action
     solved from that of M: A(s) K = K X(s).  A K that the action does not
-    map into itself is an internal error.  When M permutes its basis, L
-    keeps the factorization of K to build its dual from, on the first
-    dual(L) only: A(s^-1) K is K with its rows reindexed through the
-    inverse permutation, so X(s^-1) is solved from A(s^-1) K = K X(s^-1)
-    for each generator s of order above 2 (X(s^-1) = X(s) otherwise), one
-    solve instead of the ord(s) - 2 dense products of X(s) that dual would
-    take.  A dual that is never read is never built."""
-    G = M.group
+    map into itself is an internal error."""
     solver = LinearSolver(K)
+    action = {s: _solve_stable(solver, M.act_mul(s, K)) for s in M.group.generators}
+    return GLattice(M.group, K.cols, action, check=False)
 
-    def solve(AK: Mat) -> Mat:
-        X = solver.solve_matrix(AK)
-        if X is None:
-            raise InternalCheckError("sublattice is not action-stable")
-        return X
 
-    action = {s: solve(M.act_mul(s, K)) for s in G.generators}
-    L = GLattice(G, K.cols, action, check=False)
-    if M.perms is not None:
-        def dual_of_L() -> GLattice:
-            inverse = {s: solve(Mat(K.rows, K.cols, [K.a[k] for k in M.perms[s]]))
-                       if G.element_order(s) > 2 else X for s, X in action.items()}
-            return GLattice(G, K.cols, {s: X.transpose() for s, X in inverse.items()},
-                            check=False)
-
-        L._dual_from = dual_of_L  # refers to M and K, not to L
-    return L
+def sublattice_dual(P: GLattice, K: Mat) -> GLattice:
+    """The dual L* of the sublattice L of the permutation lattice P spanned
+    by the columns of K (a basis), without building L: A*(s) = X^T for the
+    X with A_P(s^-1) K = K X, which is A_L(s^-1).  A_P(s^-1) K is K with its
+    rows reindexed through P's permutation p for s (row k is row p[k] of
+    K), so each generator takes one solve and no product."""
+    solver = LinearSolver(K)
+    action = {s: _solve_stable(solver, Mat(K.rows, K.cols, [K.a[k] for k in p])).transpose()
+              for s, p in P.perms.items()}
+    return GLattice(P.group, K.cols, action, check=False)
 
 
 def fixed_basis(M: GLattice, H: Subgroup) -> Mat:
@@ -393,8 +387,8 @@ class LenstraData:
 
 
 def lenstra_lattice(n: int) -> LenstraData:
-    if not 2 <= n <= 6:
-        raise ResourceBoundError("lenstra lattice supported for 2 <= n <= 6")
+    if not 2 <= n <= 7:
+        raise ResourceBoundError("lenstra lattice supported for 2 <= n <= 7")
     q = 2 ** n
     pi = unit_group_mod_2n(n)
     units = [1] + [u for u in range(3, q, 2)]

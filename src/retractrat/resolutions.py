@@ -3,8 +3,8 @@
 The cover construction follows the classical recipe: for each subgroup H
 (one per conjugacy class) and each Hermite-basis generator f of the fixed
 sublattice M^H, adjoin a coset summand Z[G/H] whose identity coset maps to
-f.  Two refinements keep covers small and make the class fingerprint
-strictly additive over permutation summands:
+f.  Two refinements keep covers small (class_fingerprint reads H^1 of
+the resolution tail, which no choice of cover changes):
 
 * seeding: basis vectors that G permutes outright are covered first by one
   summand per orbit, mapping isomorphically onto the orbit block;
@@ -42,8 +42,10 @@ Cohomology of Groups, III.8), so it is onto exactly when P^H -> M^H is.
 The same argument lets class_fingerprint compute H^1 once per class; like
 cohomology.profile, it still lists every subgroup.
 
-A cover is P and its projection only: flabby_resolution builds the kernel
-C with cover_kernel, while the invertibility decision never builds it.
+A cover is P and its projection only.  flabby_resolution reads the basis K
+of the kernel C and builds F = C* straight from P and K
+(lattices.sublattice_dual), with no lattice for C; the invertibility
+decision never forms K.
 
 Cosets and orbits on cosets come from the subgroup records, which keep
 them: H.cosets() and, per subgroup S, the S-orbits on G/H
@@ -143,8 +145,8 @@ from .lattices import (
     fixed_basis,
     fixed_rank,
     internal_map,
-    invariant_sublattice,
     permutation_lattice,
+    sublattice_dual,
 )
 from .zlinalg import (
     AbelianInvariants,
@@ -355,8 +357,7 @@ def fixed_point_cover(M: GLattice) -> FixedPointCover:
     (check_cover_surjective, one S per conjugacy class): over Z for S = 1,
     and for S != 1 by one F_p-rank per prime p dividing |S|, which suffices
     by transfer once P -> M is onto.  Failure raises InternalCheckError.
-    The kernel is not built here; cover_kernel builds it for the callers
-    that read it.
+    The kernel is not built here; flabby_resolution reads its basis.
     """
     G, m = M.group, M.rank
     builder = _CoverBuilder(M)
@@ -394,20 +395,11 @@ def fixed_point_cover(M: GLattice) -> FixedPointCover:
     return FixedPointCover(M, P, projection)
 
 
-def cover_kernel(cov: FixedPointCover) -> LatticeMap:
-    """The inclusion C -> P of the kernel C of the cover projection, with the
-    action of C solved from that of P.  C is coflabby because the cover is
-    surjective on every fixed part.  flabby_resolution keeps its dual F,
-    which invariant_sublattice builds from P's permutations with the same
-    factorization of the kernel basis."""
-    K = kernel_basis(cov.projection.matrix)
-    return internal_map(invariant_sublattice(cov.P, K), cov.P, K)
-
-
 def flabby_resolution(M: GLattice) -> FlabbyResolution:
     """0 -> M -> P -> F -> 0 by dualizing a fixed-point cover proj: P ->> M*
-    with kernel C, spanned by the columns K of cover_kernel: the injection
-    is proj^T, F = C* and the surjection is K^T.
+    with kernel C, spanned by the columns K of kernel_basis(proj): the
+    injection is proj^T, F = C* (lattices.sublattice_dual, from P and K
+    with no lattice for C) and the surjection is K^T.
 
     Its own checks are surj inj = 0 and rank M + rank F = rank P; a failure
     is an internal error.  The rest follows from the cover's checks:
@@ -416,15 +408,18 @@ def flabby_resolution(M: GLattice) -> FlabbyResolution:
     * K is made of rows of a unimodular U, so it is saturated and K^T is
       onto.  ker K^T is saturated, contains im proj^T (the composite is 0)
       and has its rank (the rank count), so ker K^T = im proj^T.
+    * surj's equivariance check, K^T A_P(s) = A_F(s) K^T, is the identity
+      A_P(s^-1) K = K A_F(s)^T that F was solved from: K spans a
+      P-stable sublattice and F is its dual.
     * P is a permutation lattice (permutation_lattice built it), so
       H^1(S, P) = 0, and P^S ->> (M*)^S, checked for every S, holds exactly
       when H^1(S, C) = 0: C is coflabby and F = C* is flabby.
     """
     cov = fixed_point_cover(dual(M))
-    inclusion = cover_kernel(cov)
-    P, F = cov.P, dual(inclusion.source)  # a permutation lattice is its own dual
+    P, K = cov.P, kernel_basis(cov.projection.matrix)
+    F = sublattice_dual(P, K)
     inj = internal_map(M, P, cov.projection.matrix.transpose())
-    surj = internal_map(P, F, inclusion.matrix.transpose())
+    surj = internal_map(P, F, K.transpose())
     if not surj.matrix.mul(inj.matrix).is_zero():
         raise InternalCheckError("resolution composite is nonzero")
     if M.rank + F.rank != P.rank:

@@ -8,10 +8,12 @@ import pytest
 from retractrat.groups import FiniteGroup, catalog_group, catalog_groups_upto, parse_group
 from retractrat.lattices import (
     GLattice,
+    LatticeMap,
     augmentation_kernel,
     dual,
     fixed_basis,
     internal_map,
+    invariant_sublattice,
     permutation_lattice,
     random_lattice,
 )
@@ -22,6 +24,7 @@ from retractrat.zlinalg import (
     LatticeAccumulator,
     LinearSolver,
     Mat,
+    kernel_basis,
     pack_lanes,
     smith_diagonal,
     solve_packed,
@@ -222,6 +225,14 @@ def textbook_cover(M: GLattice) -> FixedPointCover:
     projection = internal_map(P, M, Mat.from_cols(columns, rows=M.rank))
     check_cover_surjective(M, summands, columns)
     return FixedPointCover(M, P, projection)
+
+
+def cover_kernel(cov: FixedPointCover) -> LatticeMap:
+    """The inclusion C -> P of the kernel C of the cover projection, with C's
+    action solved from P's; flabby_resolution builds only C*, from the same
+    kernel basis."""
+    K = kernel_basis(cov.projection.matrix)
+    return internal_map(invariant_sublattice(cov.P, K), cov.P, K)
 
 
 @pytest.fixture

@@ -279,15 +279,15 @@ class TestInternalCheckExit:
         import retractrat.resolutions as resolutions
         from retractrat.lattices import GLattice, augmentation_kernel, dual
 
-        real = resolutions.invariant_sublattice
+        real = resolutions.sublattice_dual
 
-        def negated(M, K):
-            C = real(M, K)
-            action = {s: Mat.from_rows([[-x for x in row] for row in A.a], C.rank)
-                      for s, A in C.action.items()}
-            return GLattice(C.group, C.rank, action, check=False)
+        def negated(P, K):
+            F = real(P, K)
+            action = {s: Mat.from_rows([[-x for x in row] for row in A.a], F.rank)
+                      for s, A in F.action.items()}
+            return GLattice(F.group, F.rank, action, check=False)
 
-        monkeypatch.setattr(resolutions, "invariant_sublattice", negated)
+        monkeypatch.setattr(resolutions, "sublattice_dual", negated)
         S3 = catalog_group("S3")
         path = write_lattice(tmp_path, dual(augmentation_kernel(S3, S3.trivial_subgroup())))
         code, out, err = invoke(capsys, "resolve", "--lattice", path)
@@ -471,7 +471,7 @@ class TestReproduce:
         assert_one_line_error(*invoke(capsys, "reproduce", "voskresenskii", "--n", n))
 
     def test_voskresenskii_n_above_bound_exit_2(self, capsys):
-        code, out, err = invoke(capsys, "reproduce", "voskresenskii", "--n", "7")
+        code, out, err = invoke(capsys, "reproduce", "voskresenskii", "--n", "8")
         assert code == 2 and out == ""
         assert err.startswith("resource bound exceeded")
 

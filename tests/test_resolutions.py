@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import (
+    cover_kernel,
     dense_unimodular,
     random_permutation_lattice,
     refute_mod,
@@ -32,7 +33,6 @@ from retractrat.lattices import (
 )
 from retractrat.resolutions import (
     class_fingerprint,
-    cover_kernel,
     fixed_point_cover,
     flabby_resolution,
     is_invertible,
@@ -174,20 +174,15 @@ class TestFlabbyResolution:
                 assert p.is_flabby
 
     def test_composite_check_fires(self, monkeypatch):
-        # the identity P -> P as the "kernel": the composite is proj^T != 0
-        def identity(cov):
-            return LatticeMap(cov.P, cov.P, Mat.identity(cov.P.rank))
-
-        monkeypatch.setattr(resolutions, "cover_kernel", identity)
+        # the identity of P as the "kernel" basis: F = P and the composite
+        # is proj^T != 0
+        monkeypatch.setattr(resolutions, "kernel_basis", lambda proj: Mat.identity(proj.cols))
         with pytest.raises(InternalCheckError, match="composite is nonzero"):
             flabby_resolution(SIGN)
 
     def test_rank_check_fires(self, monkeypatch):
-        # a rank-0 "kernel": the composite is 0, but 1 + 0 != rank P = 2
-        def zero(cov):
-            return LatticeMap(trivial_lattice(C2, 0), cov.P, Mat.zero(cov.P.rank, 0))
-
-        monkeypatch.setattr(resolutions, "cover_kernel", zero)
+        # an empty "kernel" basis: the composite is 0, but 1 + 0 != rank P = 2
+        monkeypatch.setattr(resolutions, "kernel_basis", lambda proj: Mat.zero(proj.cols, 0))
         with pytest.raises(InternalCheckError, match="ranks do not add up"):
             flabby_resolution(SIGN)
 
