@@ -13,6 +13,7 @@ is invertible.
 import random
 
 from retractrat import Mat, GLattice, catalog_group
+from retractrat.cohomology import h1, sha_omega
 from retractrat.lattices import direct_sum, permutation_lattice, random_lattice, regular_lattice
 from retractrat.resolutions import (
     class_fingerprint,
@@ -79,12 +80,24 @@ tail nonzero decides No before any section is searched for; the tail of
 the Q8 torus is coflabby, and its No comes from the section system.
 """)
 
-print("== Class fingerprints ==")
+print("== H^1 of the tail, read from the lattice ==")
 V4 = catalog_group("V4")
+J = dual(augmentation_kernel(V4, V4.trivial_subgroup()))
+full = V4.full_subgroup()
+print(f"H^1(V4, F) of a flabby resolution of the V4 torus: {h1(full, flabby_resolution(J).F)}")
+print(f"Sha^2_omega(V4, J), from J alone:                   {sha_omega(full, J)}")
+print("""
+H^1(H, F) is Sha^2_omega(H, M), the classes of H^2(H, M) that vanish on
+every cyclic subgroup of H, so a No needs neither a resolution nor a cover:
+the torus verdicts above built none for V4.  Here Sha^2_omega(G, J_G) is
+H^3(G, Z), the Schur multiplier of G, Z/2 for V4.
+""")
+
+print("== Class fingerprints ==")
 M = dual(augmentation_kernel(V4, V4.trivial_subgroup()))
 fp = class_fingerprint(M)
 print(f"fingerprint of the V4 norm-one torus lattice (rank {M.rank}; "
-      "per subgroup: H^1 of the resolution tail):")
+      "per subgroup: H^1 of the resolution tail, read as Sha^2_omega):")
 for members, invariants in fp.items():
     print(f"  {members}: {invariants}")
 H = V4.subgroups()[1]

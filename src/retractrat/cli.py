@@ -177,8 +177,9 @@ def _verdict_monomial(args) -> dict:
 
 def _reproduce_voskresenskii(n: int) -> dict:
     """The 2-power cyclotomic pipeline: build the units-action kernel lattice,
-    profile it, resolve it and decide its flabby class once (inside the
-    torus verdict), and compare against the published values."""
+    profile it, decide its flabby class once inside the torus verdict (by
+    its H^1 obstruction, read from the lattice with no resolution), and
+    compare against the published values."""
     data = lenstra_lattice(n)
     q = data.q
     pi = data.pi
@@ -237,14 +238,15 @@ def _reproduce_endo_miyata(max_order: int, trials: int, seed: int) -> dict:
     for G in groups:
         for t in range(trials):
             M = random_lattice(G, 5, rng)
-            res = flabby_resolution(M)
-            dec = decide_flabby_class(res)
+            # no Sylow subgroup is non-cyclic, so no head can obstruct and
+            # every M is resolved
+            dec = decide_flabby_class(M)
             ok = ok and dec.answer
             results.append({
                 "group": G.name,
                 "trial": t,
                 "lattice_rank": M.rank,
-                "tail_rank": res.F.rank,
+                "tail_rank": dec.resolution.F.rank,
                 "invertible": dec.answer,
             })
     return {

@@ -1,4 +1,4 @@
-"""Tate cohomology of G-lattices in degrees -1, 0, 1.
+"""Tate cohomology of G-lattices in degrees -1, 0, 1, and Sha^2_omega.
 
 All values are finite abelian groups returned as AbelianInvariants.  The
 flabby/coflabby predicates quantify over subgroups; by default only
@@ -12,10 +12,11 @@ maps the Tate group H^n(H, M) isomorphically onto H^n(gHg^-1, M)
 same invariants.  A profile still lists every subgroup of its family,
 each class member under the values of its head (per_class).
 
-One routine, _tate, computes every degree as the torsion of Z^m / S for a
-span S of vectors read off the generator matrices; the degrees differ only
-in the vectors and in the free rank of Z^m / S.  The torsion is the
-quotient sat(S) / S of the saturation of S in Z^m.
+One routine, _tate, computes every degree as the torsion of Z^n / S for a
+span S of vectors read off the generator matrices (_span); the degrees
+differ only in n, the vectors and the free rank of Z^n / S.  The torsion is
+the quotient sat(S) / S of the saturation of S in Z^n.  In degrees -1, 0
+and 1, n = m:
 
 * Degree -1 is Ker(N_H) / I_H M, with I_H M spanned by the columns of
   A(s) - 1 over the generators s of H alone, since
@@ -41,7 +42,7 @@ elimination rounds mod p^a, p^(a-1), ..., p with a = v_p(|H|) + 1
 (zlinalg.valuation_counts) on the spanning vectors; round t + 1 counts the
 invariant factors of S of p-valuation t.  Since |H| kills the torsion,
 every torsion factor has p-valuation at most v_p(|H|) < a, so what
-survives every round is free, and m minus the pivots of all rounds must be
+survives every round is free, and n minus the pivots of all rounds must be
 the free rank above: that is checked for every p against the trace
 average.  A torsion factor of valuation a or more would read as free and
 fail the check.  The p-parts, each sorted descending, are multiplied
@@ -51,7 +52,7 @@ theorem).
 is_flabby and is_coflabby only ask whether degree -1, resp. 1, vanishes,
 and decide that with one rank over F_p per p-subgroup H instead of the
 invariants: nonflabby_heads lists the class heads where the rank falls
-short.  In degree -1, K = Ker(N_H) is saturated in Z^m of rank
+short, in degree 2 as well (below).  In degree -1, K = Ker(N_H) is saturated in Z^m of rank
 m - rank M^H, and K / I_H M = H^-1(H, M) is a finite group killed by
 |H| = p^k, so by Nakayama it vanishes exactly when I_H M + pK = K, that is
 when the image of I_H M in K / pK, which embeds in F_p^m, has dimension
@@ -61,6 +62,44 @@ same argument on M* makes H^1(H, M) = 0 exactly when the rows of A(s) - 1
 have that F_p-rank.  The rank of M^H needs no basis: it is the
 multiplicity of the trivial character, (1/|H|) sum over h in H of tr A(h)
 (lattices.fixed_rank).
+
+Sha^2_omega(H, M) = ker(H^2(H, M) -> prod over cyclic C <= H of H^2(C, M))
+is H^1(H, F) for the tail F of any flabby resolution 0 -> M -> P -> F -> 0
+(Colliot-Thelene-Sansuc, J. Algebra 106 (1987), Prop. 9.5): H^1(H, P) = 0,
+H^1(C, F) = 0 for cyclic C and Sha^2_omega(H, P) = 0.  So it depends on M
+alone, and sha_omega reads it as one more torsion of Z^n / S, with no
+resolution:
+
+* Duality.  For a Z-free M, H^2(H, M) is dual to H^-2(H, M*) (Brown, VI.7),
+  restriction to C dual to corestriction from C.  So Sha^2_omega(H, M) has
+  the invariants of the cokernel of the sum of the corestrictions
+  H^-2(C, M*) -> H^-2(H, M*) over the cyclic C.
+* Shift.  0 -> N* -> Z[H] (x) M* -> M* -> 0, N* = I_H (x) M* with the
+  diagonal action, has an induced middle term over H and over every C <= H,
+  so H^-2(., M*) = H^-1(., N*), compatibly with corestriction.  N* has the
+  basis (h - 1) (x) e_j, h != 1 in H, of rank n = (|H| - 1) m, and
+  s ((h - 1) (x) y) = ((sh - 1) - (s - 1)) (x) A*(s) y.
+* Corestriction.  In degree -1 it is induced by the inclusion
+  Ker N_C <= Ker N_H, so the cokernel is Ker N_H / S with
+  S = I_H N* + sum over C of Ker N_C.  As in degree -1 above, Ker N_H is
+  sat(I_H N*), so this is the torsion of Z^n / S, of free rank
+  n - rank Ker N_H = rank (N*)^H = m - rank M^H (N* (x) Q is Q[H]^m less a
+  copy of M* (x) Q).  For C = <c>: x in Ker N_C is (c - 1) z for some z in
+  Z[H] (x) M*, which has no H^-1 over C; y = (eps (x) 1) z is C-fixed, and
+  x = (c - 1)(z - 1 (x) y) + (c - 1) (x) y.  So Ker N_C is I_C N*, which lies
+  in I_H N*, plus the (c - 1) (x) y for y in a basis of (M*)^C
+  (lattices.fixed_basis of dual(M)).
+* Maximal cyclic subgroups.  Corestriction from C' <= C factors through C,
+  and Ker N_(hCh^-1) = h Ker N_C equals it mod I_H N*.  So one maximal
+  cyclic C per conjugacy class under H is used
+  (Subgroup.maximal_cyclic_classes), and a cyclic H has Sha^2_omega = 0.
+
+The vectors are packed straight from the rows of A(s^-1) (_sha_vectors),
+and _tate reads the invariants as "degree 2", with n = (|H| - 1) m.
+Vanishing is decided like is_flabby: for H of order p^k, K = Ker N_H is
+saturated of rank n - m + rank M^H and K / S is killed by p^k, so by
+Nakayama Sha^2_omega(H, M) = 0 exactly when the vectors of S have F_p-rank
+n - m + rank M^H: one round (nonflabby_heads in degree 2).
 """
 
 from __future__ import annotations
@@ -72,11 +111,12 @@ from typing import Callable, Iterable, Iterator, Literal, TypeVar
 
 from .errors import InternalCheckError, UserInputError
 from .groups import FiniteGroup, Subgroup
-from .lattices import GLattice, fixed_rank
+from .lattices import GLattice, dual, fixed_basis, fixed_rank
 from .zlinalg import (
     AbelianInvariants,
     TRIVIAL_GROUP_INVARIANTS,
     _factorint,
+    lane_layout,
     pack_lanes,
     rank_packed,
     valuation_counts,
@@ -102,27 +142,72 @@ def _spanning_vectors(H: Subgroup, M: GLattice, degree: int) -> list[list[int]]:
     return [v for v in vectors if any(v)]
 
 
+def _sha_vectors(H: Subgroup, M: GLattice, q: int) -> list[int]:
+    """The vectors spanning S = I_H N* + the Ker N_C of the maximal cyclic C
+    (module docstring), packed mod q (zlinalg.pack_lanes) in the basis
+    (h - 1) (x) e_j of N* = I_H (x) M*, h != 1 in member order with the
+    generators of H last: lane i m + j for the i-th such h.  Column (h, j)
+    of A_N*(s) - 1 is (sh - 1) (x) y - (s - 1) (x) y - (h - 1) (x) e_j with
+    y = A*(s) e_j, row j of A(s^-1): three blocks, each one shifted int, the
+    first absent when sh = 1 and the last two one block when h = s.  Every
+    column of A_N*(s) - 1 meets block s, so that block comes last, where
+    the elimination, which pivots on the lowest lane, reaches it last."""
+    G, m = M.group, M.rank
+    t = G.mul_table
+    L = lane_layout(q)[1]
+    order = [h for h in H.members[1:] if h not in H.generators] + list(H.generators)
+    at = {h: L * m * i for i, h in enumerate(order)}  # first bit of block h
+    vectors = []
+    for s in H.generators:
+        for j, row in enumerate(M.act(G.inv(s)).a):
+            y = pack_lanes(row, q)
+            minus = pack_lanes([-x for x in row], q) << at[s]
+            unit = (q - 1) << L * j
+            for h, base in at.items():
+                v = y << at[t[s][h]] if t[s][h] else 0
+                if h == s:
+                    v |= pack_lanes([-x - (i == j) for i, x in enumerate(row)], q) << base
+                else:
+                    v |= minus | unit << base
+                vectors.append(v)
+    Mdual = dual(M)
+    for members in H.maximal_cyclic_classes():
+        C = G.subgroup(members)  # its one generator generates it
+        vectors += [pack_lanes(y, q) << at[C.generators[0]]
+                    for y in fixed_basis(Mdual, C).columns()]
+    return vectors
+
+
+def _span(H: Subgroup, M: GLattice,
+          degree: int) -> tuple[int, int, Callable[[int], list[int]]]:
+    """(n, free, packed): packed(q) lists, packed mod q (zlinalg.pack_lanes),
+    vectors whose span S in Z^n has as torsion quotient Tate cohomology in
+    degree -1, 0 or 1 (_spanning_vectors, n = m), or Sha^2_omega for degree
+    2 (_sha_vectors, n = (|H| - 1) m); free is the free rank of Z^n / S:
+    rank M^H in degrees -1 and 1, m - rank M^H in degrees 0 and 2 (module
+    docstring)."""
+    m, fixed = M.rank, fixed_rank(M, H)
+    if degree == 2:
+        return (H.order - 1) * m, m - fixed, lambda q: _sha_vectors(H, M, q)
+    vectors = _spanning_vectors(H, M, degree)
+    return m, m - fixed if degree == 0 else fixed, lambda q: [pack_lanes(v, q) for v in vectors]
+
+
 def _tate(H: Subgroup, M: GLattice, degree: int) -> AbelianInvariants:
-    """Tate cohomology in degree -1, 0 or 1: the torsion of Z^m / S for the
-    span S of _spanning_vectors, one prime p^k exactly dividing |H| at a
-    time from valuation_counts' rounds mod p^(k+1), ..., p.  The coordinates
-    left after all rounds must number the free rank of Z^m / S: rank M^H in
-    degrees -1 and 1, m - rank M^H in degree 0 (module docstring)."""
+    """The torsion of Z^n / S for the span S of _span in the given degree,
+    one prime p^k exactly dividing |H| at a time from valuation_counts'
+    rounds mod p^(k+1), ..., p.  The coordinates left after all rounds
+    must number the free rank of Z^n / S (module docstring).  Sha^2_omega
+    vanishes on a cyclic H."""
     if H.parent is not M.group:
         raise UserInputError("subgroup and lattice live over different groups")
-    if H.order == 1 or M.rank == 0:
+    if H.order == 1 or M.rank == 0 or (degree == 2 and H.is_cyclic()):
         return TRIVIAL_GROUP_INVARIANTS
-    vectors = _spanning_vectors(H, M, degree)
-    if not vectors:
-        return TRIVIAL_GROUP_INVARIANTS
-    free = fixed_rank(M, H)
-    if degree == 0:
-        free = M.rank - free
+    n, free, packed = _span(H, M, degree)
     parts = []
     for p, k in _factorint(H.order).items():
-        q = p ** (k + 1)
-        counts = valuation_counts([pack_lanes(v, q) for v in vectors], M.rank, p, k + 1)
-        if M.rank - sum(counts) != free:
+        counts = valuation_counts(packed(p ** (k + 1)), n, p, k + 1)
+        if n - sum(counts) != free:
             raise InternalCheckError(f"the degree {degree} quotient of a lattice has the wrong rank")
         parts.append([p ** t for t in range(k, 0, -1) for _ in range(counts[t])])
     return AbelianInvariants(tuple(sorted(prod(ds) for ds in zip_longest(*parts, fillvalue=1))))
@@ -143,6 +228,14 @@ def h1(H: Subgroup, M: GLattice) -> AbelianInvariants:
     """First cohomology, with the invariants of H^-1(H, M*): the torsion of
     Z^m / I_H M*, read off the rows of A(s) - 1 without forming M*."""
     return _tate(H, M, 1)
+
+
+def sha_omega(H: Subgroup, M: GLattice) -> AbelianInvariants:
+    """Sha^2_omega(H, M), the classes of H^2(H, M) that vanish on every cyclic
+    subgroup of H: H^1(H, F) for the tail F of any flabby resolution of M,
+    read from M alone as the torsion of Z^n / S, n = (|H| - 1) m, for the
+    span S of _sha_vectors (module docstring)."""
+    return _tate(H, M, 2)
 
 
 @dataclass
@@ -215,17 +308,21 @@ def profile(M: GLattice, subgroups: SubgroupMode = "prime-power") -> CohomologyP
 
 def nonflabby_heads(M: GLattice, degree: int) -> Iterator[Subgroup]:
     """The class heads H of prime-power order p^k > 1 where Tate cohomology
-    in degree -1 (M not flabby there) or 1 (M not coflabby there) does not
-    vanish, one at a time in class order, each decided by one F_p-rank
-    (module docstring) without the invariants that _tate computes.  One H
-    per conjugacy class is visited: H^n(gHg^-1, M) = g H^n(H, M)."""
+    in degree -1 (M not flabby there) or 1 (M not coflabby there), or
+    Sha^2_omega for degree 2 (the tail of a flabby resolution of M not
+    coflabby there), does not vanish, one at a time in class order.  Each
+    is decided by one F_p-rank (module docstring) without the invariants
+    that _tate computes: the vectors of _span have F_p-rank n - free exactly
+    when it vanishes.  One H per conjugacy class is visited:
+    H^n(gHg^-1, M) = g H^n(H, M); for degree 2 the cyclic H, where
+    Sha^2_omega vanishes, are skipped."""
     for H in M.group.subgroup_conjugacy_representatives():
         primes = _factorint(H.order)
-        if len(primes) != 1:
+        if len(primes) != 1 or (degree == 2 and H.is_cyclic()):
             continue
         p, = primes
-        vectors = (pack_lanes(v, p) for v in _spanning_vectors(H, M, degree))
-        if rank_packed(vectors, M.rank, p) != M.rank - fixed_rank(M, H):
+        n, free, packed = _span(H, M, degree)
+        if rank_packed(packed(p), n, p) != n - free:
             yield H
 
 

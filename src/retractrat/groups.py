@@ -534,6 +534,7 @@ class Subgroup:
         # S.members -> coset_orbits(S); made on first use, as most subgroups
         # (every one of a subgroup scan) never get one
         self._coset_orbits: Optional[dict[tuple[int, ...], tuple[tuple[int, ...], ...]]] = None
+        self._maximal_cyclic: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
     def parent(self) -> FiniteGroup:
@@ -611,6 +612,38 @@ class Subgroup:
                     found.append(tuple(orbit))
             orbits = self._coset_orbits[S.members] = tuple(found)
         return orbits
+
+    def maximal_cyclic_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal cyclic subgroups of this subgroup H, one per conjugacy
+        class under H, as member tuples: the head of each class (its least
+        member tuple), classes in ascending order.  <h> for h in H covers
+        every cyclic subgroup, and <h> is not maximal exactly when it is
+        <g^p> for some g in H and prime p dividing the order of g.  Computed
+        once and kept."""
+        if self._maximal_cyclic is None:
+            G = self.parent
+            t, inv = G.mul_table, G.inv_table
+            powers = {}  # members of <h> -> its elements h^0, h^1, ...
+            for h in self.members:
+                run = [0]
+                while t[run[-1]][h] != 0:
+                    run.append(t[run[-1]][h])
+                powers.setdefault(tuple(sorted(run)), run)
+            inner = {tuple(sorted(run[::p])) for run in powers.values()
+                     for p in _factorint(len(run))}
+            maximal = set(powers) - inner
+            classes = []
+            while maximal:
+                orbit = [min(maximal)]
+                for members in orbit:
+                    for g in self.generators:
+                        image = tuple(sorted(t[t[g][x]][inv[g]] for x in members))
+                        if image not in orbit:
+                            orbit.append(image)
+                maximal -= set(orbit)
+                classes.append(orbit[0])
+            self._maximal_cyclic = tuple(classes)
+        return self._maximal_cyclic
 
     def as_group(self) -> FiniteGroup:
         """Standalone FiniteGroup with the induced table (identity stays 0),

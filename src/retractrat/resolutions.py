@@ -3,8 +3,7 @@
 The cover construction follows the classical recipe: for each subgroup H
 (one per conjugacy class) and each Hermite-basis generator f of the fixed
 sublattice M^H, adjoin a coset summand Z[G/H] whose identity coset maps to
-f.  Two refinements keep covers small (class_fingerprint reads H^1 of
-the resolution tail, which no choice of cover changes):
+f.  Two refinements keep covers small:
 
 * seeding: basis vectors that G permutes outright are covered first by one
   summand per orbit, mapping isomorphically onto the orbit block;
@@ -39,8 +38,6 @@ not yet onto, so transfer says nothing there.  One H per conjugacy class
 is checked, after the projection's equivariance: for an equivariant
 projection, P^(gHg^-1) -> M^(gHg^-1) is g (P^H -> M^H) (K. S. Brown,
 Cohomology of Groups, III.8), so it is onto exactly when P^H -> M^H is.
-The same argument lets class_fingerprint compute H^1 once per class; like
-cohomology.profile, it still lists every subgroup.
 
 A cover is P and its projection only.  flabby_resolution reads the basis K
 of the kernel C and builds F = C* straight from P and K
@@ -118,15 +115,20 @@ same elimination as in the first point: S0 = sum_j x_j S_j has
 proj S0 = I + N Y with Y in E, the average psi of a lift of Y through proj
 has proj psi = N Y, and S0 - psi is the section, checked exactly.
 
-The flabby class of a resolution's tail F is decided by decide_flabby_class,
-which tries the H^1 obstruction before the section system.  An invertible
-lattice is coflabby: H^1(H, Z[G/K]) is a sum of H^1(H ∩ gKg^-1, Z) =
-Hom(H ∩ gKg^-1, Z) = 0 (Shapiro's lemma), and H^1 of a direct summand is a
-summand of H^1.  So a subgroup H with H^1(H, F) != 0 proves [F] not
-invertible without a cover of F.  The F_p-rank test of is_coflabby, run on
-F, finds such an H, and its exact invariants h1(H, F) certify it.  So a No
-about a flabby class carries either Lam from is_invertible or a subgroup
-with its nonzero H^1; a Yes always carries the section.
+The flabby class of M, that of the tail F of its resolution, is decided by
+decide_flabby_class, which tries the H^1 obstruction before resolving M.
+An invertible lattice is coflabby: H^1(H, Z[G/K]) is a sum of
+H^1(H ∩ gKg^-1, Z) = Hom(H ∩ gKg^-1, Z) = 0 (Shapiro's lemma), and H^1 of a
+direct summand is a summand of H^1.  So a subgroup H with H^1(H, F) != 0
+proves [F] not invertible.  H^1(H, F) is Sha^2_omega(H, M), which depends
+on M alone (cohomology module docstring): an F_p-rank per class head
+(cohomology.nonflabby_heads in degree 2) finds such an H with no
+resolution and no cover, and the exact invariants sha_omega(H, M) certify
+it.  Only a lattice with no obstruction is resolved, and its coflabby tail
+goes to is_invertible.  So a No about a flabby class carries either a subgroup with
+its nonzero H^1 or Lam from is_invertible; a Yes always carries the
+section.  class_fingerprint reads the same Sha^2_omega on every subgroup,
+so it never builds a cover either.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cohomology import h1, nonflabby_heads, per_class
+from .cohomology import nonflabby_heads, per_class, sha_omega
 from .errors import InternalCheckError, ResourceBoundError
 from .groups import Subgroup
 from .lattices import (
@@ -632,30 +634,36 @@ def is_invertible(M: GLattice) -> InvertibilityDecision:
 
 @dataclass
 class FlabbyClassDecision:
-    """Whether the flabby class of a resolution's tail F is invertible.  A No
-    carries either obstruction, a subgroup H with H^1(H, F) != 0 and its
-    invariants, or invertibility, the section system's decision with its
-    refutation; a Yes carries invertibility with its witness."""
+    """Whether the flabby class of a lattice M is invertible.  A No carries
+    either obstruction, a subgroup H with Sha^2_omega(H, M) = H^1(H, F) != 0
+    and its invariants, read from M with no resolution, or invertibility,
+    the section system's decision on the resolution tail F with its
+    refutation; a Yes carries invertibility with its witness.  resolution is
+    the resolution whose tail was decided, or None after an obstruction."""
 
     answer: bool
     invertibility: Optional[InvertibilityDecision] = None
     obstruction: Optional[tuple[Subgroup, AbelianInvariants]] = None
+    resolution: Optional[FlabbyResolution] = None
 
 
-def decide_flabby_class(res: FlabbyResolution) -> FlabbyClassDecision:
-    """Decide whether the flabby class of res.F is invertible, by its H^1
-    obstruction first (module docstring).  The class heads of prime-power
-    order are tested for H^1 one at a time (cohomology.nonflabby_heads in
-    degree 1), and the first that fails is certified by h1(H, res.F), which
-    must be nontrivial: a trivial one is an InternalCheckError.  Only a
-    coflabby F reaches is_invertible(F) and its cover."""
-    H = next(nonflabby_heads(res.F, 1), None)
+def decide_flabby_class(M: GLattice) -> FlabbyClassDecision:
+    """Decide whether the flabby class of M is invertible, by its H^1
+    obstruction first (module docstring), read from M itself: the
+    non-cyclic class heads of prime-power order are tested one at a time
+    for Sha^2_omega (cohomology.nonflabby_heads in degree 2), and the first
+    that fails is certified by sha_omega(H, M), which must be nontrivial: a
+    trivial one is an InternalCheckError.  Only when every head passes is M
+    resolved; its tail F is then coflabby and is_invertible(F) decides."""
+    H = next(nonflabby_heads(M, 2), None)
     if H is None:
+        res = flabby_resolution(M)
         dec = is_invertible(res.F)
-        return FlabbyClassDecision(dec.answer, invertibility=dec)
-    invariants = h1(H, res.F)
+        return FlabbyClassDecision(dec.answer, invertibility=dec, resolution=res)
+    invariants = sha_omega(H, M)
     if invariants.is_trivial:
-        raise InternalCheckError(f"H^1 at {H.members} is trivial but the F_p-rank test failed")
+        raise InternalCheckError(
+            f"Sha^2_omega at {H.members} is trivial but the F_p-rank test failed")
     return FlabbyClassDecision(False, obstruction=(H, invariants))
 
 
@@ -663,12 +671,10 @@ Fingerprint = dict[tuple[int, ...], AbelianInvariants]
 
 
 def class_fingerprint(M: GLattice) -> Fingerprint:
-    """Necessary-condition invariant of the flabby class of M: H^1(H, F) of
-    the resolution tail F for every nontrivial subgroup H, once per
-    conjugacy class (cohomology.per_class).  H^1 vanishes on permutation
-    lattices, so any tail of the class gives the same table; it does NOT
-    decide equality of flabby classes.
+    """Necessary-condition invariant of the flabby class of M: H^1(H, F) for
+    the tail F of any flabby resolution, read as Sha^2_omega(H, M) with no
+    resolution, for every nontrivial subgroup H, once per conjugacy class
+    (cohomology.per_class); it does NOT decide equality of flabby classes.
     """
-    F = flabby_resolution(M).F
     G = M.group
-    return per_class(G, [H for H in G.subgroups() if H.order > 1], lambda K: h1(K, F))
+    return per_class(G, [H for H in G.subgroups() if H.order > 1], lambda K: sha_omega(K, M))

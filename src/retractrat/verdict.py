@@ -8,10 +8,13 @@ definitive No rules (these rest on equivalences or necessary conditions),
 then Yes rules, then product decompositions.
 
 A torus No is about the flabby class of the resolution tail F, and its
-trace carries one of two certificates: an invertibility-decision step, whose
-No rests on the refutation Lam that is_invertible checks against the cover
-of F, or an h1-obstruction step naming a subgroup H and the nonzero
-invariants of H^1(H, F), which replay_trace recomputes.
+trace carries one of two certificates: an h1-obstruction step naming a
+subgroup H and the nonzero invariants of H^1(H, F), or a flabby-resolution
+step and an invertibility-decision step, whose No rests on the refutation
+Lam that is_invertible checks against the cover of F.  The obstruction is
+read from M alone, as Sha^2_omega(H, M), with no resolution;
+replay_trace recomputes it as H^1(H, F) on a fresh resolution, a path
+that shares no code with the one that found it.
 """
 
 from __future__ import annotations
@@ -491,26 +494,26 @@ def torus_verdict(M: GLattice) -> Verdict:
     """Retract rationality of the function field of the torus with character
     lattice M (the acting group read as a faithful Galois group).  This rule
     is an equivalence, so No is definitive."""
-    res = flabby_resolution(M)
-    dec = decide_flabby_class(res)
-    steps = [
-        TraceStep("flabby-resolution", CITE_RESOLUTION, {
-            "lattice_rank": M.rank,
-            "cover_rank": res.P.rank,
-            "tail_rank": res.F.rank,
-        }),
-    ]
+    dec = decide_flabby_class(M)
     if dec.obstruction is None:
-        steps.append(TraceStep("invertibility-decision", CITE_SPLITTING, {
-            "invertible": dec.answer,
-            "witness_verified": dec.invertibility.witness is not None,
-        }))
+        res = dec.resolution
+        steps = [
+            TraceStep("flabby-resolution", CITE_RESOLUTION, {
+                "lattice_rank": M.rank,
+                "cover_rank": res.P.rank,
+                "tail_rank": res.F.rank,
+            }),
+            TraceStep("invertibility-decision", CITE_SPLITTING, {
+                "invertible": dec.answer,
+                "witness_verified": dec.invertibility.witness is not None,
+            }),
+        ]
     else:
         H, invariants = dec.obstruction
-        steps.append(TraceStep("h1-obstruction", CITE_H1_OBSTRUCTION, {
+        steps = [TraceStep("h1-obstruction", CITE_H1_OBSTRUCTION, {
             "subgroup": list(H.members),
             "h1": invariants.to_list(),
-        }))
+        })]
     v = Verdict(YES if dec.answer else NO, steps,
                 context={"kind": "torus", "lattice": M})
     if v.answer == YES:
@@ -542,13 +545,13 @@ def multiplicative_verdict(G: FiniteGroup, M: GLattice, k: FieldDescriptor) -> V
         return _with_implications_mult(v)
 
     if faithful:
-        res = flabby_resolution(M)
-        if decide_flabby_class(res).answer:
+        dec = decide_flabby_class(M)
+        if dec.answer:
             sub = _noether(G, k)
             steps = [
                 TraceStep("invertible-flabby-class", CITE_INVERTIBLE_CLASS, {
                     "lattice_rank": M.rank,
-                    "tail_rank": res.F.rank,
+                    "tail_rank": dec.resolution.F.rank,
                     "invertible": True,
                     "sub_answer": sub.answer,
                 }),

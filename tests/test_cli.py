@@ -412,8 +412,9 @@ class TestReproduce:
         assert "Tate H^-1 at the Klein four subgroup" in names
 
     def test_voskresenskii_decides_once(self, capsys, monkeypatch):
-        # the flabby class is resolved and decided inside torus_verdict only,
-        # by its H^1 obstruction: the tail gets no cover and no section system
+        # the flabby class is decided inside torus_verdict only, by its H^1
+        # obstruction read from the lattice: no resolution, no cover and no
+        # section system
         import retractrat.cli as cli
         import retractrat.resolutions as resolutions
         import retractrat.verdict as verdict
@@ -435,8 +436,8 @@ class TestReproduce:
         monkeypatch.setattr(cli, "torus_verdict", traced)
         code, out, _ = invoke(capsys, "reproduce", "voskresenskii", "--n", "3")
         assert code == 0
-        assert calls == {"flabby_resolution": 1, "is_invertible": 0}
-        assert steps == ["flabby-resolution", "h1-obstruction"]
+        assert calls == {"flabby_resolution": 0, "is_invertible": 0}
+        assert steps == ["h1-obstruction"]
         checks = [(c["name"], c["expected"], c["got"])
                   for c in json.loads(out)["checks"]]
         flags = {"flabby": False, "coflabby": True}

@@ -129,7 +129,7 @@ class TestIsFlabbyAgainstTateSweep:
         for label, M in lattices:
             res = flabby_resolution(M)
             assert is_flabby(res.F) and integral_flabby(res.F), label
-            dec = decide_flabby_class(res)
+            dec = decide_flabby_class(M)
             if dec.obstruction is not None:
                 H, invariants = dec.obstruction
                 assert invariants == tate_minus1(H, dual(res.F)), label

@@ -14,6 +14,7 @@ from retractrat.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    quaternion_group,
 )
 from retractrat.lattices import (
     GLattice,
@@ -324,8 +325,9 @@ class TestTorusVerdict:
 
     def test_obstruction_replay_checks_the_divisors(self):
         v = torus_verdict(lenstra_lattice(3).M)
-        assert [s.rule for s in v.trace] == ["flabby-resolution", "h1-obstruction"]
-        premises = v.trace[1].premises
+        # read from the lattice with no resolution, so no flabby-resolution step
+        assert [s.rule for s in v.trace] == ["h1-obstruction"]
+        premises = v.trace[0].premises
         assert premises["h1"] == [2]
         assert replay_trace(v)
         premises["h1"] = [4]  # the same answer, with a wrong certificate
@@ -341,6 +343,26 @@ class TestTorusVerdict:
     def test_permutation_yes(self):
         v = torus_verdict(regular_lattice(catalog_group("S3")))
         assert v.answer == "Yes"
+
+    @pytest.mark.parametrize("name", ["C2^4", "D16xC2", "D8xC4", "Q8xC4", "C2^5"])
+    def test_regular_tori_decided_without_a_cover(self, name):
+        # these resolutions exceed the cover rank bound; the obstruction is
+        # read from J_G itself, at a Klein four head, where Sha^2_omega(V4,
+        # J_G) is the Schur multiplier of V4.  Endo-Miyata: No exactly when
+        # some Sylow subgroup is not cyclic
+        C2, C4 = cyclic_group(2), cyclic_group(4)
+        G = {"C2^4": direct_product(direct_product(C2, C2), direct_product(C2, C2)),
+             "D16xC2": direct_product(dihedral_group(16), C2),
+             "D8xC4": direct_product(dihedral_group(8), C4),
+             "Q8xC4": direct_product(quaternion_group(), C4),
+             "C2^5": direct_product(direct_product(C2, C2),
+                                    direct_product(direct_product(C2, C2), C2))}[name]
+        v = torus_verdict(dual(augmentation_kernel(G, G.trivial_subgroup())))
+        assert v.answer == "No" and not G.all_sylow_cyclic()
+        assert [s.rule for s in v.trace] == ["h1-obstruction"]
+        H = G.subgroup(v.trace[-1].premises["subgroup"])
+        assert H.order == 4 and not H.is_cyclic()
+        assert v.trace[-1].premises["h1"] == [2]
 
 
 class TestMultiplicativeVerdict:
