@@ -52,16 +52,16 @@ theorem).
 is_flabby and is_coflabby only ask whether degree -1, resp. 1, vanishes,
 and decide that with one rank over F_p per p-subgroup H instead of the
 invariants: nonflabby_heads lists the class heads where the rank falls
-short, in degree 2 as well (below).  In degree -1, K = Ker(N_H) is saturated in Z^m of rank
-m - rank M^H, and K / I_H M = H^-1(H, M) is a finite group killed by
-|H| = p^k, so by Nakayama it vanishes exactly when I_H M + pK = K, that is
-when the image of I_H M in K / pK, which embeds in F_p^m, has dimension
-rank K.  So H^-1(H, M) = 0 exactly when the columns of A(s) - 1 have
-F_p-rank m - rank M^H: the pivots of the first round of _tate alone.  The
-same argument on M* makes H^1(H, M) = 0 exactly when the rows of A(s) - 1
-have that F_p-rank.  The rank of M^H needs no basis: it is the
-multiplicity of the trivial character, (1/|H|) sum over h in H of tr A(h)
-(lattices.fixed_rank).
+short, in degree 2 as well (below).  In degree -1, K = Ker(N_H) is
+saturated in Z^m of rank m - rank M^H, and K / I_H M = H^-1(H, M) is a
+finite group killed by |H| = p^k, so by Nakayama it vanishes exactly when
+I_H M + pK = K, that is when the image of I_H M in K / pK, which embeds in
+F_p^m, has dimension rank K.  So H^-1(H, M) = 0 exactly when the columns
+of A(s) - 1 have F_p-rank m - rank M^H: the pivots of the first round of
+_tate alone.  The same argument on M* makes H^1(H, M) = 0 exactly when the
+rows of A(s) - 1 have that F_p-rank.  The rank of M^H needs no basis: it
+is the multiplicity of the trivial character, (1/|H|) sum over h in H of
+tr A(h) (lattices.fixed_rank).
 
 Sha^2_omega(H, M) = ker(H^2(H, M) -> prod over cyclic C <= H of H^2(C, M))
 is H^1(H, F) for the tail F of any flabby resolution 0 -> M -> P -> F -> 0

@@ -2,7 +2,7 @@
 
 decide_flabby_class names a subgroup H with H^1(H, F) != 0, read from the
 lattice M itself as Sha^2_omega(H, M), when the tail F of a resolution of M
-is not coflabby, and only then resolves nothing.  Here every such decision
+is not coflabby, and then resolves nothing.  Here every such decision
 is checked against is_invertible(F), whose No must carry a refutation that
 verify_refutation accepts, and Sha^2_omega against H^1 of the tail."""
 
@@ -130,13 +130,3 @@ def test_sha_omega_of_the_norm_one_torus_is_the_schur_multiplier(name, build, sc
     J = dual(augmentation_kernel(G, G.trivial_subgroup()))
     assert sha_omega(G.full_subgroup(), J) == AbelianInvariants(tuple(schur)), name
 
-
-def test_maximal_cyclic_classes():
-    # D8 = <r, s>: <r> and the two classes of reflections; C2xC2: its three
-    # subgroups of order 2; a cyclic group: itself
-    D8 = catalog_group("D8").full_subgroup()
-    assert [len(c) for c in D8.maximal_cyclic_classes()] == [4, 2, 2]
-    V4 = catalog_group("C2xC2").full_subgroup()
-    assert [len(c) for c in V4.maximal_cyclic_classes()] == [2, 2, 2]
-    C8 = catalog_group("C8").full_subgroup()
-    assert C8.maximal_cyclic_classes() == (C8.members,)

@@ -830,6 +830,34 @@ class TestCosets:
             H.coset_orbits(S)
 
 
+class TestMaximalCyclic:
+    def test_maximal_cyclic_classes_match_the_subgroup_list(self):
+        # the cyclic subgroups of H, maximal by inclusion, in classes under
+        # conjugation by H, each named by its least member tuple, all read
+        # off the subgroup list; a second call returns the kept tuple
+        for G in [catalog_group(name) for name in CATALOG_NAMES] + [parse_group(S4_DOC)]:
+            subs = G.subgroups()
+            for H in subs:
+                inside = set(H.members)
+                cyclic = [set(C.members) for C in subs if set(C.members) <= inside and C.is_cyclic()]
+                maximal = [C for C in cyclic if not any(C < D for D in cyclic)]
+                heads = {min(tuple(sorted(G.mul(G.mul(h, x), G.inv(h)) for x in C))
+                             for h in H.members) for C in maximal}
+                kept = H.maximal_cyclic_classes()
+                assert kept == tuple(sorted(heads)), (G, H)
+                assert H.maximal_cyclic_classes() is kept
+
+    def test_small_cases(self):
+        # D8: the rotations and two classes of reflections; C2xC2: its three
+        # subgroups of order 2; a cyclic group: itself
+        D8 = catalog_group("D8").full_subgroup()
+        assert [len(c) for c in D8.maximal_cyclic_classes()] == [4, 2, 2]
+        V4 = catalog_group("C2xC2").full_subgroup()
+        assert [len(c) for c in V4.maximal_cyclic_classes()] == [2, 2, 2]
+        C8 = catalog_group("C8").full_subgroup()
+        assert C8.maximal_cyclic_classes() == (C8.members,)
+
+
 class TestQuotient:
     def test_generator_images_generate_quotient(self):
         for name in CATALOG_NAMES:
