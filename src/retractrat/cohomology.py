@@ -70,35 +70,40 @@ H^1(C, F) = 0 for cyclic C and Sha^2_omega(H, P) = 0.  So it depends on M
 alone, and sha_omega reads it as one more torsion of Z^n / S, with no
 resolution:
 
-* Duality.  For a Z-free M, H^2(H, M) is dual to H^-2(H, M*) (Brown, VI.7),
-  restriction to C dual to corestriction from C.  So Sha^2_omega(H, M) has
-  the invariants of the cokernel of the sum of the corestrictions
-  H^-2(C, M*) -> H^-2(H, M*) over the cyclic C.
-* Shift.  0 -> N* -> Z[H] (x) M* -> M* -> 0, N* = I_H (x) M* with the
-  diagonal action, has an induced middle term over H and over every C <= H,
-  so H^-2(., M*) = H^-1(., N*), compatibly with corestriction.  N* has the
-  basis (h - 1) (x) e_j, h != 1 in H, of rank n = (|H| - 1) m, and
-  s ((h - 1) (x) y) = ((sh - 1) - (s - 1)) (x) A*(s) y.
-* Corestriction.  In degree -1 it is induced by the inclusion
-  Ker N_C <= Ker N_H, so the cokernel is Ker N_H / S with
-  S = I_H N* + sum over C of Ker N_C.  As in degree -1 above, Ker N_H is
-  sat(I_H N*), so this is the torsion of Z^n / S, of free rank
-  n - rank Ker N_H = rank (N*)^H = m - rank M^H (N* (x) Q is Q[H]^m less a
-  copy of M* (x) Q).  For C = <c>: x in Ker N_C is (c - 1) z for some z in
-  Z[H] (x) M*, which has no H^-1 over C; y = (eps (x) 1) z is C-fixed, and
-  x = (c - 1)(z - 1 (x) y) + (c - 1) (x) y.  So Ker N_C is I_C N*, which lies
-  in I_H N*, plus the (c - 1) (x) y for y in a basis of (M*)^C
-  (lattices.fixed_basis of dual(M)).
+* Duality.  For a Z-free M, H^2(H, M) is dual to H^-2(H, M*) = H_1(H, M*)
+  (Brown, VI.7), restriction to C dual to corestriction from C.  So
+  Sha^2_omega(H, M) has the invariants of the cokernel of the sum of the
+  corestrictions H_1(C, M*) -> H_1(H, M*) over the cyclic C.
+* Presentation.  Take a presentation of H on k generators x_i
+  (Subgroup.relator_loops).  Its Cayley complex (vertices H, edges
+  g -> g x_i, a 2-cell on each translate of a relator's loop) is simply
+  connected, so its cellular chains are free Z[H]-modules
+  C_2 -> C_1 -> C_0 -> Z -> 0, exact at C_1 and C_0, and H_1(H, A) is
+  ker d_1 / im d_2 in C_1 (x)_H A = A^k (Brown, II.5).  The edge
+  g -> g x_i tensored with y is e_i (x) g^-1 y; d_1(e_i (x) y) is
+  x_i^-1 y - y, and im d_2 is spanned by the relators' loops from 1 tensored
+  with a basis of A: per loop and basis vector y, the sum over its edges of
+  sign * e_i (x) g^-1 y.  For |H| = p^k the presentation is polycyclic,
+  with k generators and k (k + 1) / 2 relators, so n = k m.
+* Corestriction.  For C = <c>, H_1(C, A) = A^C / N_C A, and the chain map
+  from the Cayley complex of C that sends the edge 1 -> c to a path from 1
+  to c in that of H sends the class of y in A^C to that path tensored with
+  y.  With A = M*, S is im d_2 plus these cycles for y in a basis of
+  (M*)^C (lattices.fixed_basis of dual(M)).
+* Free rank.  A^k / ker d_1 is im d_1 = I_H A, free of rank m - rank M^H,
+  and ker d_1 / S is finite (killed by |H|), so ker d_1 is sat(S): the
+  torsion of Z^n / S is the cokernel above and its free rank is
+  m - rank M^H.
 * Maximal cyclic subgroups.  Corestriction from C' <= C factors through C,
-  and Ker N_(hCh^-1) = h Ker N_C equals it mod I_H N*.  So one maximal
+  and conjugation by h in H acts trivially on H_1(H, A), so one maximal
   cyclic C per conjugacy class under H is used
   (Subgroup.maximal_cyclic_classes), and a cyclic H has Sha^2_omega = 0.
 
-The vectors are packed straight from the rows of A(s^-1) (_sha_vectors),
-and _tate reads the invariants as "degree 2", with n = (|H| - 1) m.
-Vanishing is decided like is_flabby: for H of order p^k, K = Ker N_H is
-saturated of rank n - m + rank M^H and K / S is killed by p^k, so by
-Nakayama Sha^2_omega(H, M) = 0 exactly when the vectors of S have F_p-rank
+The vectors are packed straight from the sparse rows of A(g) (_sha_vectors),
+and _tate reads the invariants as "degree 2", with n = k m.  Vanishing is
+decided like is_flabby: for H of order p^k, ker d_1 is saturated of rank
+n - m + rank M^H and ker d_1 / S is killed by p^k, so by Nakayama
+Sha^2_omega(H, M) = 0 exactly when the vectors of S have F_p-rank
 n - m + rank M^H: one round (nonflabby_heads in degree 2).
 """
 
@@ -143,39 +148,41 @@ def _spanning_vectors(H: Subgroup, M: GLattice, degree: int) -> list[list[int]]:
 
 
 def _sha_vectors(H: Subgroup, M: GLattice, q: int) -> list[int]:
-    """The vectors spanning S = I_H N* + the Ker N_C of the maximal cyclic C
-    (module docstring), packed mod q (zlinalg.pack_lanes) in the basis
-    (h - 1) (x) e_j of N* = I_H (x) M*, h != 1 in member order with the
-    generators of H last: lane i m + j for the i-th such h.  Column (h, j)
-    of A_N*(s) - 1 is (sh - 1) (x) y - (s - 1) (x) y - (h - 1) (x) e_j with
-    y = A*(s) e_j, row j of A(s^-1): three blocks, each one shifted int, the
-    first absent when sh = 1 and the last two one block when h = s.  Every
-    column of A_N*(s) - 1 meets block s, so that block comes last, where
-    the elimination, which pivots on the lowest lane, reaches it last."""
+    """The vectors spanning S = the boundaries plus the images of the
+    corestrictions (module docstring), packed mod q (zlinalg.pack_lanes) in
+    the basis e_i (x) e_j of (M*)^k, k the generators of
+    Subgroup.relator_loops: lane i m + j.  An edge g -> g x_i of a loop
+    carries y in M* to e_i (x) A*(g^-1) y, and column j of A*(g^-1) is row
+    j of A(g), so a loop gives the m vectors sum over its edges of
+    sign * row j of A(g) in block i."""
     G, m = M.group, M.rank
-    t = G.mul_table
+    gens, loops = H.relator_loops()
+    k = len(gens)
     L = lane_layout(q)[1]
-    order = [h for h in H.members[1:] if h not in H.generators] + list(H.generators)
-    at = {h: L * m * i for i, h in enumerate(order)}  # first bit of block h
-    vectors = []
-    for s in H.generators:
-        for j, row in enumerate(M.act(G.inv(s)).a):
-            y = pack_lanes(row, q)
-            minus = pack_lanes([-x for x in row], q) << at[s]
-            unit = (q - 1) << L * j
-            for h, base in at.items():
-                v = y << at[t[s][h]] if t[s][h] else 0
-                if h == s:
-                    v |= pack_lanes([-x - (i == j) for i, x in enumerate(row)], q) << base
-                else:
-                    v |= minus | unit << base
-                vectors.append(v)
+    nonzero: dict[int, list[list[tuple[int, int]]]] = {}  # g -> the rows of A(g), sparse
+
+    def chain(edges, y: dict[int, int]) -> int:
+        # sum over the edges of sign * y^T A(g) in block i, packed
+        v: dict[int, int] = {}
+        for i, sign, g in edges:
+            rows = nonzero.get(g)
+            if rows is None:
+                rows = nonzero[g] = [[(c, x) for c, x in enumerate(row) if x]
+                                     for row in M.act(g).a]
+            base = i * m
+            for j, yj in y.items():
+                for c, x in rows[j]:
+                    v[base + c] = v.get(base + c, 0) + sign * yj * x
+        return sum(x % q << L * c for c, x in v.items())
+
+    packed = [chain(loop, {j: 1}) for loop in loops for j in range(m)]
     Mdual = dual(M)
     for members in H.maximal_cyclic_classes():
         C = G.subgroup(members)  # its one generator generates it
-        vectors += [pack_lanes(y, q) << at[C.generators[0]]
-                    for y in fixed_basis(Mdual, C).columns()]
-    return vectors
+        path = H.path_to(C.generators[0])
+        packed += [chain(path, {j: yj for j, yj in enumerate(y) if yj})
+                   for y in fixed_basis(Mdual, C).columns()]
+    return packed
 
 
 def _span(H: Subgroup, M: GLattice,
@@ -183,12 +190,13 @@ def _span(H: Subgroup, M: GLattice,
     """(n, free, packed): packed(q) lists, packed mod q (zlinalg.pack_lanes),
     vectors whose span S in Z^n has as torsion quotient Tate cohomology in
     degree -1, 0 or 1 (_spanning_vectors, n = m), or Sha^2_omega for degree
-    2 (_sha_vectors, n = (|H| - 1) m); free is the free rank of Z^n / S:
+    2 (_sha_vectors, n = k m for the k generators of
+    Subgroup.relator_loops); free is the free rank of Z^n / S:
     rank M^H in degrees -1 and 1, m - rank M^H in degrees 0 and 2 (module
     docstring)."""
     m, fixed = M.rank, fixed_rank(M, H)
     if degree == 2:
-        return (H.order - 1) * m, m - fixed, lambda q: _sha_vectors(H, M, q)
+        return len(H.relator_loops()[0]) * m, m - fixed, lambda q: _sha_vectors(H, M, q)
     vectors = _spanning_vectors(H, M, degree)
     return m, m - fixed if degree == 0 else fixed, lambda q: [pack_lanes(v, q) for v in vectors]
 
@@ -233,8 +241,9 @@ def h1(H: Subgroup, M: GLattice) -> AbelianInvariants:
 def sha_omega(H: Subgroup, M: GLattice) -> AbelianInvariants:
     """Sha^2_omega(H, M), the classes of H^2(H, M) that vanish on every cyclic
     subgroup of H: H^1(H, F) for the tail F of any flabby resolution of M,
-    read from M alone as the torsion of Z^n / S, n = (|H| - 1) m, for the
-    span S of _sha_vectors (module docstring)."""
+    read from M alone as the torsion of Z^n / S, n = k m for the k
+    generators of Subgroup.relator_loops, for the span S of _sha_vectors
+    (module docstring)."""
     return _tate(H, M, 2)
 
 

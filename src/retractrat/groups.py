@@ -21,6 +21,10 @@ from .zlinalg import _factorint
 PARSE_ORDER_BOUND = 1024
 SUBGROUP_ORDER_BOUND = 64
 
+# a path in a Cayley graph: (generator index, +1 or -1, element) per edge
+# (Subgroup.relator_loops)
+Loop = tuple[tuple[int, int, int], ...]
+
 
 def _is_prime_power(n: int) -> Optional[int]:
     """The prime p if n = p^k with k >= 1, else None."""
@@ -535,6 +539,9 @@ class Subgroup:
         # (every one of a subgroup scan) never get one
         self._coset_orbits: Optional[dict[tuple[int, ...], tuple[tuple[int, ...], ...]]] = None
         self._maximal_cyclic: Optional[tuple[tuple[int, ...], ...]] = None
+        # generators, relator loops and a word for each member (relator_loops)
+        self._presentation: Optional[tuple[tuple[int, ...], tuple[Loop, ...],
+                                           dict[int, tuple[int, ...]]]] = None
 
     @property
     def parent(self) -> FiniteGroup:
@@ -644,6 +651,100 @@ class Subgroup:
                 classes.append(orbit[0])
             self._maximal_cyclic = tuple(classes)
         return self._maximal_cyclic
+
+    def relator_loops(self) -> tuple[tuple[int, ...], tuple[Loop, ...]]:
+        """(gens, loops): a presentation of H on generators x_i = gens[i], each
+        relator given by its loop from 1 in the Cayley graph of H on them
+        (edges g -> g x_i), as the edges (i, sign, g) it runs along: from g
+        forwards (sign 1) or backwards into g (sign -1).  Computed once
+        and kept.
+
+        For H of order p^k it is a polycyclic presentation: x_i is an
+        element of H outside N_i = <x_0..x_i-1> with x_i^p in N_i and
+        x_i N_i central in H / N_i (one exists while N_i < H, as a nontrivial
+        p-group has a nontrivial centre), so N_i+1 is normal in H, of index p
+        in it and every element is x_k-1^e ... x_0^e' with exponents below p.
+        The relators x_i^p = u and x_i^-1 x_j x_i = v (j < i), with u and
+        v in N_i in that normal form, present a group of order at most p^k
+        onto which H maps: H itself.  Any other H is presented on its
+        generators with a relator per edge off a breadth-first spanning tree
+        of its Cayley graph (Schreier), |H| (k - 1) + 1 of them."""
+        gens, loops, _ = self._presented()
+        return gens, loops
+
+    def path_to(self, h: int) -> Loop:
+        """The edges of a path from 1 to the member h in the Cayley graph of
+        relator_loops, as they are listed there."""
+        gens, _, words = self._presented()
+        return self._walk(gens, words[h])[0]
+
+    def _presented(self) -> tuple[tuple[int, ...], tuple[Loop, ...], dict[int, tuple[int, ...]]]:
+        # words[h]: indices of generators whose product is h; in a relator
+        # ~i stands for x_i^-1
+        if self._presentation is None:
+            G = self.parent
+            t, inv = G.mul_table, G.inv_table
+            words: dict[int, tuple[int, ...]] = {0: ()}
+            relators = []
+
+            def inverse(word):
+                return tuple(~i for i in reversed(word))
+
+            primes = _factorint(self.order)
+            if len(primes) == 1:
+                (p,), gens = primes, []
+                while len(words) < self.order:
+                    x = next(g for g in self.members if g not in words
+                             and self._power(g, p) in words
+                             and all(t[inv[g]][t[t[y][g]][inv[y]]] in words
+                                     for y in self.generators))
+                    i = len(gens)
+                    relators.append((i,) * p + inverse(words[self._power(x, p)]))
+                    relators += [(~i, j, i) + inverse(words[t[t[inv[x]][g]][x]])
+                                 for j, g in enumerate(gens)]
+                    gens.append(x)
+                    level, power = list(words.items()), 0
+                    for e in range(1, p):
+                        power = t[power][x]
+                        words.update((t[power][n], (i,) * e + w) for n, w in level)
+            else:
+                gens, queue = list(self.generators), [0]
+                for h in queue:  # breadth first
+                    for i, x in enumerate(gens):
+                        hx = t[h][x]
+                        if hx not in words:
+                            words[hx] = words[h] + (i,)
+                            queue.append(hx)
+                        else:
+                            relators.append(words[h] + (i,) + inverse(words[hx]))
+            gens = tuple(gens)
+            loops = []
+            for r in relators:
+                edges, end = self._walk(gens, r)
+                if end != 0:
+                    raise InternalCheckError(f"relator {r} of {self.members} is not a loop")
+                loops.append(edges)
+            self._presentation = (gens, tuple(loops), words)
+        return self._presentation
+
+    def _power(self, g: int, e: int) -> int:
+        row, x = self.parent.mul_table[g], 0
+        for _ in range(e):
+            x = row[x]
+        return x
+
+    def _walk(self, gens: tuple[int, ...], word: tuple[int, ...]) -> tuple[Loop, int]:
+        # the edges of the path from 1 spelling word, and its end
+        t, inv = self.parent.mul_table, self.parent.inv_table
+        g, edges = 0, []
+        for i in word:
+            if i >= 0:
+                edges.append((i, 1, g))
+                g = t[g][gens[i]]
+            else:
+                g = t[g][inv[gens[~i]]]
+                edges.append((~i, -1, g))
+        return tuple(edges), g
 
     def as_group(self) -> FiniteGroup:
         """Standalone FiniteGroup with the induced table (identity stays 0),

@@ -737,7 +737,12 @@ def _replay_noether_step(G: FiniteGroup, k: FieldDescriptor, step: TraceStep) ->
 
 def replay_trace(v: Verdict) -> bool:
     """Re-run the engine on the verdict's inputs and re-verify the premises of
-    every step; True iff the answer reproduces and all premises check out."""
+    every step; True iff the answer reproduces and all premises check out.
+    A torus h1-obstruction is re-checked as h1 of the tail of a fresh flabby
+    resolution, a path that shares no code with the Sha^2_omega reading
+    that made it; so a torus No whose lattice has a resolution beyond the
+    cover rank bound (the regular norm-one torus of C2^4, say) cannot be
+    replayed: the resolution raises ResourceBoundError."""
     if not v.context:
         raise UserInputError("verdict carries no replay context")
     kind = v.context["kind"]

@@ -19,6 +19,7 @@ from retractrat.groups import (
     catalog_groups_upto,
     cyclic_group,
     direct_product,
+    parse_group,
 )
 from retractrat.lattices import augmentation_kernel, dual, lenstra_lattice, random_lattice
 from retractrat.resolutions import (
@@ -121,11 +122,17 @@ def _product(*orders):
     ("A4", lambda: catalog_group("A4"), [2]),
     ("S3", lambda: catalog_group("S3"), []),
     ("C3xC3", lambda: _product(3, 3), [3]),
+    # not of prime-power order, so presented off a spanning tree; A5 is
+    # not solvable
+    ("S4", lambda: parse_group({"perm_generators": [[2, 3, 4, 1], [2, 1, 3, 4]], "degree": 4}), [2]),
+    ("A5", lambda: parse_group({"perm_generators": [[2, 3, 4, 5, 1], [2, 3, 1, 4, 5]], "degree": 5}),
+     [2]),
 ])
 def test_sha_omega_of_the_norm_one_torus_is_the_schur_multiplier(name, build, schur):
     # H^2(G, J_G) = H^3(G, Z) = H^2(G, Q/Z), and H^3 of a cyclic group
     # vanishes, so Sha^2_omega(G, J_G) is the Schur multiplier: the
-    # exterior square for abelian G, Z/2 for D8 and A4, 0 for Q8 and S3
+    # exterior square for abelian G, Z/2 for D8, A4, S4 and A5, 0 for Q8
+    # and S3
     G = build()
     J = dual(augmentation_kernel(G, G.trivial_subgroup()))
     assert sha_omega(G.full_subgroup(), J) == AbelianInvariants(tuple(schur)), name

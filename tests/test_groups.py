@@ -858,6 +858,45 @@ class TestMaximalCyclic:
         assert C8.maximal_cyclic_classes() == (C8.members,)
 
 
+class TestRelatorLoops:
+    @staticmethod
+    def walk(G, gens, edges, start=0):
+        # follow the edges (i, sign, g) from start, checking each one begins
+        # where the last ended; return the end
+        at = start
+        for i, sign, g in edges:
+            if sign == 1:
+                assert g == at
+                at = G.mul(g, gens[i])
+            else:
+                assert G.mul(g, gens[i]) == at
+                at = g
+        return at
+
+    def test_loops_close_and_paths_reach_every_member(self):
+        # a p-group of order p^k gets k polycyclic generators and
+        # k (k + 1) / 2 relators, any other group its own generators and one
+        # relator per edge off a spanning tree; each relator is a closed
+        # walk from 1 and path_to(h) a walk from 1 to h; a second call
+        # returns the kept loops
+        groups = [catalog_group(name) for name in CATALOG_NAMES]
+        for G in groups + [parse_group(S4_DOC), parse_group(A5_DOC)]:
+            for H in G.subgroups():
+                gens, loops = H.relator_loops()
+                assert set(gens) <= set(H.members) and 0 not in gens
+                primes = factorint(H.order)
+                if len(primes) == 1:
+                    (p, k), = primes.items()
+                    assert (len(gens), len(loops)) == (k, k * (k + 1) // 2), (G, H)
+                else:
+                    k = len(gens)
+                    assert gens == H.generators
+                    assert len(loops) == H.order * (k - 1) + 1, (G, H)
+                assert all(self.walk(G, gens, loop) == 0 for loop in loops)
+                assert all(self.walk(G, gens, H.path_to(h)) == h for h in H.members)
+                assert H.relator_loops()[1] is loops
+
+
 class TestQuotient:
     def test_generator_images_generate_quotient(self):
         for name in CATALOG_NAMES:

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from conftest import metacyclic_group, sign_lattice
-from retractrat.errors import UserInputError
+from retractrat.errors import ResourceBoundError, UserInputError
 from retractrat import verdict
 from retractrat.groups import (
     catalog_group,
@@ -363,6 +363,17 @@ class TestTorusVerdict:
         H = G.subgroup(v.trace[-1].premises["subgroup"])
         assert H.order == 4 and not H.is_cyclic()
         assert v.trace[-1].premises["h1"] == [2]
+
+    def test_replay_of_a_torus_beyond_the_cover_bound_raises(self):
+        # replay_trace re-checks the obstruction through a fresh flabby
+        # resolution, which these lattices exceed: it raises rather than
+        # answering True or False
+        C2 = cyclic_group(2)
+        G = direct_product(direct_product(C2, C2), direct_product(C2, C2))
+        v = torus_verdict(dual(augmentation_kernel(G, G.trivial_subgroup())))
+        assert v.answer == "No"
+        with pytest.raises(ResourceBoundError, match="cover rank"):
+            replay_trace(v)
 
 
 class TestMultiplicativeVerdict:
