@@ -83,8 +83,9 @@ resolution:
   g -> g x_i tensored with y is e_i (x) g^-1 y; d_1(e_i (x) y) is
   x_i^-1 y - y, and im d_2 is spanned by the relators' loops from 1 tensored
   with a basis of A: per loop and basis vector y, the sum over its edges of
-  sign * e_i (x) g^-1 y.  For |H| = p^k the presentation is polycyclic,
-  with k generators and k (k + 1) / 2 relators, so n = k m.
+  sign * e_i (x) g^-1 y.  The presentation is polycyclic, on the chain of
+  prime-index steps the subgroup enumeration recorded (A5 aside), with
+  k generators and k (k + 1) / 2 relators, so n = k m.
 * Corestriction.  For C = <c>, H_1(C, A) = A^C / N_C A, and the chain map
   from the Cayley complex of C that sends the edge 1 -> c to a path from 1
   to c in that of H sends the class of y in A^C to that path tensored with

@@ -253,7 +253,9 @@ class FiniteGroup:
         non-solvable group is A5, of order 60, and a group of order below
         120 that contains A5 is A5 itself.  Under SUBGROUP_ORDER_BOUND = 64
         every proper subgroup is therefore solvable, and adding G itself
-        completes the list.
+        completes the list.  The zuppos a subgroup was first found by are
+        its spanned_by, and they are its presentation
+        (Subgroup.relator_loops); G = A5 records G.generators instead.
         """
         if self._subgroups is not None:
             return self._subgroups
@@ -659,16 +661,19 @@ class Subgroup:
         forwards (sign 1) or backwards into g (sign -1).  Computed once
         and kept.
 
-        For H of order p^k it is a polycyclic presentation: x_i is an
-        element of H outside N_i = <x_0..x_i-1> with x_i^p in N_i and
-        x_i N_i central in H / N_i (one exists while N_i < H, as a nontrivial
-        p-group has a nontrivial centre), so N_i+1 is normal in H, of index p
-        in it and every element is x_k-1^e ... x_0^e' with exponents below p.
-        The relators x_i^p = u and x_i^-1 x_j x_i = v (j < i), with u and
-        v in N_i in that normal form, present a group of order at most p^k
-        onto which H maps: H itself.  Any other H is presented on its
-        generators with a relator per edge off a breadth-first spanning tree
-        of its Cayley graph (Schreier), |H| (k - 1) + 1 of them."""
+        The generators are spanned_by, the chain FiniteGroup.subgroups()
+        recorded: x_i normalises N_i = <x_0..x_i-1>, and the least e_i >= 1
+        with x_i^e_i in N_i is the prime index of N_i in N_i+1, so the layers
+        x_i^e N_i (e < e_i) partition N_i+1 and give each member a word
+        x_k-1^a ... x_0^b (path_to).  The relators x_i^e_i = u_i and
+        x_i^-1 x_j x_i = v_ij (j < i), u_i and v_ij words in N_i, present H
+        on k = Omega(|H|) generators: in the group they define, conjugation
+        by x_i maps M_i = <x_0..x_i-1> into itself, so onto it when M_i is
+        finite, and M_i+1 is the union of the M_i x_i^e (e < e_i); by
+        induction it has order at most |H| and maps onto H.  No centrality
+        is needed.  Only a group that is not solvable (A5) records no chain
+        for itself; it is presented off a breadth-first spanning tree of its
+        Cayley graph (Schreier), with |H| (k - 1) + 1 relators."""
         gens, loops, _ = self._presented()
         return gens, loops
 
@@ -682,42 +687,33 @@ class Subgroup:
         # words[h]: indices of generators whose product is h; in a relator
         # ~i stands for x_i^-1
         if self._presentation is None:
-            G = self.parent
-            t, inv = G.mul_table, G.inv_table
+            t, inv = self.parent.mul_table, self.parent.inv_table
+            gens = self.spanned_by
             words: dict[int, tuple[int, ...]] = {0: ()}
             relators = []
 
             def inverse(word):
                 return tuple(~i for i in reversed(word))
 
-            primes = _factorint(self.order)
-            if len(primes) == 1:
-                (p,), gens = primes, []
-                while len(words) < self.order:
-                    x = next(g for g in self.members if g not in words
-                             and self._power(g, p) in words
-                             and all(t[inv[g]][t[t[y][g]][inv[y]]] in words
-                                     for y in self.generators))
-                    i = len(gens)
-                    relators.append((i,) * p + inverse(words[self._power(x, p)]))
-                    relators += [(~i, j, i) + inverse(words[t[t[inv[x]][g]][x]])
-                                 for j, g in enumerate(gens)]
-                    gens.append(x)
-                    level, power = list(words.items()), 0
-                    for e in range(1, p):
-                        power = t[power][x]
-                        words.update((t[power][n], (i,) * e + w) for n, w in level)
-            else:
-                gens, queue = list(self.generators), [0]
-                for h in queue:  # breadth first
-                    for i, x in enumerate(gens):
-                        hx = t[h][x]
-                        if hx not in words:
-                            words[hx] = words[h] + (i,)
-                            queue.append(hx)
-                        else:
-                            relators.append(words[h] + (i,) + inverse(words[hx]))
-            gens = tuple(gens)
+            for i, x in enumerate(gens):
+                conj = [t[t[inv[x]][g]][x] for g in gens[:i]]
+                if any(c not in words for c in conj):  # not a chain: G = A5
+                    words, relators, queue = {0: ()}, [], [0]
+                    for h in queue:  # breadth first
+                        for j, y in enumerate(gens):
+                            hy = t[h][y]
+                            if hy not in words:
+                                words[hy] = words[h] + (j,)
+                                queue.append(hy)
+                            else:
+                                relators.append(words[h] + (j,) + inverse(words[hy]))
+                    break
+                relators += [(~i, j, i) + inverse(words[c]) for j, c in enumerate(conj)]
+                level, power, e = list(words.items()), x, 1
+                while power not in words:  # the layer x^e N_i
+                    words.update((t[power][n], (i,) * e + w) for n, w in level)
+                    power, e = t[power][x], e + 1
+                relators.append((i,) * e + inverse(words[power]))
             loops = []
             for r in relators:
                 edges, end = self._walk(gens, r)
@@ -726,12 +722,6 @@ class Subgroup:
                 loops.append(edges)
             self._presentation = (gens, tuple(loops), words)
         return self._presentation
-
-    def _power(self, g: int, e: int) -> int:
-        row, x = self.parent.mul_table[g], 0
-        for _ in range(e):
-            x = row[x]
-        return x
 
     def _walk(self, gens: tuple[int, ...], word: tuple[int, ...]) -> tuple[Loop, int]:
         # the edges of the path from 1 spelling word, and its end

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalCheckError, ResourceBoundError, UserInputError
 from .groups import (
+    SUBGROUP_ORDER_BOUND,
     FiniteGroup,
     Subgroup,
     catalog_group,
@@ -508,6 +509,9 @@ def parse_lattice(doc: dict) -> GLattice:
         raise UserInputError("lattice rank must be a non-negative integer")
     if rank > RANK_BOUND:
         raise ResourceBoundError(f"lattice rank {rank} exceeds bound {RANK_BOUND}")
+    cells, bound = G.order * rank ** 2, SUBGROUP_ORDER_BOUND * RANK_BOUND ** 2
+    if cells > bound:  # check=True below expands a rank x rank matrix per element
+        raise ResourceBoundError(f"lattice expansion |G| rank^2 = {cells} exceeds bound {bound}")
     if not isinstance(action_doc, dict):
         raise UserInputError("lattice 'action' must be an object keyed by generator")
     action = {}

@@ -173,6 +173,21 @@ class TestStrictLatticeDocuments:
         assert out == ""
         assert err == f"resource bound exceeded: lattice rank {rank} exceeds bound 512\n"
 
+    def test_lattice_expansion_bound_exit_2(self, capsys, tmp_path):
+        # C2^9 at rank 512: each bound holds alone, but checking the action
+        # would expand 2^9 matrices of 512 x 512 cells; rejected first
+        gens = [[2 * i + 2 if x == 2 * i + 1 else 2 * i + 1 if x == 2 * i + 2 else x
+                 for x in range(1, 19)] for i in range(9)]
+        group = {"degree": 18, "perm_generators": gens}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"group": group, "rank": 512,
+                                    "action": {str(g): [] for g in parse_group(group).generators}}))
+        code, out, err = invoke(capsys, "cohomology", "--lattice", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == ("resource bound exceeded: lattice expansion |G| rank^2 = 134217728"
+                       " exceeds bound 16777216\n")
+
     def test_malformed_monomial_lattice_exit_1(self, capsys, tmp_path):
         doc = {"group": "C2", "rank": 1, "action": {"1": [[True]]},
                "d": 4, "coeff": {"1": [1]}}

@@ -18,6 +18,7 @@ from retractrat.groups import (
     catalog_group,
     catalog_groups_upto,
     cyclic_group,
+    dihedral_group,
     direct_product,
     parse_group,
 )
@@ -89,9 +90,15 @@ def test_obstruction_at_a_head_with_trivial_h1_is_an_internal_error(monkeypatch)
 
 def test_sha_omega_is_h1_of_the_tail():
     # Sha^2_omega(H, M) = H^1(H, F) for every nontrivial subgroup H, and the
-    # first head where it fails is the first where the tail is not coflabby
+    # first head where it fails is the first where the tail is not coflabby;
+    # the regular norm-one tori of A4xC2, D12 and C2xC6 add subgroups of
+    # mixed order where it is nonzero
+    mixed = {"A4xC2": direct_product(catalog_group("A4"), cyclic_group(2)),
+             "D12": dihedral_group(12), "C2xC6": _product(2, 6)}
     lattices = cross_check_lattices() + [(f"lenstra q={2 ** n}", lenstra_lattice(n).M)
                                          for n in (3, 4, 5)]
+    lattices += [(f"J_{name}", dual(augmentation_kernel(G, G.trivial_subgroup())))
+                 for name, G in mixed.items()]
     nontrivial = 0
     for label, M in lattices:
         F = flabby_resolution(M).F
@@ -122,17 +129,20 @@ def _product(*orders):
     ("A4", lambda: catalog_group("A4"), [2]),
     ("S3", lambda: catalog_group("S3"), []),
     ("C3xC3", lambda: _product(3, 3), [3]),
-    # not of prime-power order, so presented off a spanning tree; A5 is
-    # not solvable
+    # not of prime-power order: S4, C2xC6 and D12 are presented, like every
+    # solvable group, on the chain their subgroup enumeration recorded; A5
+    # is not solvable and is presented off a spanning tree
     ("S4", lambda: parse_group({"perm_generators": [[2, 3, 4, 1], [2, 1, 3, 4]], "degree": 4}), [2]),
     ("A5", lambda: parse_group({"perm_generators": [[2, 3, 4, 5, 1], [2, 3, 1, 4, 5]], "degree": 5}),
      [2]),
+    ("C2xC6", lambda: _product(2, 6), [2]),
+    ("D12", lambda: dihedral_group(12), [2]),
 ])
 def test_sha_omega_of_the_norm_one_torus_is_the_schur_multiplier(name, build, schur):
     # H^2(G, J_G) = H^3(G, Z) = H^2(G, Q/Z), and H^3 of a cyclic group
     # vanishes, so Sha^2_omega(G, J_G) is the Schur multiplier: the
-    # exterior square for abelian G, Z/2 for D8, A4, S4 and A5, 0 for Q8
-    # and S3
+    # exterior square for abelian G, Z/2 for D8, D12, A4, S4 and A5, 0 for
+    # Q8 and S3
     G = build()
     J = dual(augmentation_kernel(G, G.trivial_subgroup()))
     assert sha_omega(G.full_subgroup(), J) == AbelianInvariants(tuple(schur)), name
